@@ -47,14 +47,16 @@ class ComponentProfile:
     l2_miss_rate: float
 
 
-def component_profiles(power_trace, perf_trace, vm_name):
+def component_profiles(power_trace, perf_trace, vm_name, breakdown=None):
     """Merge power and performance traces into per-component profiles.
 
     This is the joined view behind the paper's Section VI-C discussion
     (GC: low IPC, huge L2 miss rate, low power; application: the
-    opposite).
+    opposite).  ``breakdown`` is ``decompose(power_trace, vm_name)``
+    when the caller already has it.
     """
-    breakdown = decompose(power_trace, vm_name)
+    if breakdown is None:
+        breakdown = decompose(power_trace, vm_name)
     avg = power_trace.component_avg_power_w()
     peak = power_trace.component_peak_power_w()
     secs = power_trace.component_seconds()

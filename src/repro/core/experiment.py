@@ -167,7 +167,8 @@ class ExperimentResult:
 
     def profiles(self):
         """Merged per-component power/performance profiles."""
-        return component_profiles(self.power, self.perf, self.config.vm)
+        return component_profiles(self.power, self.perf, self.config.vm,
+                                  breakdown=self.breakdown)
 
     def summary(self):
         """Human-readable one-paragraph result."""

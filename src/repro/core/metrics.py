@@ -94,20 +94,29 @@ def perturbation_report(timeline, port_writes):
     cost zero cycles (none of the modeled boards, but the accounting
     stays honest).
     """
-    clock_hz = timeline.clock_hz
     instructions = 0
     cycles = 0
     seconds = 0.0
     cpu_j = 0.0
     mem_j = 0.0
-    for seg in timeline:
-        if seg.tag != "port-write":
-            continue
-        instructions += seg.instructions
-        cycles += seg.cycles
-        seconds += seg.duration_s(clock_hz)
-        cpu_j += seg.cpu_energy_j(clock_hz)
-        mem_j += seg.mem_energy_j(clock_hz)
+    rows = [i for i, tag in enumerate(timeline.tags) if tag == "port-write"]
+    if rows:
+        # Only the tagged rows, read from the column buffers; the sums
+        # run in timeline order with the per-segment arithmetic.
+        arrays = timeline.to_arrays()
+        columns = zip(
+            arrays.instructions[rows].tolist(),
+            (arrays.end_cycles[rows] - arrays.start_cycles[rows]).tolist(),
+            arrays.cpu_power[rows].tolist(),
+            arrays.mem_power[rows].tolist(),
+            arrays.durations_s[rows].tolist(),
+        )
+        for instr, cyc, cpu_w, mem_w, wall_s in columns:
+            instructions += instr
+            cycles += cyc
+            seconds += wall_s
+            cpu_j += cpu_w * wall_s
+            mem_j += mem_w * wall_s
     return PerturbationReport(
         port_writes=port_writes,
         instructions=instructions,

@@ -247,6 +247,45 @@ class ExecutionModel:
             tag=activity.tag,
         )
 
+    def run_many(self, activities, costs, start_cycle):
+        """:meth:`run` for *activities* retired back to back, as one
+        :class:`SegmentBatch` starting at ``start_cycle``.
+
+        ``costs`` holds each activity's :meth:`cost` tuple, each of at
+        least one cycle.  Every row performs :meth:`run`'s scalar
+        arithmetic under the CPU state in force now, so the rows are
+        bit-identical to the segments :meth:`run` would return; as with
+        :meth:`run_batch`, the scheduler re-costs the rows after a
+        throttle flip.
+        """
+        clock_hz = self.cpu.effective_clock_hz
+        dvfs = self.cpu.dvfs
+        duty_cycle = self.cpu.duty_cycle
+        cpu_power_w = self.power_model.power_w
+        mem_power_w = self.memory_model.power_w
+        rows = []
+        end = start_cycle
+        for activity, cost in zip(activities, costs):
+            cycles, l2_acc, l2_miss, mem_acc, ipc = cost
+            duration_s = cycles / clock_hz
+            end += cycles
+            rows.append((
+                end - cycles,
+                end,
+                instr_round(activity.instructions),
+                round(l2_acc),
+                round(l2_miss),
+                round(mem_acc),
+                cpu_power_w(ipc, mix_factor=activity.mix_factor, dvfs=dvfs,
+                            duty_cycle=duty_cycle),
+                mem_power_w(mem_acc, duration_s),
+                duration_s,
+            ))
+        columns = list(zip(*rows))
+        ints = [np.array(col, dtype=np.int64) for col in columns[:6]]
+        floats = [np.array(col, dtype=np.float64) for col in columns[6:]]
+        return SegmentBatch(*ints, *floats)
+
     def idle(self, component, start_cycle, cycles, tag="idle"):
         """An idle interval (idle loop or clock-gated wait)."""
         duration_s = cycles / self.cpu.effective_clock_hz

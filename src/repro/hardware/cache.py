@@ -63,17 +63,36 @@ class AnalyticCacheModel:
       misses once per *new line* touched (``spatial_factor``).
 
     A small compulsory-miss floor models first-touch traffic.
+
+    :meth:`miss_rate` is a pure function of the (frozen, hashable)
+    behavior, so the rates of the last :attr:`MEMO_SIZE` distinct
+    behaviors are memoized: the execution engine costs thousands of
+    activities per run, and about 80% repeat a recent behavior.
     """
 
     COMPULSORY_FLOOR = 0.002
+    #: Distinct behaviors remembered (oldest forgotten first), so a
+    #: long run's memo holds a few dozen behaviors, not thousands.
+    MEMO_SIZE = 64
 
     def __init__(self, capacity_bytes):
         if capacity_bytes <= 0:
             raise ConfigurationError("cache capacity must be positive")
         self.capacity_bytes = int(capacity_bytes)
+        self._miss_rates = {}
 
     def miss_rate(self, behavior):
         """Estimated miss rate (misses per reference) for *behavior*."""
+        memo = self._miss_rates
+        rate = memo.get(behavior)
+        if rate is None:
+            rate = self._compute(behavior)
+            if len(memo) >= self.MEMO_SIZE:
+                del memo[next(iter(memo))]
+            memo[behavior] = rate
+        return rate
+
+    def _compute(self, behavior):
         cap = float(self.capacity_bytes)
         hot = float(behavior.hot_bytes)
         cold = float(max(behavior.footprint_bytes - behavior.hot_bytes, 0))

@@ -46,20 +46,46 @@ class CounterSnapshot:
         }
 
 
+#: Event order of the increment tuples that :meth:`record_segment` and
+#: :meth:`record_batch` build.
+_INCREMENT_ORDER = (
+    Event.CYCLES,
+    Event.INSTRUCTIONS,
+    Event.L2_ACCESSES,
+    Event.L2_MISSES,
+    Event.MEM_ACCESSES,
+    Event.STALL_CYCLES,
+)
+
+
 class PerformanceCounters:
     """A bank of event counters with a platform-specific width limit.
 
     ``max_programmable`` models counter-register scarcity:  CYCLES is
     always available (dedicated clock counter); every other event consumes
     one programmable register.
+
+    Counts live in a plain list (one slot per distinct programmed event)
+    so retiring a segment costs no ``Event`` hashing; snapshots key them
+    by event.
     """
 
     def __init__(self, max_programmable=4):
         if max_programmable < 1:
             raise ConfigurationError("need at least one programmable counter")
         self.max_programmable = max_programmable
-        self._events = [Event.CYCLES]
-        self._values = {Event.CYCLES: 0}
+        self._set_events([Event.CYCLES])
+
+    def _set_events(self, events):
+        self._events = events
+        self._keys = list(dict.fromkeys(events))
+        self._counts = [0] * len(self._keys)
+        # (count slot, increment index) per programmed event, in program
+        # order: a repeated event accumulates once per occurrence.
+        self._slots = [
+            (self._keys.index(ev), _INCREMENT_ORDER.index(ev))
+            for ev in events
+        ]
 
     def program(self, events):
         """Select which events (besides CYCLES) are monitored.
@@ -74,27 +100,29 @@ class PerformanceCounters:
                 f"PMU has {self.max_programmable} programmable counters; "
                 f"{len(events)} events requested"
             )
-        self._events = [Event.CYCLES] + list(events)
-        self._values = {ev: 0 for ev in self._events}
+        self._set_events([Event.CYCLES] + list(events))
 
     @property
     def programmed_events(self):
         return tuple(self._events)
 
+    def _accumulate(self, increments):
+        counts = self._counts
+        for slot, index in self._slots:
+            counts[slot] += increments[index]
+
     def record_segment(self, segment):
         """Accumulate a retired execution segment into the counters."""
-        increments = {
-            Event.CYCLES: segment.cycles,
-            Event.INSTRUCTIONS: segment.instructions,
-            Event.L2_ACCESSES: segment.l2_accesses,
-            Event.L2_MISSES: segment.l2_misses,
-            Event.MEM_ACCESSES: segment.mem_accesses,
-            Event.STALL_CYCLES: max(
-                0, segment.cycles - segment.instructions
-            ),
-        }
-        for ev in self._events:
-            self._values[ev] += increments.get(ev, 0)
+        cycles = segment.cycles
+        instructions = segment.instructions
+        self._accumulate((
+            cycles,
+            instructions,
+            segment.l2_accesses,
+            segment.l2_misses,
+            segment.mem_accesses,
+            max(0, cycles - instructions),
+        ))
 
     def record_batch(self, cycles, instructions, l2_accesses, l2_misses,
                      mem_accesses):
@@ -103,23 +131,20 @@ class PerformanceCounters:
         Counter increments are integers, so a batched sum is exactly the
         sequence of per-segment :meth:`record_segment` calls.
         """
-        increments = {
-            Event.CYCLES: int(cycles.sum()),
-            Event.INSTRUCTIONS: int(instructions.sum()),
-            Event.L2_ACCESSES: int(l2_accesses.sum()),
-            Event.L2_MISSES: int(l2_misses.sum()),
-            Event.MEM_ACCESSES: int(mem_accesses.sum()),
-            Event.STALL_CYCLES: int(
-                np.maximum(0, cycles - instructions).sum()
-            ),
-        }
-        for ev in self._events:
-            self._values[ev] += increments.get(ev, 0)
+        self._accumulate((
+            int(cycles.sum()),
+            int(instructions.sum()),
+            int(l2_accesses.sum()),
+            int(l2_misses.sum()),
+            int(mem_accesses.sum()),
+            int(np.maximum(0, cycles - instructions).sum()),
+        ))
 
     def snapshot(self, cycle):
         """Read all programmed counters atomically."""
-        return CounterSnapshot(cycle=cycle, values=dict(self._values))
+        return CounterSnapshot(
+            cycle=cycle, values=dict(zip(self._keys, self._counts))
+        )
 
     def reset(self):
-        for ev in self._values:
-            self._values[ev] = 0
+        self._counts = [0] * len(self._keys)

@@ -61,8 +61,11 @@ class AdaptiveOptimizationSystem:
         self._queued_ids = set()
         self._residue_s = 0.0
         #: Weights are immutable after table normalization; build the
-        #: multinomial parameter vector once instead of per epoch.
-        self._weights = [m.weight for m in method_table.methods]
+        #: multinomial parameter vector once (as the float64 array the
+        #: generator would convert a list to) instead of per epoch.
+        self._weights = np.array(
+            [m.weight for m in method_table.methods], dtype=np.float64
+        )
         #: Indices of methods that have received at least one sample —
         #: the only ones the controller's cost/benefit scan can act on.
         self._sampled = set()
@@ -80,10 +83,10 @@ class AdaptiveOptimizationSystem:
         self._residue_s -= n_samples * SAMPLE_PERIOD_S
         counts = self.rng.multinomial(n_samples, self._weights)
         methods = self.method_table.methods
-        hit = np.flatnonzero(counts).tolist()
-        for i in hit:
-            methods[i].samples += int(counts[i])
-        self._sampled.update(hit)
+        hit = np.flatnonzero(counts)
+        for i, count in zip(hit.tolist(), counts[hit].tolist()):
+            methods[i].samples += count
+        self._sampled.update(hit.tolist())
         self.total_samples += n_samples
         return n_samples
 
@@ -100,17 +103,18 @@ class AdaptiveOptimizationSystem:
         methods = self.method_table.methods
         for i in sorted(self._sampled):
             method = methods[i]
-            if not method.compiled or id(method) in self._queued_ids:
-                continue
+            quality = method.quality
+            if quality <= 0.0 or id(method) in self._queued_ids:
+                continue  # not compiled yet, or already queued
             past_s = method.samples * SAMPLE_PERIOD_S
             if past_s <= 0.0:
                 continue
             future_s = past_s * FUTURE_DISCOUNT
             best = None
             for level in OPT_LEVELS:
-                if level.quality <= method.quality:
+                if level.quality <= quality:
                     continue
-                speedup = level.quality / method.quality
+                speedup = level.quality / quality
                 benefit_s = future_s * (1.0 - 1.0 / speedup)
                 cost_instr = (
                     method.bytecode_bytes * level.instr_per_byte

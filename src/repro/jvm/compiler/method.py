@@ -46,14 +46,6 @@ class JavaMethod:
         if self.weight < 0:
             raise ConfigurationError("method weight cannot be negative")
 
-    def __setattr__(self, name, value):
-        if name == "quality":
-            JavaMethod.quality_epoch += 1
-            table = getattr(self, "_table_ref", None)
-            if table is not None:
-                table._quality_arr[self._table_idx] = value
-        object.__setattr__(self, name, value)
-
     @property
     def compiled(self):
         return self.quality > 0.0
@@ -65,6 +57,24 @@ class JavaMethod:
                 f"method {self.name} executed before compilation"
             )
         return INSTR_PER_BYTECODE / self.quality
+
+
+def _get_quality(method):
+    return method._quality
+
+
+def _set_quality(method, value):
+    """Store a quality, bump the epoch and sync the table's column."""
+    JavaMethod.quality_epoch += 1
+    table = getattr(method, "_table_ref", None)
+    if table is not None:
+        table._quality_arr[method._table_idx] = value
+    method._quality = value
+
+
+# Installed after the dataclass is built so ``quality`` stays an
+# ordinary init/repr/eq field; only quality writes pay for the epoch.
+JavaMethod.quality = property(_get_quality, _set_quality)
 
 
 class MethodTable:
@@ -88,7 +98,7 @@ class MethodTable:
         self.methods = list(methods)
         # Weights are immutable after normalization, so that column is
         # captured once; the quality column is kept in sync by
-        # :meth:`JavaMethod.__setattr__` so the aggregate recompute
+        # the :attr:`JavaMethod.quality` setter so the aggregate recompute
         # never has to walk the method objects.
         self._weights_arr = np.array(
             [m.weight for m in self.methods], dtype=np.float64

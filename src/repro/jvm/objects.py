@@ -105,24 +105,24 @@ class RootSet:
     Every live object is held by a root (a flat root model: stack and
     static reachability collapsed into one registry).  Objects are indexed
     by death time in a min-heap so that :meth:`expire` can drop exactly
-    the objects whose lifetime has passed in O(log n) per death.
+    the objects whose lifetime has passed in O(log n) per death.  The
+    heap holds exactly the registered objects, so it is also the live
+    set.
     """
 
     def __init__(self):
         self._heap = []
         self._counter = itertools.count()
-        self._live = set()
 
     def __len__(self):
-        return len(self._live)
+        return len(self._heap)
 
     def __contains__(self, obj):
-        return id(obj) in self._live
+        return any(entry[2] is obj for entry in self._heap)
 
     def add(self, obj):
         """Register a newly allocated (therefore live) object."""
         heapq.heappush(self._heap, (obj.death, next(self._counter), obj))
-        self._live.add(id(obj))
 
     def expire(self, now):
         """Drop every object whose death time is <= *now*.
@@ -130,26 +130,22 @@ class RootSet:
         Returns the list of expired objects (the mutator "lets go" of
         them; their memory is reclaimed only when a collector runs).
         """
+        heap = self._heap
         expired = []
-        while self._heap and self._heap[0][0] <= now:
-            _, _, obj = heapq.heappop(self._heap)
-            self._live.discard(id(obj))
-            expired.append(obj)
+        while heap and heap[0][0] <= now:
+            expired.append(heapq.heappop(heap)[2])
         return expired
 
     def live_objects(self):
-        """Iterate over the currently registered (live) objects."""
-        for _, _, obj in self._heap:
-            if id(obj) in self._live:
-                yield obj
+        """The currently registered (live) objects, as a list."""
+        return [entry[2] for entry in self._heap]
 
     def live_bytes(self):
         """Total bytes currently held by roots."""
-        return sum(obj.size for obj in self.live_objects())
+        return sum(entry[2].size for entry in self._heap)
 
     def clear(self):
         self._heap = []
-        self._live = set()
 
 
 class ReferenceFactory:
@@ -160,6 +156,12 @@ class ReferenceFactory:
     ``target.death >= source.death`` rule.  The window models the strong
     temporal clustering of real object graphs (objects mostly point to
     near-contemporaries) while keeping edge creation O(1).
+
+    The window is a list that grows to ``window`` slots and then becomes
+    a ring: the newest object overwrites the oldest, and ``_head`` is
+    the slot of the oldest one.  Window index ``i`` (0 = oldest) lives
+    in slot ``(_head + i) % window``, so draws pick the same objects a
+    sliding list would, without copying the window on every object.
     """
 
     def __init__(self, rng, max_refs=2, window=64, edge_prob=0.7):
@@ -173,22 +175,57 @@ class ReferenceFactory:
         self.window = window
         self.edge_prob = edge_prob
         self._recent = []
+        self._head = 0
 
     def wire(self, obj):
-        """Give *obj* outgoing edges and enter it into the window."""
+        """Give *obj* outgoing edges and enter it into the window.
+
+        Each edge attempt draws one uniform for the edge test and, on
+        success, one for the target index, inline from the
+        :class:`~repro.randutil.BufferedUniform` block (refills go
+        through its ``next()``; see its contract).
+        """
         recent = self._recent
-        if recent and self.max_refs > 0:
+        n = len(recent)
+        head = self._head
+        if n and self.max_refs > 0:
+            uniform = self._uniform
+            buf = uniform.buf
+            pos = uniform.pos
+            block = uniform.block
+            edge_prob = self.edge_prob
+            death = obj.death
             for _ in range(self.max_refs):
-                if self._uniform.next() < self.edge_prob:
-                    target = recent[self._uniform.next_index(len(recent))]
-                    if target.death >= obj.death and target is not obj:
+                if pos < block:
+                    u = buf[pos]
+                    pos += 1
+                else:
+                    uniform.pos = pos
+                    u = uniform.next()
+                    buf, pos = uniform.buf, uniform.pos
+                if u < edge_prob:
+                    if pos < block:
+                        u = buf[pos]
+                        pos += 1
+                    else:
+                        uniform.pos = pos
+                        u = uniform.next()
+                        buf, pos = uniform.buf, uniform.pos
+                    slot = int(u * n) + head
+                    target = recent[slot - n if slot >= n else slot]
+                    if target.death >= death and target is not obj:
                         obj.refs.append(target)
-        recent.append(obj)
-        if len(recent) > self.window:
-            self._recent = recent[-self.window:]
+            uniform.pos = pos
+        if n < self.window:
+            recent.append(obj)
+        else:
+            recent[head] = obj
+            head += 1
+            self._head = 0 if head == n else head
 
     def reset(self):
         self._recent = []
+        self._head = 0
 
 
 def trace_closure(roots, now=None, include=None):

@@ -52,6 +52,12 @@ class InstrumentedScheduler:
     #: per-segment engine (the golden-equivalence suite enforces this).
     DEFAULT_ENGINE = "batched"
 
+    #: Most activities :meth:`execute_many` commits in one batch.  Any
+    #: split commits the same rows; this one keeps every per-batch
+    #: temporary (a column array or tuple of at most 32 items) in the
+    #: small-block allocators instead of the process heap.
+    RUN_ROWS = 32
+
     def __init__(self, platform, style="jikes", max_chunk_s=None,
                  obs=None, engine=None):
         if style not in ("jikes", "kaffe"):
@@ -177,6 +183,53 @@ class InstrumentedScheduler:
             self._write_port(component)
             self._emit_chunks(activity)
 
+    def execute_many(self, activities):
+        """Run *activities* (any iterable, consumed lazily) in order,
+        exactly as calling :meth:`execute` on each in turn would.
+
+        On the batched engine, every run of single-chunk activities of
+        one component (a slice's first-call baseline compiles, say) is
+        costed row by row by
+        :meth:`~repro.hardware.activity.ExecutionModel.run_many` and
+        committed, :attr:`RUN_ROWS` rows at a time with per-row tags,
+        through :meth:`_commit_batch`, which flushes and re-costs after
+        every throttle flip.  The legacy engine — and with it every subclass
+        that overrides ``_append`` — and Kaffe-style entry/exit
+        scheduling loop over :meth:`execute`.
+        """
+        if self.engine != "batched" or self.style != "jikes":
+            for activity in activities:
+                self.execute(activity)
+            return
+        run, costs = [], []
+        for activity in activities:
+            component = int(activity.component)
+            if component != self._latched or len(run) == self.RUN_ROWS:
+                self._emit_run(run, costs)
+                run, costs = [], []
+                self._write_port(component)  # no-op if already latched
+            if activity.instructions <= 0:
+                continue
+            counts, cost = self._chunk_split(activity)
+            if len(counts) == 1:
+                run.append(activity)
+                costs.append(cost)
+                continue
+            self._emit_run(run, costs)
+            run, costs = [], []
+            self._emit_chunks_batched(activity, counts)
+        self._emit_run(run, costs)
+
+    def _emit_run(self, run, costs):
+        """Commit single-chunk activities of the latched component."""
+        tags = [activity.tag for activity in run]
+        pos = 0
+        while pos < len(run):
+            batch = self.exec_model.run_many(
+                run[pos:], costs[pos:], self._cycle
+            )
+            pos += self._commit_batch(batch, self._latched, tags[pos:])
+
     def _chunk_split(self, activity):
         """Split an activity's instructions into chunk counts.
 
@@ -229,13 +282,14 @@ class InstrumentedScheduler:
         so duty-cycle feedback stays cycle-exact with the legacy engine.
         """
         counts = np.asarray(counts, dtype=np.int64)
+        tags = [activity.tag] * len(counts)
         pos = 0
         while pos < len(counts):
             batch = self.exec_model.run_batch(
                 activity, counts[pos:], self._cycle
             )
             pos += self._commit_batch(
-                batch, int(activity.component), activity.tag
+                batch, int(activity.component), tags[pos:]
             )
 
     def idle(self, seconds, component=Component.IDLE):
@@ -279,7 +333,7 @@ class InstrumentedScheduler:
                 ),
                 durations_s=durations,
             )
-            consumed = self._commit_batch(batch, component, "idle")
+            consumed = self._commit_batch(batch, component, ["idle"] * k)
             remaining -= int(cycles[:consumed].sum())
 
     def _append(self, seg):
@@ -299,13 +353,14 @@ class InstrumentedScheduler:
             self._sim_now_s = start_s + duration_s
             self._observe_segment(seg, start_s, was_throttled)
 
-    def _commit_batch(self, batch, component, tag):
+    def _commit_batch(self, batch, component, tags):
         """Integrate, commit, and observe a batch prefix; return the
         number of segments consumed (``>= 1``).
 
-        The thermal model consumes segments until the throttle latch
-        flips (or the batch ends); only that prefix — costed under the
-        correct duty cycle — reaches the timeline and the counters.
+        ``tags`` has one tag per batch row.  The thermal model consumes
+        segments until the throttle latch flips (or the batch ends);
+        only that prefix — costed under the correct duty cycle — reaches
+        the timeline and the counters.
         """
         thermal = self.platform.thermal
         consumed = thermal.step_batch(
@@ -318,7 +373,7 @@ class InstrumentedScheduler:
             batch.instructions[sl], batch.l2_accesses[sl],
             batch.l2_misses[sl], batch.mem_accesses[sl],
             batch.cpu_power_w[sl], batch.mem_power_w[sl],
-            batch.durations_s[sl], tag=tag,
+            batch.durations_s[sl], tags=tags[:consumed],
         )
         self._cycle = int(batch.end_cycles[consumed - 1])
         self.platform.counters.record_batch(
@@ -341,7 +396,7 @@ class InstrumentedScheduler:
                     else was_throttled
                 )
                 self._observe(
-                    component, tag, start_s, end_s, throttled,
+                    component, tags[i], start_s, end_s, throttled,
                     was_throttled,
                 )
         else:

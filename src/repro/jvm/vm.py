@@ -289,7 +289,9 @@ class BaseVM:
     def _boot(self, state):
         raise NotImplementedError
 
-    def _compile_on_first_call(self, state, method):
+    def _compile_first_calls(self, state, methods):
+        """Compile the methods of *methods* not compiled yet, in order
+        (a slice's first invocations)."""
         raise NotImplementedError
 
     def _post_slice(self, state, sl):
@@ -302,9 +304,7 @@ class BaseVM:
             act = state.classloader.load(cls, warm=state.warm)
             if act is not None:
                 state.sched.execute(act)
-        for method in sl.method_calls:
-            if not method.compiled:
-                self._compile_on_first_call(state, method)
+        self._compile_first_calls(state, sl.method_calls)
         state.roots.expire(state.now)
         self._run_app_phase(state, sl)
         self._post_slice(state, sl)
@@ -319,30 +319,41 @@ class BaseVM:
         mutations_left = sl.mutations
         stride = max(1, len(sizes) // (sl.mutations + 1)) if sizes else 1
         ring = state.mutation_ring
+        # Bound once per slice: the loop body runs once per cohort.
+        # ``collector.allocate`` stays one call per object, so collectors
+        # (and subclasses overriding it) see every allocation.
+        allocate = state.collector.allocate
+        add_root = state.roots.add
+        wire = state.refs.wire
+        now = state.now
 
-        for i, (size, death) in enumerate(zip(sizes, deaths)):
-            death = max(death, state.now + 1.0)
+        for i, size in enumerate(sizes):
+            death = deaths[i]
+            if now + 1.0 > death:
+                death = now + 1.0
             try:
-                obj = state.collector.allocate(size, state.now, death)
+                obj = allocate(size, now, death)
             except SpaceExhausted:
                 frac = allocated / total_alloc if total_alloc else 1.0
                 self._emit_app(
                     state, sl, sl.bytecodes * (frac - emitted_frac)
                 )
                 emitted_frac = frac
+                state.now = now
                 obj = self._collect_and_retry(state, size, death)
-            state.roots.add(obj)
-            state.refs.wire(obj)
-            state.now += size
+            add_root(obj)
+            wire(obj)
+            now += size
             allocated += size
             ring.append(obj)
             if len(ring) > MUTATION_RING:
-                ring.pop(0)
+                del ring[0]
             if mutations_left > 0 and i % stride == stride - 1:
                 target = state.workload.mutation_target(ring)
                 if target is not None:
                     state.collector.record_mutation(target)
                     mutations_left -= 1
+        state.now = now
         self._emit_app(state, sl, sl.bytecodes * (1.0 - emitted_frac))
 
     def _collect_and_retry(self, state, size, death):
@@ -494,8 +505,13 @@ class JikesRVM(BaseVM):
             )
         )
 
-    def _compile_on_first_call(self, state, method):
-        state.sched.execute(state.base.compile(method))
+    def _compile_first_calls(self, state, methods):
+        # Baseline compiles are small single-segment activities of one
+        # component: the scheduler commits them in batches.
+        state.sched.execute_many(
+            state.base.compile(method) for method in methods
+            if not method.compiled
+        )
 
     #: Controller-thread work per processed sample (bookkeeping) and
     #: per epoch (organizer wakeup).  Sized so the controller stays
@@ -611,23 +627,26 @@ class KaffeVM(BaseVM):
             )
         )
 
-    def _compile_on_first_call(self, state, method):
-        if self.mode == "jit":
-            compile_from = state.sched.sim_now_s
-            state.sched.execute(state.jit.compile(method))
-            if self.obs.tracer.enabled:
-                self.obs.tracer.add_sim_span(
-                    "jit-compile", "compiler", compile_from,
-                    state.sched.sim_now_s, method=method.name,
-                )
-            self.obs.metrics.counter("compiler.jit_compiles").inc()
-        else:
-            # The interpreter executes bytecodes directly: no compile
-            # activity, but dreadful code quality from then on.
-            from repro.jvm.compiler.method import QUALITY_INTERPRETER
+    def _compile_first_calls(self, state, methods):
+        for method in methods:
+            if method.compiled:
+                continue
+            if self.mode == "jit":
+                compile_from = state.sched.sim_now_s
+                state.sched.execute(state.jit.compile(method))
+                if self.obs.tracer.enabled:
+                    self.obs.tracer.add_sim_span(
+                        "jit-compile", "compiler", compile_from,
+                        state.sched.sim_now_s, method=method.name,
+                    )
+                self.obs.metrics.counter("compiler.jit_compiles").inc()
+            else:
+                # The interpreter executes bytecodes directly: no compile
+                # activity, but dreadful code quality from then on.
+                from repro.jvm.compiler.method import QUALITY_INTERPRETER
 
-            method.quality = QUALITY_INTERPRETER
-            method.tier = "interp"
+                method.quality = QUALITY_INTERPRETER
+                method.tier = "interp"
 
 
 register_vm(

@@ -11,7 +11,7 @@ per-component energy, average and peak power, execution-time shares, and
 per-component microarchitectural rates (IPC, L2 miss rate).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,10 @@ class PowerTrace:
     component: np.ndarray
     sample_period_s: float
     window_s: np.ndarray = None
+    #: Distinct component IDs, found once per trace.
+    _component_ids: list = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.times_s) == 0:
@@ -76,7 +80,16 @@ class PowerTrace:
 
     def components_present(self):
         """Distinct component IDs observed in the trace."""
-        return sorted(int(c) for c in np.unique(self.component))
+        if self._component_ids is None:
+            self._component_ids = [int(c) for c in np.unique(self.component)]
+        return list(self._component_ids)
+
+    def _groups(self):
+        """``(component ID, sample mask)`` per component present, in ID
+        order.  The IDs are found once per trace; each mask is built
+        when its group is reached, so at most one is alive at a time."""
+        for cid in self.components_present():
+            yield cid, self.component == cid
 
     # -- energy ------------------------------------------------------
 
@@ -97,31 +110,26 @@ class PowerTrace:
         return self._component_sum(self.mem_power_w)
 
     def _component_sum(self, values):
-        out = {}
-        for cid in np.unique(self.component):
-            mask = self.component == cid
-            out[int(cid)] = float(
-                np.dot(values[mask], self.window_s[mask])
-            )
-        return out
+        return {
+            cid: float(np.dot(values[mask], self.window_s[mask]))
+            for cid, mask in self._groups()
+        }
 
     # -- power -----------------------------------------------------------
 
     def component_avg_power_w(self):
         """Average CPU power per component (mean over its samples)."""
-        out = {}
-        for cid in np.unique(self.component):
-            mask = self.component == cid
-            out[int(cid)] = float(self.cpu_power_w[mask].mean())
-        return out
+        return {
+            cid: float(self.cpu_power_w[mask].mean())
+            for cid, mask in self._groups()
+        }
 
     def component_peak_power_w(self):
         """Peak CPU power per component (max over its samples)."""
-        out = {}
-        for cid in np.unique(self.component):
-            mask = self.component == cid
-            out[int(cid)] = float(self.cpu_power_w[mask].max())
-        return out
+        return {
+            cid: float(self.cpu_power_w[mask].max())
+            for cid, mask in self._groups()
+        }
 
     def avg_power_w(self):
         return float(self.cpu_power_w.mean())
@@ -133,12 +141,10 @@ class PowerTrace:
 
     def component_seconds(self):
         """Wall time attributed to each component."""
-        out = {}
-        for cid in np.unique(self.component):
-            out[int(cid)] = float(
-                self.window_s[self.component == cid].sum()
-            )
-        return out
+        return {
+            cid: float(self.window_s[mask].sum())
+            for cid, mask in self._groups()
+        }
 
 
 @dataclass

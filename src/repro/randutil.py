@@ -11,24 +11,37 @@ from repro.errors import ConfigurationError
 
 
 class BufferedUniform:
-    """A fast source of U(0,1) variates backed by block draws."""
+    """A fast source of U(0,1) variates backed by block draws.
+
+    The current block is a ``memoryview`` of the drawn NumPy block
+    (``buf``: indexing yields plain Python floats, with no second copy
+    of the block) and a read cursor (``pos``).  Hot loops may draw
+    inline — read ``buf[pos]`` and advance ``pos`` while
+    ``pos < block`` — instead of calling :meth:`next` per variate, as
+    long as they write ``pos`` back and refill only through
+    :meth:`next`.  The stream (which variate is
+    drawn when, and when the generator is asked for the next block) is
+    then exactly the one a sequence of :meth:`next` calls produces.
+    """
 
     def __init__(self, rng, block=4096):
         if block < 16:
             raise ConfigurationError("block size too small")
         self.rng = rng
         self.block = block
-        self._buf = rng.random(block)
-        self._pos = 0
+        self._refill()
+
+    def _refill(self):
+        self.buf = memoryview(self.rng.random(self.block))
+        self.pos = 0
 
     def next(self):
         """One U(0,1) variate."""
-        if self._pos >= self.block:
-            self._buf = self.rng.random(self.block)
-            self._pos = 0
-        value = self._buf[self._pos]
-        self._pos += 1
-        return float(value)
+        if self.pos >= self.block:
+            self._refill()
+        value = self.buf[self.pos]
+        self.pos += 1
+        return value
 
     def next_index(self, n):
         """One uniform integer in ``[0, n)``."""

@@ -100,13 +100,15 @@ class TimelineArrays:
     """Vectorized (NumPy) view of a timeline, used by the samplers.
 
     ``starts_s`` / ``ends_s`` are wall-time segment bounds (seconds from
-    run start); the cycle bounds are retained for counter work.  The
+    run start) and ``durations_s`` the stored per-segment wall times
+    they accumulate; the cycle bounds are retained for counter work.  The
     arrays are read-only views into the timeline's column buffers — do
     not mutate them.
     """
 
     starts_s: np.ndarray
     ends_s: np.ndarray
+    durations_s: np.ndarray
     start_cycles: np.ndarray
     end_cycles: np.ndarray
     components: np.ndarray
@@ -265,17 +267,23 @@ class ExecutionTimeline:
 
     def append_batch(self, start_cycles, end_cycles, component,
                      instructions, l2_accesses, l2_misses, mem_accesses,
-                     cpu_power, mem_power, durations, tag=""):
+                     cpu_power, mem_power, durations, tag="", tags=None):
         """Append a contiguous run of segments from column arrays.
 
-        All array arguments must have the same length; ``component`` and
-        ``tag`` are scalars shared by the whole batch (a batch is always
-        the output of one activity).  The batch must be internally
-        contiguous and start where the timeline currently ends.
+        All array arguments must have the same length; ``component`` is
+        a scalar shared by the whole batch.  ``tag`` is shared by every
+        row (the chunks of one activity), unless ``tags`` gives one tag
+        per row (a run of activities of one component).  The batch must
+        be internally contiguous and start where the timeline currently
+        ends.
         """
         k = len(start_cycles)
         if k == 0:
             return
+        if tags is not None and len(tags) != k:
+            raise TimelineError(
+                f"batch has {len(tags)} tags for {k} segments"
+            )
         if self._n and int(start_cycles[0]) != int(
                 self._end_cycle[self._n - 1]):
             raise TimelineError(
@@ -304,7 +312,7 @@ class ExecutionTimeline:
         self._cpu_power[sl] = cpu_power
         self._mem_power[sl] = mem_power
         self._duration[sl] = durations
-        self._tags.extend([tag] * k)
+        self._tags.extend([tag] * k if tags is None else tags)
         self._n = n + k
         self._total_s = None
         self._ends_s = None
@@ -402,6 +410,7 @@ class ExecutionTimeline:
         return TimelineArrays(
             starts_s=self._ends_s - durations,
             ends_s=self._ends_s,
+            durations_s=durations,
             start_cycles=self._start_cycle[:n],
             end_cycles=self._end_cycle[:n],
             components=self._component[:n],

@@ -208,6 +208,28 @@ class TestAppendBatch:
         assert batched.duration_s == scalar.duration_s
         assert batched.validate()
 
+    def test_per_row_tags_round_trip_through_columns(self):
+        args = self._batch_args()
+        args["tags"] = ["base-compile:a", "base-compile:b", "chunk"]
+        tl = ExecutionTimeline(CLOCK)
+        tl.append(seg(0, 0 + 1))  # a leading row keeps the tags offset
+        for name in ("start_cycles", "end_cycles"):
+            args[name] = args[name] + 1
+        tl.append_batch(**args)
+        assert tl.tags == ["", "base-compile:a", "base-compile:b", "chunk"]
+        restored = ExecutionTimeline.from_columns(tl.to_columns())
+        assert restored.tags == tl.tags
+        assert [s.tag for s in restored] == tl.tags
+        assert list(restored) == list(tl)
+
+    def test_per_row_tags_must_match_batch_length(self):
+        args = self._batch_args()
+        args["tags"] = ["only", "two"]
+        tl = ExecutionTimeline(CLOCK)
+        with pytest.raises(TimelineError):
+            tl.append_batch(**args)
+        assert len(tl) == 0 and tl.tags == []
+
     def test_batch_must_start_at_timeline_end(self):
         tl = ExecutionTimeline(CLOCK)
         tl.append(seg(0, 50))

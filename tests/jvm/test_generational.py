@@ -1,12 +1,15 @@
 """Tests for the generational collectors (GenCopy, GenMS)."""
 
 import numpy as np
+import pytest
 
+from repro.errors import SpaceExhausted
 from repro.jvm.gc.generational import (
     GenCopy,
     GenMS,
     default_nursery_bytes,
 )
+from repro.jvm.heap import BumpAllocator
 from repro.jvm.objects import SPACE_MATURE, SPACE_NURSERY
 from repro.units import KB, MB
 
@@ -42,6 +45,23 @@ class TestAllocation:
         gc = gencopy()
         obj = gc.allocate(gc.nursery_bytes + 1, 0.0, 1e12)
         assert obj.space == SPACE_MATURE
+
+    def test_nursery_bump_matches_the_bump_allocator(self):
+        gc = gencopy()
+        reference = BumpAllocator(gc.nursery_bytes, base_addr=0)
+        for size in (16 * KB, 3 * KB, 40 * KB):
+            assert gc.allocate(size, 0.0, 1e12).addr == (
+                reference.allocate(size))
+        assert gc.nursery.cursor == reference.cursor
+        assert gc.nursery.stats == reference.stats
+
+    def test_full_nursery_raises_and_counts_the_failure(self):
+        gc = gencopy()
+        gc.allocate(gc.nursery_bytes, 0.0, 1e12)
+        with pytest.raises(SpaceExhausted):
+            gc.allocate(1 * KB, 0.0, 1e12)
+        assert gc.nursery.stats.failed_allocations == 1
+        assert gc.nursery.cursor == gc.nursery_bytes
 
 
 class TestMinorCollection:

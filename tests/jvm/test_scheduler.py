@@ -197,6 +197,59 @@ class TestBatchedEngine:
         assert (legacy.platform.counters.snapshot(0).values
                 == batched.platform.counters.snapshot(0).values)
 
+    @staticmethod
+    def _compiles(n=120):
+        """A run of small, distinctly tagged activities, split by an
+        activity of another component, an empty one and a long one."""
+        acts = []
+        for i in range(n):
+            a = act(Component.BASE, instructions=200_000 + 997 * i)
+            a.tag = f"base-compile:m{i}"
+            acts.append(a)
+        acts.insert(40, act(Component.APP, instructions=30_000_000))
+        acts.insert(80, act(Component.BASE, instructions=0))
+        acts.insert(100, act(Component.BASE, instructions=90_000_000))
+        return acts
+
+    def _run_many(self, many, engine="batched", thermal=None):
+        platform = make_platform("p6", fan_enabled=thermal != "trip")
+        if thermal == "trip":
+            platform.thermal.temperature_c = 98.9995  # trips at 99 C
+        elif thermal == "release":
+            platform.thermal.temperature_c = 97.001   # releases < 97 C
+            platform.thermal.throttled = platform.cpu.throttled = True
+        sched = InstrumentedScheduler(platform, max_chunk_s=0.004,
+                                      engine=engine)
+        acts = self._compiles()
+        if many:
+            sched.execute_many(acts)
+        else:
+            for a in acts:
+                sched.execute(a)
+        return sched
+
+    @pytest.mark.parametrize("engine", ["batched", "legacy"])
+    @pytest.mark.parametrize("thermal", [None, "trip", "release"])
+    def test_execute_many_equals_execute_loop(self, engine, thermal):
+        loop = self._run_many(False, engine, thermal)
+        many = self._run_many(True, engine, thermal)
+        # The throttle latch flips inside the first run of compiles, so
+        # a batch is flushed and its rest re-costed mid-run.
+        assert many.platform.cpu.throttled == (thermal == "trip")
+        a, b = loop.finish(), many.finish()
+        assert list(a) == list(b)
+        assert a.to_columns()["tags"] == b.to_columns()["tags"]
+        assert loop.sim_now_s == many.sim_now_s
+        assert loop.now_cycle == many.now_cycle
+        assert loop.port_writes == many.port_writes
+        assert (loop.platform.port.history()
+                == many.platform.port.history())
+        assert (loop.platform.thermal.temperature_c
+                == many.platform.thermal.temperature_c)
+        assert (loop.platform.counters.snapshot(0).values
+                == many.platform.counters.snapshot(0).values)
+        assert loop.throttle_episodes == many.throttle_episodes
+
     def test_default_engine_is_batched(self, p6):
         assert InstrumentedScheduler(p6).engine == "batched"
 

@@ -5,10 +5,12 @@ import pytest
 from repro.errors import (
     ConfigurationError,
     OutOfMemoryError,
+    SpaceExhausted,
     UnknownCollectorError,
 )
 from repro.hardware.platform import make_platform
 from repro.jvm.components import Component
+from repro.jvm.gc.generational import GenCopy
 from repro.jvm.vm import JikesRVM, KaffeVM, make_vm
 from repro.units import MB
 
@@ -172,3 +174,44 @@ class TestInstrumentation:
         full = run_tiny(seed=5)
         small = run_tiny(seed=5, input_scale=0.3)
         assert small.duration_s < full.duration_s
+
+
+class TestAllocationProtocol:
+    """``Collector.allocate`` is the VM's one call per allocated object,
+    so a collector subclass that overrides it sees every allocation."""
+
+    def test_gencopy_override_sees_every_allocation(self):
+        class Recording(GenCopy):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.allocated = []   # (birth, size) of every new object
+                self.exhausted = 0
+
+            def allocate(self, size, birth, death):
+                try:
+                    obj = super().allocate(size, birth, death)
+                except SpaceExhausted:
+                    self.exhausted += 1
+                    raise
+                self.allocated.append((birth, obj.size))
+                return obj
+
+        class RecordingVM(JikesRVM):
+            def _make_collector(self, rng):
+                self.collector = Recording(self.heap_bytes, rng)
+                return self.collector
+
+        vm = RecordingVM(make_platform("p6"), collector="GenCopy",
+                         heap_mb=24, seed=3, n_slices=40)
+        recorded = vm.run(make_tiny_spec())
+        plain = run_tiny(collector="GenCopy")
+        # Births run on the allocation clock: each object is born where
+        # the previous one ended, so a bypassed allocation leaves a gap.
+        births = [birth for birth, _ in vm.collector.allocated]
+        ends = [birth + size for birth, size in vm.collector.allocated]
+        assert births[0] == 0.0
+        assert births[1:] == ends[:-1]
+        assert vm.collector.exhausted == recorded.gc_stats.collections > 0
+        assert recorded.timeline.to_columns()["tags"] == (
+            plain.timeline.to_columns()["tags"])
+        assert recorded.cpu_energy_j() == plain.cpu_energy_j()
