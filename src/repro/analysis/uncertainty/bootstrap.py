@@ -235,10 +235,15 @@ class BootstrapEngine:
         components = {}
         for i in range(self.replicates):
             result = self.measure_replicate(sim, i)
-            totals["cpu_energy_j"].add(result.cpu_energy_j)
-            totals["mem_energy_j"].add(result.mem_energy_j)
-            totals["total_energy_j"].add(result.total_energy_j)
+            # Each property re-runs a whole-trace dot; read them once and
+            # add them the way ``ExperimentResult.total_energy_j`` does.
+            cpu, mem = result.cpu_energy_j, result.mem_energy_j
+            totals["cpu_energy_j"].add(cpu)
+            totals["mem_energy_j"].add(mem)
+            totals["total_energy_j"].add(cpu + mem)
             per_comp = result.breakdown.cpu_energy_j
+            # Free this replicate's trace before the next one is taken.
+            del result
             for cid, energy in per_comp.items():
                 label = _component_label(cid)
                 stats = components.get(label)

@@ -29,6 +29,29 @@ from repro.obs import NULL_OBS
 from repro.units import DAQ_SAMPLE_PERIOD_S
 
 
+def _non_decreasing(values):
+    return len(values) < 2 or bool(np.all(values[1:] >= values[:-1]))
+
+
+def sorted_lookup(table, keys):
+    """``np.searchsorted(table, keys, side="right")``, merged when it can.
+
+    When both arrays are non-decreasing, the number of table entries at
+    or below ``keys[i]`` only grows with ``i``: entry ``j`` is counted
+    from ``first[j]``, the first key ``>= table[j]``, on.  So the answer
+    is ``j`` on the run of keys from ``first[j - 1]`` up to ``first[j]``,
+    written in one pass over the keys instead of one binary search per
+    key (the DAQ has about sixty samples per timeline segment).  Any
+    other input (a key out of order, a NaN) takes the binary search, so
+    the result is the same either way.
+    """
+    if not (_non_decreasing(keys) and _non_decreasing(table)):
+        return np.searchsorted(table, keys, side="right")
+    first = np.searchsorted(keys, table, side="left")
+    runs = np.diff(first, prepend=0, append=len(keys))
+    return np.repeat(np.arange(len(table) + 1), runs)
+
+
 class DAQ:
     """Samples power channels plus the component-ID register."""
 
@@ -87,7 +110,8 @@ class DAQ:
         window_s = np.full(n, period, dtype=np.float64)
         if tail_s:
             window_s[-1] = tail_s
-        times = np.cumsum(window_s) - 0.5 * window_s
+        times = np.cumsum(window_s)
+        times -= 0.5 * window_s
         # The instants the DAQ *actually* reads the timeline at: with a
         # noise model attached these carry the sample clock's jitter,
         # while the trace keeps nominal timestamps — the real instrument
@@ -99,58 +123,58 @@ class DAQ:
         else:
             read_times = times
 
-        # Locate each sample's segment.
-        seg = np.searchsorted(arrays.ends_s, read_times, side="right")
-        seg = np.minimum(seg, len(arrays.ends_s) - 1)
+        # Locate each sample's segment.  Everything that depends only on
+        # the segment is computed once per segment below and gathered
+        # per sample; elementwise arithmetic commutes with the gather
+        # bit for bit, so ``(P / V)[seg]`` is ``P[seg] / V``.
+        seg = sorted_lookup(arrays.ends_s, read_times)
+        np.minimum(seg, len(arrays.ends_s) - 1, out=seg)
 
-        true_cpu = arrays.cpu_power[seg]
-        true_mem = arrays.mem_power[seg]
-        cpu = self.cpu_channel.measure(true_cpu)
-        mem = self.mem_channel.measure(true_mem)
+        # Map sample instants to cycle counts (linear within a segment):
+        # frac = (t - start) / span, zero on a segment without wall span.
+        span_s = arrays.ends_s - arrays.starts_s
+        positive = span_s > 0
+        frac = arrays.starts_s[seg]
+        np.subtract(read_times, frac, out=frac)
+        del read_times
+        frac /= np.where(positive, span_s, 1.0)[seg]
+        if not positive.all():
+            frac[~positive[seg]] = 0.0
+        frac *= (arrays.end_cycles - arrays.start_cycles).astype(
+            np.float64)[seg]
+        frac += arrays.start_cycles.astype(np.float64)[seg]
+        cycles = frac.astype(np.int64)
+        del frac
 
-        # Map sample instants to cycle counts (linear within a segment)
-        # and read the latched component ID at each.
-        seg_span_s = arrays.ends_s[seg] - arrays.starts_s[seg]
-        seg_span_c = (
-            arrays.end_cycles[seg] - arrays.start_cycles[seg]
-        ).astype(np.float64)
-        frac = np.where(
-            seg_span_s > 0,
-            (read_times - arrays.starts_s[seg]) / np.where(
-                seg_span_s > 0, seg_span_s, 1.0
-            ),
-            0.0,
-        )
-        cycles = (
-            arrays.start_cycles[seg].astype(np.float64)
-            + frac * seg_span_c
-        ).astype(np.int64)
+        # Read the latched component ID at each cycle count.  Samples
+        # taken before the first latch update belong to the port's
+        # power-on/idle value, not to whichever component happened to be
+        # latched first; so does every sample of a port with an empty
+        # history (replayed traces, external port sources).  ``latched``
+        # counts the latch updates at or before each sample, and the
+        # idle value sits at position 0 of the lookup table.
         port_cycles, port_values = port.history_arrays()
-        # Samples taken before the first latch update belong to the
-        # port's power-on/idle value, not to whichever component happened
-        # to be latched first.  A port with an *empty* history (no
-        # power-on latch recorded at all — replayed traces, external
-        # port sources) attributes every sample to idle: the gather
-        # below is evaluated eagerly even where ``np.where`` would pick
-        # the idle branch, so indexing an empty history would raise.
         idle = np.int16(getattr(port, "idle_value", 0))
-        if len(port_values) == 0:
-            idx = np.full(n, -1, dtype=np.int64)
-            component = np.full(n, idle, dtype=np.int16)
-        else:
-            idx = np.searchsorted(port_cycles, cycles, side="right") - 1
-            component = np.where(
-                idx >= 0, port_values[np.maximum(idx, 0)], idle
-            ).astype(np.int16)
+        latched = sorted_lookup(port_cycles, cycles)
+        del cycles
+        component = np.concatenate(
+            ([idle], port_values)
+        ).astype(np.int16)[latched]
 
         metrics = self.obs.metrics
         if metrics.enabled:
-            attributed = int((idx >= 0).sum())
+            attributed = int(np.count_nonzero(latched))
             metrics.counter("daq.samples").inc(n)
             metrics.counter("daq.samples_attributed").inc(attributed)
             metrics.counter("daq.samples_pre_latch").inc(n - attributed)
             if tail_s:
                 metrics.counter("daq.partial_tail_windows").inc()
+        del latched
+
+        # The sense channels read last, once the read instants and cycle
+        # counts are gone, so fewer sample-sized arrays live at once.
+        cpu = self.cpu_channel.measure(arrays.cpu_power, at=seg)
+        mem = self.mem_channel.measure(arrays.mem_power, at=seg)
         self.obs.log.debug(
             "daq.acquired", samples=n,
             sample_period_us=round(1e6 * period, 3),

@@ -103,13 +103,9 @@ class HPMSampler:
         # Attribute each inter-tick delta to the component at the tick's
         # *end* (the handler sees who is running when the timer fires).
         comp_of_delta = component[1:]
-        out = {
-            "samples": {},
-            "cycles": {},
-            "instructions": {},
-            "l2_accesses": {},
-            "l2_misses": {},
-        }
+        counters = ("cycles", "instructions", "l2_accesses", "l2_misses")
+        deltas = {name: np.diff(cum[name]) for name in counters}
+        out = {"samples": {}, **{name: {} for name in counters}}
         metrics = self.obs.metrics
         if metrics.enabled:
             metrics.counter("hpm.samples").inc(n)
@@ -120,10 +116,8 @@ class HPMSampler:
             mask = comp_of_delta == cid
             key = int(cid)
             out["samples"][key] = int(mask.sum())
-            for name in ("cycles", "instructions", "l2_accesses",
-                         "l2_misses"):
-                deltas = np.diff(cum[name])
-                out[name][key] = float(deltas[mask].sum())
+            for name in counters:
+                out[name][key] = float(deltas[name][mask].sum())
         return PerfTrace(
             sample_period_s=self.period_s,
             n_samples=n,

@@ -125,11 +125,17 @@ class ADCQuantizer:
         """One least-significant-bit step over the ±range_v span."""
         return 2.0 * self.range_v / (2 ** self.bits)
 
-    def quantize(self, vdrop_v):
-        """Saturate at full scale, snap to the nearest code."""
+    def quantize(self, vdrop_v, out=None):
+        """Saturate at full scale, snap to the nearest code.
+
+        ``out`` (an array shaped like *vdrop_v*, possibly *vdrop_v*
+        itself) receives the codes in place; the arithmetic is the same
+        either way.
+        """
         lsb = self.lsb_v
-        clipped = np.clip(vdrop_v, -self.range_v, self.range_v)
-        return np.round(clipped / lsb) * lsb
+        codes = np.clip(vdrop_v, -self.range_v, self.range_v, out=out)
+        codes = np.round(np.divide(codes, lsb, out=out), out=out)
+        return np.multiply(codes, lsb, out=out)
 
 
 class NoiseModel:
@@ -179,9 +185,9 @@ class NoiseModel:
         frac = self.config.daq_jitter_frac
         if frac <= 0:
             return times_s
-        jitter = self.rng.normal(0.0, frac * period_s,
-                                 size=times_s.shape)
-        return np.clip(times_s + jitter, 0.0, duration_s)
+        read_s = self.rng.normal(0.0, frac * period_s, size=times_s.shape)
+        read_s += times_s
+        return np.clip(read_s, 0.0, duration_s, out=read_s)
 
     # -- HPM timer ------------------------------------------------------
 

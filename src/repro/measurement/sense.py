@@ -63,13 +63,20 @@ class SenseChannel:
             + float(rng.uniform(-resistor.tolerance, resistor.tolerance))
         )
 
-    def measure(self, true_power_w):
+    def measure(self, true_power_w, at=None):
         """Read back the power for an array of true power draws.
 
         The physical chain: true current I = P/V flows through the actual
         resistance, producing a voltage drop; the DAQ digitizes that drop
         with additive noise; power is reconstructed using the *nominal*
         resistance (the experimenter doesn't know the actual one).
+
+        ``at`` optionally indexes *true_power_w*: the readings are then
+        those of ``true_power_w[at]``, while the noise-free front of the
+        chain runs once per entry of *true_power_w* (the DAQ passes
+        per-segment powers and each sample's segment).  Elementwise
+        arithmetic commutes with the gather bit for bit, so both forms
+        return the same bytes.
 
         Readings are deliberately *not* clamped at zero: the additive
         voltage noise is symmetric, so on a near-idle rail (where the
@@ -80,15 +87,18 @@ class SenseChannel:
         :attr:`~repro.measurement.traces.PowerTrace.cpu_power_export_w`).
         """
         true_power_w = np.asarray(true_power_w, dtype=np.float64)
-        current_a = true_power_w / self.rail_voltage_v
-        vdrop = current_a * self._actual_r
-        vdrop_read = vdrop + self.rng.normal(
-            0.0, self.vdrop_noise_v, size=true_power_w.shape
-        )
+        vdrop = true_power_w / self.rail_voltage_v * self._actual_r
+        if at is not None:
+            vdrop = vdrop[at]
+        reading = self.rng.normal(0.0, self.vdrop_noise_v,
+                                  size=vdrop.shape)
+        reading += vdrop
+        del vdrop
         if self.adc is not None:
-            vdrop_read = self.adc.quantize(vdrop_read)
-        current_est = vdrop_read / self.resistor.resistance_ohm
-        return self.rail_voltage_v * current_est
+            self.adc.quantize(reading, out=reading)
+        reading /= self.resistor.resistance_ohm
+        reading *= self.rail_voltage_v
+        return reading
 
     @property
     def noise_floor_w(self):

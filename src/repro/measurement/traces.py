@@ -34,23 +34,26 @@ class PowerTrace:
     component: np.ndarray
     sample_period_s: float
     window_s: np.ndarray = None
-    #: Distinct component IDs, found once per trace.
-    _component_ids: list = field(
+    #: ``(component ID, sample indices)`` per component, built once per
+    #: trace (see :meth:`_groups`).
+    _group_index: list = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        if len(self.times_s) == 0:
+        n = len(self.times_s)
+        if n == 0:
             raise MeasurementError("empty power trace")
         if self.window_s is None:
             self.window_s = np.full(
-                len(self.times_s), self.sample_period_s,
-                dtype=np.float64,
+                n, self.sample_period_s, dtype=np.float64,
             )
-        elif len(self.window_s) != len(self.times_s):
-            raise MeasurementError(
-                "window_s and times_s lengths disagree"
-            )
+        for name in ("window_s", "cpu_power_w", "mem_power_w",
+                     "component"):
+            if len(getattr(self, name)) != n:
+                raise MeasurementError(
+                    f"{name} and times_s lengths disagree"
+                )
 
     @property
     def n_samples(self):
@@ -80,16 +83,41 @@ class PowerTrace:
 
     def components_present(self):
         """Distinct component IDs observed in the trace."""
-        if self._component_ids is None:
-            self._component_ids = [int(c) for c in np.unique(self.component)]
-        return list(self._component_ids)
+        return [cid for cid, _ in self._groups()]
 
     def _groups(self):
-        """``(component ID, sample mask)`` per component present, in ID
-        order.  The IDs are found once per trace; each mask is built
-        when its group is reached, so at most one is alive at a time."""
-        for cid in self.components_present():
-            yield cid, self.component == cid
+        """``(component ID, sample indices)`` per component present, in
+        ID order, built once per trace and shared by every
+        per-component reduction.
+
+        Each group's indices ascend, so ``values[idx]`` holds the same
+        elements in the same order as ``values[component == cid]``:
+        every reduction sees exactly the inputs of the per-mask formula.
+        """
+        if self._group_index is None:
+            component = self.component
+            n = len(component)
+            # The trace's runs of one ID (a few hundred in a million
+            # samples), sorted stably by ID, so each ID's runs stay in
+            # sample order; then every run's indices are written where
+            # the run lands in the grouped order.
+            starts = np.flatnonzero(component[1:] != component[:-1]) + 1
+            starts = np.concatenate(([0], starts))
+            lengths = np.diff(starts, append=n)
+            order = np.argsort(component[starts], kind="stable")
+            starts, lengths = starts[order], lengths[order]
+            landing = np.cumsum(lengths) - lengths
+            index = np.repeat(starts - landing, lengths)
+            index += np.arange(n)
+            ids = component[starts]
+            first = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+            self._group_index = [
+                (int(cid), idx) for cid, idx in zip(
+                    ids[np.concatenate(([0], first))],
+                    np.split(index, landing[first]),
+                )
+            ]
+        return self._group_index
 
     # -- energy ------------------------------------------------------
 
@@ -111,8 +139,8 @@ class PowerTrace:
 
     def _component_sum(self, values):
         return {
-            cid: float(np.dot(values[mask], self.window_s[mask]))
-            for cid, mask in self._groups()
+            cid: float(np.dot(values[idx], self.window_s[idx]))
+            for cid, idx in self._groups()
         }
 
     # -- power -----------------------------------------------------------
@@ -120,15 +148,15 @@ class PowerTrace:
     def component_avg_power_w(self):
         """Average CPU power per component (mean over its samples)."""
         return {
-            cid: float(self.cpu_power_w[mask].mean())
-            for cid, mask in self._groups()
+            cid: float(self.cpu_power_w[idx].mean())
+            for cid, idx in self._groups()
         }
 
     def component_peak_power_w(self):
         """Peak CPU power per component (max over its samples)."""
         return {
-            cid: float(self.cpu_power_w[mask].max())
-            for cid, mask in self._groups()
+            cid: float(self.cpu_power_w[idx].max())
+            for cid, idx in self._groups()
         }
 
     def avg_power_w(self):
@@ -142,8 +170,8 @@ class PowerTrace:
     def component_seconds(self):
         """Wall time attributed to each component."""
         return {
-            cid: float(self.window_s[mask].sum())
-            for cid, mask in self._groups()
+            cid: float(self.window_s[idx].sum())
+            for cid, idx in self._groups()
         }
 
 
