@@ -164,9 +164,13 @@ def _execute_group(configs, timeout_s, trace_paths=None,
     """Worker entry point: run a group of cells that share one sim-key.
 
     The first cell simulates (or loads the persisted artifact when
-    ``artifact_dir`` is given) and every cell measures from the shared
+    ``artifact_dir`` is given) and every cell measures through one
+    :class:`~repro.core.simulation.MeasurementSession` over the shared
     :class:`~repro.core.simulation.SimulationArtifact` — this is how a
-    DAQ-period sweep pays for one execution instead of N.  Outcomes
+    DAQ-period sweep pays for one execution instead of N, and how cells
+    that differ only in HPM period or rotation share one run
+    reconstruction, one perturbation report and one DAQ acquisition
+    (grid order keeps such cells adjacent).  Outcomes
     come back in *configs* order, one plain dict per cell, each marked
     with the group's ``sim_key`` and whether this cell ran the
     simulation (``simulated``) or found it on disk (``artifact_hit``).
@@ -179,11 +183,13 @@ def _execute_group(configs, timeout_s, trace_paths=None,
     """
     from repro.campaign.artifacts import ArtifactStore, sim_key
     from repro.core.experiment import Experiment
+    from repro.core.simulation import MeasurementSession
     from repro.export import result_to_cell_dict
 
     store = ArtifactStore(artifact_dir) if artifact_dir else None
     outcomes = []
     artifact = None
+    session = None
     oom_error = None
     try:
         key = sim_key(configs[0])
@@ -216,8 +222,11 @@ def _execute_group(configs, timeout_s, trace_paths=None,
                         simulated = True
                         if store is not None:
                             store.put(config, artifact)
-                    result = experiment.measure(artifact)
-                    payload = result_to_cell_dict(result)
+                    if session is None:
+                        session = MeasurementSession(artifact)
+                    payload = result_to_cell_dict(
+                        experiment.measure(session)
+                    )
             if obs is not None:
                 from repro.obs.chrome import write_chrome_trace
 

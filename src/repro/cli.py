@@ -541,7 +541,7 @@ def cmd_overhead(args):
 
     from repro.analysis.validation import attribution_error
     from repro.campaign.artifacts import ArtifactStore
-    from repro.core.simulation import MeasurementConfig
+    from repro.core.simulation import MeasurementConfig, MeasurementSession
 
     config = _single_cell_config(args, "overhead")
     if config is None:
@@ -560,8 +560,10 @@ def cmd_overhead(args):
         source = "simulated"
         if store is not None:
             store.put(config, artifact)
-    run = artifact.run_result()
-    target = artifact.measurement_target()
+    # One session for every period: one run reconstruction and one
+    # perturbation report; each period is its own DAQ acquisition.
+    session = MeasurementSession(artifact)
+    run = session.run
     true_cpu_j = sum(run.timeline.component_cpu_energy_j().values())
 
     rows = []
@@ -571,10 +573,11 @@ def cmd_overhead(args):
         period_s = period_us * 1e-6
         measurement = MeasurementConfig(daq_period_s=period_s)
         started = time_mod.perf_counter()
-        result = experiment.measure(artifact, measurement)
+        result = experiment.measure(session, measurement)
         measure_s = time_mod.perf_counter() - started
         measure_wall_total += measure_s
-        report = attribution_error(run, target, sample_period_s=period_s)
+        report = attribution_error(run, session.target,
+                                   sample_period_s=period_s)
         energy_err = (
             abs(result.cpu_energy_j - true_cpu_j) / true_cpu_j
             if true_cpu_j else 0.0

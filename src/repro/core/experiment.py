@@ -20,10 +20,9 @@ from typing import Optional
 import numpy as np
 
 from repro.core.decomposition import component_profiles, decompose
-from repro.core.metrics import edp, perturbation_report
+from repro.core.metrics import edp
 from repro.core.simulation import (
-    SimulationArtifact,
-    SimulationResult,
+    MeasurementSession,
     simulate as _simulate_phase,
 )
 from repro.errors import ConfigurationError
@@ -108,11 +107,10 @@ class ExperimentResult:
     power: object            # PowerTrace (measured)
     perf: object             # PerfTrace (measured)
     breakdown: object        # EnergyBreakdown (measured)
-    #: Memoized :class:`~repro.core.metrics.PerturbationReport`; a
-    #: declared field (excluded from repr/equality) rather than an
-    #: attribute conjured inside the property, so dataclass tooling
-    #: (``replace``, ``asdict``, pickling) sees the whole object.
-    _perturbation: Optional[object] = dataclass_field(
+    #: The :class:`~repro.core.simulation.MeasurementSession` this
+    #: result was measured through; it owns the run's perturbation
+    #: report, so every result of one session shares one report.
+    session: Optional[object] = dataclass_field(
         default=None, repr=False, compare=False
     )
     #: Optional :class:`repro.analysis.uncertainty.UncertaintyReport`
@@ -153,11 +151,7 @@ class ExperimentResult:
         :class:`~repro.core.metrics.PerturbationReport` — the paper's
         Section IV-C "perturbation of the measurement itself" number,
         surfaced first-class instead of buried in timeline segments."""
-        if self._perturbation is None:
-            self._perturbation = perturbation_report(
-                self.run.timeline, self.run.port_writes
-            )
-        return self._perturbation
+        return self.session.perturbation
 
     def gc_energy_fraction(self):
         return self.breakdown.fraction(Component.GC)
@@ -239,8 +233,12 @@ class Experiment:
 
     def measure(self, sim, measurement=None):
         """Run only the measurement phase over *sim* (a
-        :class:`SimulationResult` or :class:`SimulationArtifact`);
-        returns an :class:`ExperimentResult`.
+        :class:`~repro.core.simulation.MeasurementSession`,
+        :class:`~repro.core.simulation.SimulationResult` or
+        :class:`~repro.core.simulation.SimulationArtifact`); returns an
+        :class:`ExperimentResult`.  Pass one session to measure many
+        configs of one simulation: they share its run reconstruction,
+        perturbation report and, per DAQ setting, its acquisition.
 
         ``measurement`` is an optional
         :class:`~repro.core.simulation.MeasurementConfig` overriding
@@ -289,24 +287,27 @@ class Experiment:
     def _measure_phase(self, sim, obs, measurement):
         """The sampler + decomposition passes over a finished simulation.
 
-        Both sources resolve to the same
-        :class:`~repro.core.simulation.MeasurementTarget` surface
+        Every source goes through a
+        :class:`~repro.core.simulation.MeasurementSession` (a throwaway
+        one for a bare result or artifact), which resolves it to one
+        run and one :class:`~repro.core.simulation.MeasurementTarget`
         (platform name, effective HPM period, component-ID port), so
-        the artifact path and the live path run byte-identical code.
+        the fused, split and campaign paths run the same code.
         """
         cfg = self.config
-        if isinstance(sim, SimulationArtifact):
-            self._check_artifact(sim)
-            run = sim.run_result()
-            target = sim.measurement_target()
-        elif isinstance(sim, SimulationResult):
-            run = sim.run
-            target = sim.measurement_target()
-        else:
+        session = (
+            sim if isinstance(sim, MeasurementSession)
+            else MeasurementSession(sim)
+        )
+        if session.artifact is not None:
+            self._check_artifact(session.artifact)
+        if session.vm != cfg.vm:
             raise ConfigurationError(
-                "measure() takes a SimulationResult or "
-                f"SimulationArtifact, got {type(sim).__name__}"
+                f"cannot measure a {session.vm!r} simulation as a "
+                f"{cfg.vm!r} experiment"
             )
+        run = session.run
+        target = session.target
         daq_period_s = (
             measurement.daq_period_s if measurement is not None
             else cfg.daq_period_s
@@ -336,12 +337,25 @@ class Experiment:
                 noise_cfg, base_seed + NOISE_SEED_OFFSET
             )
         tracer = obs.tracer
-        measurement_rng = np.random.default_rng(base_seed + 7919)
-        with tracer.wall_span("daq-acquire"):
-            daq = DAQ(target, measurement_rng,
-                      sample_period_s=daq_period_s, obs=obs,
-                      noise=noise)
-            power = daq.acquire(run.timeline, port=target.port)
+        # What the DAQ reads besides the session's run and target.  A
+        # noisy acquisition is never served or held (see
+        # MeasurementSession).
+        daq_key = (daq_period_s, base_seed)
+        held = session.held(daq_key) if noise is None else None
+        if held is not None:
+            power, breakdown = held
+            if obs.metrics.enabled:
+                obs.metrics.counter("daq.reused").inc()
+            with tracer.wall_span("daq-acquire", reused=True):
+                pass
+        else:
+            session.release()
+            measurement_rng = np.random.default_rng(base_seed + 7919)
+            with tracer.wall_span("daq-acquire"):
+                daq = DAQ(target, measurement_rng,
+                          sample_period_s=daq_period_s, obs=obs,
+                          noise=noise)
+                power = daq.acquire(run.timeline, port=target.port)
         with tracer.wall_span("hpm-sample"):
             if rotation:
                 # A noisy replicate draws its multiplexing phase
@@ -361,14 +375,18 @@ class Experiment:
                     target, period_s=hpm_period_s, obs=obs, noise=noise
                 )
             perf = sampler.sample(run.timeline, port=target.port)
-        with tracer.wall_span("decompose"):
-            breakdown = decompose(power, cfg.vm)
+        if held is None:
+            with tracer.wall_span("decompose"):
+                breakdown = decompose(power, cfg.vm)
+            if noise is None:
+                session.hold(daq_key, power, breakdown)
         return ExperimentResult(
             config=cfg,
             run=run,
             power=power,
             perf=perf,
             breakdown=breakdown,
+            session=session,
         )
 
     def _check_artifact(self, artifact):

@@ -36,6 +36,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.metrics import perturbation_report
 from repro.errors import ConfigurationError, MeasurementError
 from repro.jvm.vm import RunResult
 from repro.obs import NULL_OBS
@@ -345,6 +346,80 @@ class SimulationResult:
         )
 
 
+class MeasurementSession:
+    """One recorded execution, measured any number of times.
+
+    Every measurement goes through a session
+    (:meth:`repro.core.experiment.Experiment.measure` builds a
+    throwaway one when handed a bare result or artifact).  The session
+    reconstructs the ground-truth :class:`RunResult` and the
+    :class:`MeasurementTarget` once, computes the run's perturbation
+    report on first use, and holds the most recent noise-free DAQ
+    acquisition with its decomposition.
+
+    A DAQ acquisition reads only the timeline, the port, the platform
+    name (all fixed by the session's simulation) plus the DAQ period and
+    the measurement base seed, so those two values are its key: cells
+    that differ only in HPM period or rotation reuse it.  One
+    acquisition is held at a time; the measurement phase releases it
+    before it acquires anew.  Noisy acquisitions are never held: the
+    noise model's single stream feeds the DAQ clock jitter and then the
+    HPM interrupt latency, so reusing one would shift the HPM draws.
+    A held trace's arrays are read-only, since several results share
+    them.
+    """
+
+    def __init__(self, sim):
+        if isinstance(sim, SimulationArtifact):
+            self.artifact = sim
+            self.vm = sim.sim_config["vm"]
+            self.run = sim.run_result()
+        elif isinstance(sim, SimulationResult):
+            self.artifact = None
+            self.vm = sim.config.vm
+            self.run = sim.run
+        else:
+            raise ConfigurationError(
+                "measure() takes a MeasurementSession, SimulationResult "
+                f"or SimulationArtifact, got {type(sim).__name__}"
+            )
+        self.target = sim.measurement_target()
+        self._perturbation = None
+        #: ``(key, power, breakdown)`` of the held acquisition, stored
+        #: as one tuple so an interrupted update never pairs a key with
+        #: another key's trace.
+        self._held = None
+
+    @property
+    def perturbation(self):
+        """The run's :class:`~repro.core.metrics.PerturbationReport`,
+        computed once per session."""
+        if self._perturbation is None:
+            self._perturbation = perturbation_report(
+                self.run.timeline, self.run.port_writes
+            )
+        return self._perturbation
+
+    def held(self, key):
+        """The held ``(power, breakdown)`` acquired under *key*, or
+        ``None``."""
+        held = self._held
+        if held is not None and held[0] == key:
+            return held[1], held[2]
+        return None
+
+    def hold(self, key, power, breakdown):
+        """Hold a noise-free acquisition for later cells with *key*."""
+        for name in ("times_s", "cpu_power_w", "mem_power_w",
+                     "component", "window_s"):
+            getattr(power, name).flags.writeable = False
+        self._held = (key, power, breakdown)
+
+    def release(self):
+        """Drop the held acquisition."""
+        self._held = None
+
+
 def simulate(config, obs=None):
     """Run the simulate phase for *config*: build the platform and VM,
     execute the workload, return a :class:`SimulationResult`.
@@ -379,6 +454,7 @@ def simulate(config, obs=None):
 __all__ = [
     "ARTIFACT_SCHEMA",
     "MeasurementConfig",
+    "MeasurementSession",
     "MeasurementTarget",
     "ReplayPort",
     "SimulationArtifact",

@@ -60,7 +60,7 @@ accepted for every axis and normalized to one-element tuples.
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from repro import registry
@@ -589,8 +589,11 @@ def canonical_experiment_dict(config):
     This is the campaign cache's key material: every field that affects
     the simulation is present; post-v1 fields are dropped when they
     hold their defaults so unchanged configs keep their existing keys.
+    The config holds only scalars and tuples, so reading its fields
+    gives the same JSON as ``dataclasses.asdict`` without the deep
+    copy.
     """
-    data = asdict(config)
+    data = {f.name: getattr(config, f.name) for f in fields(config)}
     for key, default in _POST_V1_CONFIG_DEFAULTS.items():
         if key not in data:
             continue

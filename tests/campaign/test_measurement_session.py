@@ -1,0 +1,287 @@
+"""Tests for the per-artifact measurement session.
+
+Every campaign cell measures through one
+:class:`~repro.core.simulation.MeasurementSession` per sim-key group:
+cells that differ only in HPM period or rotation share its run
+reconstruction, its perturbation report and its DAQ acquisition.  Each
+check here is referenced against the fused per-cell path
+(:func:`~repro.campaign.runner._execute_cell`), which simulates and
+measures one config on its own.
+"""
+
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.analysis.uncertainty import (
+    DEFAULT_NOISE,
+    BootstrapEngine,
+    bootstrap_uncertainty,
+)
+from repro.campaign import CampaignConfig, run_campaign
+from repro.campaign.runner import _execute_cell
+from repro.core.experiment import Experiment
+from repro.core.simulation import MeasurementConfig, MeasurementSession
+from repro.errors import ConfigurationError
+from repro.export import result_to_cell_dict
+from repro.measurement.daq import DAQ
+from repro.spec import ScenarioSpec
+
+SCENARIOS = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
+
+DAQ_PERIODS = (40e-6, 1e-3)
+
+# A reduced DAQ x HPM matrix over one simulation identity: grid order
+# nests the HPM axes inside each DAQ period.
+GRID = CampaignConfig(
+    benchmarks=("_202_jess",),
+    collectors=("SemiSpace",),
+    heap_mbs=(24,),
+    input_scale=0.1,
+    n_slices=40,
+    daq_periods_s=DAQ_PERIODS,
+    hpm_periods_s=(None, 2e-3),
+    hpm_rotations=(None, "xscale-pairs"),
+)
+
+TRACE_ARRAYS = ("times_s", "cpu_power_w", "mem_power_w", "component",
+                "window_s")
+
+
+def encode(payload):
+    return json.dumps(payload, sort_keys=True)
+
+
+def fused_bytes(cells):
+    out = []
+    for config in cells:
+        outcome = _execute_cell(config, None)
+        assert outcome["ok"], outcome
+        out.append(encode(outcome["payload"]))
+    return out
+
+
+def payload_bytes(result):
+    assert result.summary.n_failed == 0, result.summary.describe()
+    return [encode(cell.payload) for cell in result.cells]
+
+
+@pytest.fixture(scope="module")
+def grid_fused():
+    """Fused per-cell bytes of every GRID cell, keyed by config."""
+    cells = GRID.cells()
+    return dict(zip(cells, fused_bytes(cells)))
+
+
+@pytest.fixture(scope="module")
+def artifact():
+    return Experiment(GRID.cells()[0]).simulate().artifact()
+
+
+@pytest.fixture
+def acquisitions(monkeypatch):
+    """The sample period of every ``DAQ.acquire`` call, in order."""
+    calls = []
+    original = DAQ.acquire
+
+    def spy(self, timeline, port=None):
+        calls.append(self.sample_period_s)
+        return original(self, timeline, port=port)
+
+    monkeypatch.setattr(DAQ, "acquire", spy)
+    return calls
+
+
+class TestCampaignMatchesFused:
+    def test_serial_grid(self, grid_fused):
+        result = run_campaign(GRID, workers=1)
+        assert result.summary.n_simulations == 1
+        assert payload_bytes(result) == list(grid_fused.values())
+
+    def test_two_workers(self, grid_fused):
+        result = run_campaign(GRID, workers=2)
+        assert result.summary.n_simulations == 1
+        assert payload_bytes(result) == list(grid_fused.values())
+
+    def test_one_acquisition_per_daq_setting(self, acquisitions):
+        result = run_campaign(GRID, workers=1)
+        assert len(result) == 8
+        assert acquisitions == list(DAQ_PERIODS)
+
+    def test_alternating_daq_key_evicts_and_matches(self, grid_fused,
+                                                    acquisitions):
+        cells = GRID.cells()
+        fine = [c for c in cells if c.daq_period_s == DAQ_PERIODS[0]]
+        coarse = [c for c in cells if c.daq_period_s == DAQ_PERIODS[1]]
+        alternating = [c for pair in zip(fine, coarse) for c in pair]
+        result = run_campaign(alternating, workers=1)
+        assert result.summary.n_simulations == 1
+        # Every neighbour has another DAQ key: nothing is reused.
+        assert acquisitions == [c.daq_period_s for c in alternating]
+        assert payload_bytes(result) == [
+            grid_fused[c] for c in alternating
+        ]
+
+
+class TestSharedSimulationMatchesFused:
+    """Two runs through one artifact store (a miss, then a hit) give
+    the fused path's bytes, for the DAQ-period/DVFS example spec and
+    for the DAQ x HPM grid."""
+
+    @pytest.mark.parametrize("name", ["daq-period-sweep", "daq-x-hpm"])
+    def test_store_miss_then_hit(self, name, grid_fused, tmp_path):
+        if name == "daq-x-hpm":
+            campaign = GRID
+            want = list(grid_fused.values())
+        else:
+            campaign = ScenarioSpec.from_file(
+                SCENARIOS / f"{name}.toml"
+            ).campaign_config()
+            want = fused_bytes(campaign.cells())
+        store = tmp_path / "artifacts"
+        first = run_campaign(campaign, workers=1, artifact_dir=store)
+        second = run_campaign(campaign, workers=1, artifact_dir=store)
+        n_keys = first.summary.n_sim_keys
+        assert first.summary.n_simulations == n_keys
+        assert first.summary.n_artifact_hits == 0
+        assert second.summary.n_simulations == 0
+        assert second.summary.n_artifact_hits == n_keys
+        assert payload_bytes(first) == want
+        assert payload_bytes(second) == want
+
+
+class TestSession:
+    def test_hpm_only_cells_share_everything(self, artifact):
+        session = MeasurementSession(artifact)
+        config = GRID.cells()[0]
+        first = Experiment(config).measure(session)
+        second = Experiment(
+            replace(config, hpm_period_s=2e-3)
+        ).measure(session)
+        assert second.run is first.run
+        assert second.power is first.power
+        assert second.breakdown is first.breakdown
+        assert second.perturbation is first.perturbation
+        assert second.perf.n_samples < first.perf.n_samples
+
+    def test_measurement_seed_is_part_of_the_key(self, artifact,
+                                                 acquisitions):
+        session = MeasurementSession(artifact)
+        experiment = Experiment(GRID.cells()[0])
+
+        def at(seed):
+            return MeasurementConfig(daq_period_s=1e-3,
+                                     measurement_seed=seed)
+
+        got = [
+            encode(result_to_cell_dict(experiment.measure(session, at(s))))
+            for s in (1, 1, 2, 1)
+        ]
+        # 1 acquires, 1 reuses, 2 evicts and acquires, 1 acquires again.
+        assert acquisitions == [1e-3] * 3
+        want = [
+            encode(result_to_cell_dict(experiment.measure(artifact, at(s))))
+            for s in (1, 1, 2, 1)
+        ]
+        assert got == want
+        assert got[0] != got[2]
+
+    def test_noisy_measurement_is_never_served(self, artifact,
+                                               acquisitions):
+        session = MeasurementSession(artifact)
+        experiment = Experiment(GRID.cells()[0])
+        quiet = MeasurementConfig(daq_period_s=1e-3, measurement_seed=5)
+        noisy = replace(quiet, noise=DEFAULT_NOISE)
+        held = experiment.measure(session, quiet)
+        served = experiment.measure(session, noisy)
+        assert len(acquisitions) == 2
+        assert served.power is not held.power
+        # Not held: its arrays stay writeable and the next noise-free
+        # measurement acquires again.
+        assert served.power.cpu_power_w.flags.writeable
+        experiment.measure(session, quiet)
+        assert len(acquisitions) == 3
+        alone = experiment.measure(artifact, noisy)
+        assert encode(result_to_cell_dict(served)) == \
+            encode(result_to_cell_dict(alone))
+        assert encode(result_to_cell_dict(served)) != \
+            encode(result_to_cell_dict(held))
+
+    def test_bootstrap_report_unchanged_by_held_acquisitions(
+            self, artifact, monkeypatch):
+        """Each replicate measures through one shared session that
+        holds a noise-free acquisition under the replicate's own key;
+        the report must equal the plain bootstrap's."""
+        config = GRID.cells()[0]
+        want = encode(
+            bootstrap_uncertainty(config, artifact, replicates=2).as_dict()
+        )
+        engine = BootstrapEngine(config, replicates=2)
+        session = MeasurementSession(artifact)
+
+        def through_session(sim, index):
+            measurement = engine.replicate_measurement(index)
+            Experiment(config).measure(
+                session, replace(measurement, noise=None)
+            )
+            return Experiment(config).measure(session, measurement)
+
+        monkeypatch.setattr(engine, "measure_replicate", through_session)
+        assert encode(engine.run(artifact).as_dict()) == want
+
+    def test_other_sim_key_still_raises(self, artifact):
+        session = MeasurementSession(artifact)
+        other = replace(GRID.cells()[0], heap_mb=32)
+        with pytest.raises(ConfigurationError,
+                           match="simulation identity"):
+            Experiment(other).measure(session)
+
+    def test_other_vm_raises_on_a_live_session(self):
+        config = GRID.cells()[0]
+        session = MeasurementSession(Experiment(config).simulate())
+        with pytest.raises(ConfigurationError, match="'kaffe'"):
+            Experiment(replace(config, vm="kaffe")).measure(session)
+
+    def test_rejects_other_types(self):
+        with pytest.raises(ConfigurationError, match="MeasurementSession"):
+            MeasurementSession("not-a-simulation")
+
+    def test_held_trace_is_read_only(self, artifact):
+        session = MeasurementSession(artifact)
+        power = Experiment(GRID.cells()[0]).measure(session).power
+        for name in TRACE_ARRAYS:
+            array = getattr(power, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+        # Reductions still work on the shared arrays.
+        assert np.isfinite(power.cpu_energy_j())
+
+
+class TestTracedCampaign:
+    def test_reuse_recorded_and_payloads_unchanged(self, grid_fused,
+                                                   tmp_path):
+        traced = run_campaign(GRID, workers=1, trace_dir=tmp_path)
+        assert payload_bytes(traced) == list(grid_fused.values())
+        cells = GRID.cells()
+        for index, config in enumerate(cells):
+            events = json.loads(
+                (tmp_path / f"cell-{index:04d}.json").read_text()
+            )
+            spans = [e for e in events if e.get("name") == "daq-acquire"]
+            counters = next(
+                e for e in events if e.get("name") == "repro_metrics"
+            )["args"]["counters"]
+            assert len(spans) == 1
+            # HPM axes nest inside each DAQ period: the first cell of
+            # each period acquires, the other three reuse.
+            if index % 4 == 0:
+                assert "args" not in spans[0]
+                assert counters["daq.samples"] > 0
+                assert "daq.reused" not in counters
+            else:
+                assert spans[0]["args"] == {"reused": True}
+                assert counters["daq.reused"] == 1
+                assert "daq.samples" not in counters

@@ -81,6 +81,85 @@ class TestOverheadCommand:
         out = capsys.readouterr().out
         assert "(store," in out
 
+    def test_periods_share_one_session(self, tmp_path, capsys,
+                                       monkeypatch):
+        """One run reconstruction and one perturbation report for all
+        periods, and every frontier point (apart from its wall time)
+        equals a standalone measurement of the stored artifact."""
+        import repro.core.simulation as simulation
+        from repro.analysis.validation import attribution_error
+        from repro.campaign.artifacts import ArtifactStore, sim_key
+        from repro.core.experiment import Experiment
+        from repro.core.simulation import (
+            MeasurementConfig,
+            SimulationArtifact,
+        )
+        from repro.jvm.components import Component
+        from repro.spec import ScenarioSpec
+
+        store = tmp_path / "artifacts"
+        frontier_path = tmp_path / "frontier.json"
+        periods = [40.0, 400.0, 2000.0]
+        argv = [
+            "overhead", "--heap", "24", "--input-scale", "0.1",
+            "--periods", *map(str, periods),
+            "--artifact-dir", str(store),
+        ]
+        assert main(argv) == 0
+        calls = {"run_result": 0, "perturbation_report": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            SimulationArtifact, "run_result",
+            counting("run_result", SimulationArtifact.run_result),
+        )
+        monkeypatch.setattr(
+            simulation, "perturbation_report",
+            counting("perturbation_report", simulation.perturbation_report),
+        )
+        assert main(argv + ["--output", str(frontier_path)]) == 0
+        capsys.readouterr()
+        assert calls == {"run_result": 1, "perturbation_report": 1}
+        monkeypatch.undo()
+
+        frontier = json.loads(frontier_path.read_text())
+        config = ScenarioSpec.for_experiment(
+            "_202_jess", heap_mb=24, input_scale=0.1,
+        ).experiment_config()
+        assert sim_key(config) == frontier["sim_key"]
+        artifact = ArtifactStore(store).get_key(frontier["sim_key"])
+        truth = sum(
+            artifact.timeline().component_cpu_energy_j().values()
+        )
+        for point, period_us in zip(frontier["points"], periods):
+            period_s = period_us * 1e-6
+            result = Experiment(config).measure(
+                artifact, MeasurementConfig(daq_period_s=period_s)
+            )
+            report = attribution_error(
+                artifact.run_result(), artifact.measurement_target(),
+                sample_period_s=period_s,
+            )
+            perturb = result.perturbation
+            point.pop("measure_wall_s")
+            assert point == {
+                "period_us": period_us,
+                "daq_samples": result.power.n_samples,
+                "cpu_energy_j": result.cpu_energy_j,
+                "energy_error_pct":
+                    100 * abs(result.cpu_energy_j - truth) / truth,
+                "misattributed_pct":
+                    100 * report.total_misattribution_fraction(),
+                "gc_error_pct": 100 * report.relative_error(Component.GC),
+                "perturbation_energy_pct": 100 * perturb.energy_fraction,
+                "perturbation_time_pct": 100 * perturb.time_fraction,
+            }
+
     def test_no_artifacts_flag(self, capsys):
         assert main([
             "overhead", "--heap", "24", "--input-scale", "0.1",

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -342,6 +343,48 @@ class TestCacheKeyCompatibility:
         assert config_key(plain) != config_key(overridden)
         assert "overrides" not in canonical_experiment_dict(plain)
         assert "overrides" in canonical_experiment_dict(overridden)
+
+    def test_example_scenario_keys_pinned(self):
+        """Every example-scenario cell (126) keeps its cache key, and
+        those cells plus the 27-cell DAQ x HPM sweep (153) keep their
+        sim-keys, so on-disk caches and artifact stores keep hitting.
+
+        The digests were recorded with ``dataclasses.asdict`` building
+        the canonical dict.  Both keys cover the package version, so a
+        version bump re-pins them by design.
+        """
+        from repro.campaign.artifacts import sim_key
+
+        scenarios = Path(__file__).resolve().parents[1] / "examples" / \
+            "scenarios"
+        cells = []
+        for path in sorted(scenarios.glob("*.toml")):
+            cells += ScenarioSpec.from_file(path).campaign_config().cells()
+        sweep = ScenarioSpec.from_dict({
+            "name": "overhead-p6-jikes",
+            "axes": {
+                "benchmarks": ["_202_jess"], "vms": ["jikes"],
+                "platforms": ["p6"], "collectors": ["SemiSpace"],
+                "heap_mbs": [32], "input_scales": [0.2], "seeds": [42],
+                "daq_periods_s": [40e-6, 200e-6, 1000e-6],
+                "hpm_periods_s": ["default", 2e-3, 10e-3],
+                "hpm_rotations": ["default", "xscale-pairs",
+                                  "round-robin"],
+            },
+        }).campaign_config().cells()
+
+        def digest(keys):
+            return hashlib.sha256(json.dumps(keys).encode()).hexdigest()
+
+        sim_keys = [sim_key(c) for c in cells + sweep]
+        config_keys = [config_key(c) for c in cells]
+        assert (len(sim_keys), len(config_keys)) == (153, 126)
+        assert digest(sim_keys) == (
+            "ebde609b67da3c45cee6fc16cd9a0a15cc809510c7928a2cb314048259fb7625"
+        )
+        assert digest(config_keys) == (
+            "f1230329fd711b7976bd7bb96a2c4099ceacaabecdbade294611e57c369f7ec5"
+        )
 
 
 class TestConfigValidation:
