@@ -20,6 +20,8 @@ toolkit the paper's collectors come from, reference [24]):
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ConfigurationError, SpaceExhausted
 
 
@@ -73,6 +75,28 @@ class BumpAllocator:
         self.stats.allocations += 1
         self.stats.allocated_bytes += int(size)
         return addr
+
+    def allocate_many(self, sizes):
+        """Bump-allocate the longest prefix of *sizes* (an int64 array of
+        positive sizes) that fits; return its addresses.
+
+        One cumulative-sum search instead of one :meth:`allocate` per
+        size: the same cursor, addresses and statistics as calling it
+        until the first size that does not fit, except that the size
+        which does not fit is not counted as a failure (the caller asks
+        :meth:`allocate` for it when it needs the failure raised).
+        """
+        cumulative = np.cumsum(sizes)
+        count = int(np.searchsorted(
+            cumulative, self.capacity_bytes - self.cursor, side="right"))
+        addrs = (self.base_addr + self.cursor) + (
+            cumulative[:count] - sizes[:count])
+        if count:
+            used = int(cumulative[count - 1])
+            self.cursor += used
+            self.stats.allocations += count
+            self.stats.allocated_bytes += used
+        return addrs
 
     def reset(self):
         """Empty the space (after evacuation)."""

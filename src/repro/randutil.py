@@ -13,13 +13,13 @@ from repro.errors import ConfigurationError
 class BufferedUniform:
     """A fast source of U(0,1) variates backed by block draws.
 
-    The current block is a ``memoryview`` of the drawn NumPy block
-    (``buf``: indexing yields plain Python floats, with no second copy
-    of the block) and a read cursor (``pos``).  Hot loops may draw
-    inline — read ``buf[pos]`` and advance ``pos`` while
-    ``pos < block`` — instead of calling :meth:`next` per variate, as
-    long as they write ``pos`` back and refill only through
-    :meth:`next`.  The stream (which variate is
+    The current block is the drawn NumPy block (``array``), a
+    ``memoryview`` of it (``buf``: indexing yields plain Python floats,
+    with no second copy of the block) and a read cursor (``pos``).  Hot
+    loops may draw inline — read ``buf[pos]`` (or a slice of ``array``)
+    and advance ``pos`` while ``pos < block`` — instead of calling
+    :meth:`next` per variate, as long as they write ``pos`` back and
+    refill only through :meth:`next`.  The stream (which variate is
     drawn when, and when the generator is asked for the next block) is
     then exactly the one a sequence of :meth:`next` calls produces.
     """
@@ -32,7 +32,8 @@ class BufferedUniform:
         self._refill()
 
     def _refill(self):
-        self.buf = memoryview(self.rng.random(self.block))
+        self.array = self.rng.random(self.block)
+        self.buf = memoryview(self.array)
         self.pos = 0
 
     def next(self):

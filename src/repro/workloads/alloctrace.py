@@ -126,29 +126,24 @@ class TraceWorkloadRun(WorkloadRun):
         super().__init__(spec, rng, n_slices=n_slices)
         self.trace = trace
         self._cursor = 0
+        self._cumulative = np.cumsum(np.asarray(trace.sizes, dtype=np.int64))
 
     def draw_cohort_batch(self, now, alloc_bytes):
         if alloc_bytes <= 0:
-            return [], []
-        sizes = []
-        deaths = []
-        got = 0
-        clock = now
-        n = self.trace.cohort_count
-        while got < alloc_bytes and self._cursor < n:
-            size = int(self.trace.sizes[self._cursor])
-            life = float(self.trace.lifetimes[self._cursor])
-            sizes.append(size)
-            deaths.append(clock + life)
-            clock += size
-            got += size
-            self._cursor += 1
-        if got < alloc_bytes:
+            return np.empty(0, dtype=np.int64), np.empty(0)
+        start = self._cursor
+        cumulative = self._cumulative
+        before = int(cumulative[start - 1]) if start else 0
+        end = int(np.searchsorted(cumulative, before + alloc_bytes)) + 1
+        if end > len(cumulative):
             raise ConfigurationError(
                 "allocation trace exhausted before the workload "
                 "finished"
             )
-        return sizes, deaths
+        self._cursor = end
+        sizes = np.asarray(self.trace.sizes[start:end], dtype=np.int64)
+        births = now + (cumulative[start:end] - sizes - before)
+        return sizes, births + self.trace.lifetimes[start:end]
 
     @property
     def replayed_bytes(self):

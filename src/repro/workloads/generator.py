@@ -192,15 +192,16 @@ class WorkloadRun:
     def draw_cohort_batch(self, now, alloc_bytes):
         """Vectorized cohort draw covering at least ``alloc_bytes``.
 
-        Returns ``(sizes, deaths)`` as Python lists; sizes sum to at
-        least ``alloc_bytes`` (the last cohort may overshoot slightly,
-        as a real allocator's final request would).  Deaths are computed
-        against the running allocation clock starting at ``now``.
+        Returns ``(sizes, deaths)`` as int64 and float64 arrays; sizes
+        sum to at least ``alloc_bytes`` (the last cohort may overshoot
+        slightly, as a real allocator's final request would).  Deaths
+        are computed against the running allocation clock starting at
+        ``now``.
         """
         spec = self.spec
         rng = self.rng
         if alloc_bytes <= 0:
-            return [], []
+            return np.empty(0, dtype=np.int64), np.empty(0)
         est = max(int(alloc_bytes / spec.cohort_bytes * 1.15) + 8, 8)
         while True:
             raw = rng.lognormal(math.log(spec.cohort_bytes), 0.45, size=est)
@@ -223,20 +224,22 @@ class WorkloadRun:
         deaths = (now + cumulative - sizes) + lifetimes  # birth + lifetime
         deaths = deaths.astype(np.float64)
         deaths[u < spec.immortal_frac] = np.inf
-        return sizes.tolist(), deaths.tolist()
+        return sizes, deaths
 
-    def mutation_target(self, candidates):
+    def mutation_target(self, candidates, deaths):
         """Pick which just-allocated object a tracked mutation stores.
 
-        Real remembered-set entries disproportionately target objects
-        being installed into long-lived structures; the spec's
-        ``long_lived_mutation_bias`` selects the longest-lived candidate
-        with that probability.
+        ``candidates`` are handles and ``deaths`` their death times (a
+        parallel list).  Real remembered-set entries disproportionately
+        target objects being installed into long-lived structures; the
+        spec's ``long_lived_mutation_bias`` selects the longest-lived
+        candidate (the first of equals) with that probability.
         """
         if not candidates:
             return None
         if self.rng.random() < self.spec.long_lived_mutation_bias:
-            return max(candidates, key=lambda o: o.death)
+            return candidates[max(range(len(candidates)),
+                                  key=deaths.__getitem__)]
         return candidates[int(self.rng.integers(0, len(candidates)))]
 
     def total_class_file_bytes(self):

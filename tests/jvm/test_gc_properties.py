@@ -39,24 +39,29 @@ def allocation_scripts(draw):
 def run_script(collector_name, script, seed=3):
     rng = np.random.default_rng(seed)
     collector = make_collector(collector_name, 8 * MB, rng)
-    roots = RootSet()
-    refs = ReferenceFactory(rng)
+    table = collector.table
+    roots = RootSet(table)
+    refs = ReferenceFactory(table, rng)
     now = 0.0
     objects = []
     for size_kb, lifetime_kb in script:
         size = size_kb * KB
         death = now + lifetime_kb * KB
         try:
-            obj = collector.allocate(size, now, death)
+            obj = collector.allocate([size], [now], [death])[0]
         except SpaceExhausted:
             roots.expire(now)
             collector.collect(roots, now)
-            obj = collector.allocate(size, now, death)
-        roots.add(obj)
-        refs.wire(obj)
+            obj = collector.allocate([size], [now], [death])[0]
+        roots.add([obj], [death])
+        refs.wire([obj], [death])
         objects.append(obj)
         now += size
     return collector, roots, objects, now
+
+
+def live_handles(table, objects, now):
+    return [o for o in objects if table.is_live(o, now)]
 
 
 @settings(max_examples=25, deadline=None,
@@ -67,11 +72,11 @@ def test_live_objects_never_lost(script, name):
     collector, roots, objects, now = run_script(name, script)
     roots.expire(now)
     collector.collect(roots, now)
-    live = [o for o in objects if o.is_live(now)]
+    live = live_handles(collector.table, objects, now)
     # Every live object must still be registered and intact.
     for obj in live:
         assert obj in roots
-        assert obj.size > 0
+        assert collector.table.size[obj] > 0
 
 
 @settings(max_examples=25, deadline=None,
@@ -82,7 +87,8 @@ def test_occupancy_covers_live_bytes(script, name):
     collector, roots, objects, now = run_script(name, script)
     roots.expire(now)
     collector.collect(roots, now)
-    live_bytes = sum(o.size for o in objects if o.is_live(now))
+    live_bytes = int(collector.table.size[
+        live_handles(collector.table, objects, now)].sum())
     assert collector.used_bytes() >= live_bytes
 
 
@@ -94,7 +100,8 @@ def test_semispace_collection_is_complete(script):
     collector, roots, objects, now = run_script("SemiSpace", script)
     roots.expire(now)
     collector.collect(roots, now)
-    live_bytes = sum(o.size for o in objects if o.is_live(now))
+    live_bytes = int(collector.table.size[
+        live_handles(collector.table, objects, now)].sum())
     assert collector.used_bytes() == live_bytes
 
 
@@ -106,7 +113,7 @@ def test_freed_never_exceeds_allocated(script, name):
     collector, roots, objects, now = run_script(name, script)
     roots.expire(now)
     collector.collect(roots, now)
-    allocated = sum(o.size for o in objects)
+    allocated = int(collector.table.size[objects].sum())
     assert collector.stats.freed_bytes <= allocated
 
 

@@ -35,33 +35,66 @@ class TestNurserySizing:
         assert gc.nursery_bytes == 2 * MB
 
 
+def allocate(gc, size, birth, death):
+    """One cohort through the batch allocation seam; its handle."""
+    return gc.allocate([size], [birth], [death])[0]
+
+
 class TestAllocation:
     def test_new_objects_in_nursery(self):
         gc = gencopy()
-        obj = gc.allocate(16 * KB, 0.0, 1e12)
-        assert obj.space == SPACE_NURSERY
+        obj = allocate(gc, 16 * KB, 0.0, 1e12)
+        assert gc.table.space[obj] == SPACE_NURSERY
 
     def test_pretenure_of_huge_objects(self):
         gc = gencopy()
-        obj = gc.allocate(gc.nursery_bytes + 1, 0.0, 1e12)
-        assert obj.space == SPACE_MATURE
+        obj = allocate(gc, gc.nursery_bytes + 1, 0.0, 1e12)
+        assert gc.table.space[obj] == SPACE_MATURE
 
     def test_nursery_bump_matches_the_bump_allocator(self):
         gc = gencopy()
         reference = BumpAllocator(gc.nursery_bytes, base_addr=0)
         for size in (16 * KB, 3 * KB, 40 * KB):
-            assert gc.allocate(size, 0.0, 1e12).addr == (
+            assert gc.table.addr[allocate(gc, size, 0.0, 1e12)] == (
                 reference.allocate(size))
+        batch = gc.allocate([5 * KB, 7 * KB], [0.0, 0.0], [1e12, 1e12])
+        assert gc.table.addr[list(batch)].tolist() == [
+            reference.allocate(5 * KB), reference.allocate(7 * KB)]
         assert gc.nursery.cursor == reference.cursor
         assert gc.nursery.stats == reference.stats
 
     def test_full_nursery_raises_and_counts_the_failure(self):
         gc = gencopy()
-        gc.allocate(gc.nursery_bytes, 0.0, 1e12)
-        with pytest.raises(SpaceExhausted):
-            gc.allocate(1 * KB, 0.0, 1e12)
+        allocate(gc, gc.nursery_bytes, 0.0, 1e12)
+        with pytest.raises(SpaceExhausted) as caught:
+            allocate(gc, 1 * KB, 0.0, 1e12)
+        assert len(caught.value.allocated) == 0
         assert gc.nursery.stats.failed_allocations == 1
         assert gc.nursery.cursor == gc.nursery_bytes
+
+    def test_batch_places_the_prefix_that_fits(self):
+        gc = gencopy()
+        half = gc.nursery_bytes // 2
+        with pytest.raises(SpaceExhausted) as caught:
+            gc.allocate([half, half - KB, 2 * KB, KB], [0.0] * 4,
+                        [1e12] * 4)
+        assert list(caught.value.allocated) == [0, 1]
+        assert gc.table.n == 2
+        assert gc.nursery.stats.failed_allocations == 1
+        assert gc.nursery.cursor == 2 * half - KB
+
+    def test_batch_ends_after_a_pretenured_cohort(self):
+        # The write barrier must see a pretenured cohort among the
+        # promoted objects only after it is allocated, so it is a batch
+        # of its own, and a batch ends before it.
+        gc = gencopy()
+        huge = gc.nursery_bytes + 1
+        first = gc.allocate([KB, huge, KB], [0.0] * 3, [1e12] * 3)
+        assert list(first) == [0]
+        second = gc.allocate([huge, KB], [0.0] * 2, [1e12] * 2)
+        assert list(second) == [1]
+        assert gc.table.space[1] == SPACE_MATURE
+        assert gc._promoted_ring == [1]
 
 
 class TestMinorCollection:
@@ -76,7 +109,8 @@ class TestMinorCollection:
         m = MiniMutator(gc, survivor_frac=1.0, survivor_life=1 << 40)
         m.allocate_bytes(2 * MB)
         m.force_collection()
-        assert all(o.space == SPACE_MATURE for o in m.live_objects())
+        assert all(gc.table.space[o] == SPACE_MATURE
+                   for o in m.live_objects())
 
     def test_minor_cheaper_than_full_heap_trace(self):
         # Minor collections trace only nursery survivors.
@@ -101,18 +135,18 @@ class TestWriteBarrier:
         m = MiniMutator(gc, survivor_frac=0.5)
         m.allocate_bytes(6 * MB)  # some promotions happened
         m.force_collection()      # empty the nursery
-        young = gc.allocate(16 * KB, m.now, m.now + 1e9)
-        m.roots.add(young)
+        young = allocate(gc, 16 * KB, m.now, m.now + 1e9)
+        m.roots.add([young])
         gc.record_mutation(young)
         assert gc.stats.write_barrier_entries == 1
-        assert gc.remset and gc.remset[-1][1] is young
+        assert gc.remset and gc.remset[-1][1] == young
 
     def test_mutation_to_mature_object_ignored(self):
         gc = gencopy(16)
         m = MiniMutator(gc, survivor_frac=0.5)
         m.allocate_bytes(6 * MB)
         old = next(o for o in m.live_objects()
-                   if o.space == SPACE_MATURE)
+                   if gc.table.space[o] == SPACE_MATURE)
         gc.record_mutation(old)
         assert gc.stats.write_barrier_entries == 0
 
@@ -122,21 +156,21 @@ class TestWriteBarrier:
         m.allocate_bytes(6 * MB)
         m.force_collection()  # empty the nursery
         # A nursery object that dies immediately but is remembered.
-        doomed = gc.allocate(16 * KB, m.now, m.now + 1.0)
+        doomed = allocate(gc, 16 * KB, m.now, m.now + 1.0)
         gc.record_mutation(doomed)
         m.now += 10 * KB * 1024  # let it die
         m.roots.expire(m.now)
         reports = gc.collect(m.roots, m.now)
         minor = reports[0]
         assert minor.nepotism_bytes >= 16 * KB
-        assert doomed.space == SPACE_MATURE
+        assert gc.table.space[doomed] == SPACE_MATURE
 
     def test_nepotism_reclaimed_by_full_collection(self):
         gc = gencopy(16)
         m = MiniMutator(gc, survivor_frac=0.5)
         m.allocate_bytes(6 * MB)
         m.force_collection()  # empty the nursery
-        doomed = gc.allocate(16 * KB, m.now, m.now + 1.0)
+        doomed = allocate(gc, 16 * KB, m.now, m.now + 1.0)
         gc.record_mutation(doomed)
         m.now += 10 * MB
         m.roots.expire(m.now)
@@ -166,8 +200,8 @@ class TestFullCollection:
         m = MiniMutator(gc, survivor_frac=0.5)
         m.allocate_bytes(6 * MB)
         m.force_collection()  # empty the nursery
-        young = gc.allocate(16 * KB, m.now, m.now + 1e9)
-        m.roots.add(young)
+        young = allocate(gc, 16 * KB, m.now, m.now + 1e9)
+        m.roots.add([young])
         gc.record_mutation(young)
         gc._full(m.roots, m.now)
         assert gc.remset == []
@@ -196,13 +230,14 @@ class TestGenMS:
         m.allocate_bytes(3 * MB)
         m.force_collection()  # promote everything
         addrs = {
-            id(o): o.addr for o in m.live_objects()
-            if o.space == SPACE_MATURE
+            o: gc.table.addr[o] for o in m.live_objects()
+            if gc.table.space[o] == SPACE_MATURE
         }
+        assert addrs
         gc._full(m.roots, m.now)
         for obj in m.live_objects():
-            if id(obj) in addrs:
-                assert obj.addr == addrs[id(obj)]
+            if obj in addrs:
+                assert gc.table.addr[obj] == addrs[obj]
 
     def test_sustained_churn_does_not_oom(self):
         gc = genms(12)

@@ -36,10 +36,10 @@ class TestCollection:
         gc = make(8)
         m = MiniMutator(gc, survivor_frac=0.5)
         m.allocate_bytes(3 * MB)
-        addrs = {id(o): o.addr for o in m.live_objects()}
+        addrs = {o: gc.table.addr[o] for o in m.live_objects()}
         m.force_collection()
         for obj in m.live_objects():
-            assert obj.addr == addrs[id(obj)]
+            assert gc.table.addr[obj] == addrs[obj]
 
     def test_no_bytes_copied(self):
         gc = make(8)

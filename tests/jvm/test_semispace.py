@@ -39,7 +39,7 @@ class TestCollection:
         m.allocate_bytes(10 * MB)
         for obj in m.live_objects():
             # Survivors must be inside the current from-space extent.
-            assert obj.size > 0  # object still intact
+            assert gc.table.size[obj] > 0  # object still intact
         assert gc.used_bytes() >= m.live_bytes() * 0.95
 
     def test_dead_objects_reclaimed(self):
@@ -71,12 +71,13 @@ class TestCollection:
         m = MiniMutator(gc, survivor_frac=0.5)
         m.allocate_bytes(3 * MB)
         m.force_collection()
-        live = sorted(m.live_objects(), key=lambda o: o.addr)
+        table = gc.table
+        live = sorted(m.live_objects(), key=lambda o: table.addr[o])
         # Compaction: survivor addresses are contiguous.
-        cursor = live[0].addr
+        cursor = table.addr[live[0]]
         for obj in live:
-            assert obj.addr == cursor
-            cursor += obj.size
+            assert table.addr[obj] == cursor
+            cursor += table.size[obj]
 
     def test_report_accounting(self):
         gc = make(8)
@@ -93,7 +94,7 @@ class TestCollection:
         m = MiniMutator(gc, survivor_frac=1.0)
         m.allocate_bytes(1 * MB)
         m.force_collection()
-        assert all(o.age == 1 for o in m.live_objects())
+        assert all(gc.table.age[o] == 1 for o in m.live_objects())
 
     def test_stats_accumulate(self):
         gc = make(8)

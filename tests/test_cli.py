@@ -131,8 +131,14 @@ class TestObservabilityFlags:
         assert "instrumentation perturbation" in out
         assert "daq.samples" in out
         events = json.loads(trace.read_text())
-        assert isinstance(events, list)
-        assert any(e.get("ph") == "X" for e in events)
+        assert isinstance(events, list) and events, "empty trace"
+        spans = [e for e in events if e.get("ph") == "X"]
+        assert spans
+        for event in spans:
+            for key in ("name", "ph", "ts", "dur", "pid", "tid"):
+                assert key in event, f"missing {key}: {event}"
+        # Both clocks: the simulated one and the wall clock.
+        assert {e["pid"] for e in spans} == {1, 2}
 
         assert main(["trace", str(trace)]) == 0
         out = capsys.readouterr().out

@@ -77,9 +77,16 @@ class TestReplay:
     def test_replay_is_verbatim(self, spec, trace):
         run = TraceWorkloadRun(spec, np.random.default_rng(9), trace,
                                n_slices=8)
-        sizes_a, _ = run.draw_cohort_batch(0.0, 4 * MB)
-        assert sizes_a == [int(s) for s in
-                           trace.sizes[:len(sizes_a)]]
+        sizes_a, deaths_a = run.draw_cohort_batch(0.0, 4 * MB)
+        assert sizes_a.tolist() == [int(s) for s in
+                                    trace.sizes[:len(sizes_a)]]
+        # Deaths run on the allocation clock: birth plus lifetime.
+        clock, deaths = 0.0, []
+        for size, life in zip(sizes_a.tolist(), trace.lifetimes):
+            deaths.append(clock + float(life))
+            clock += size
+        assert deaths_a.tolist() == deaths
+        assert sum(sizes_a.tolist()) >= 4 * MB > sum(sizes_a[:-1].tolist())
 
     def test_short_trace_rejected(self, spec):
         short = record_trace(spec, seed=5, alloc_bytes=1 * MB)

@@ -92,7 +92,8 @@ class TestCohortBatches:
 
     def test_empty_request(self):
         run = make_run()
-        assert run.draw_cohort_batch(0.0, 0) == ([], [])
+        sizes, deaths = run.draw_cohort_batch(0.0, 0)
+        assert len(sizes) == len(deaths) == 0
 
     def test_immortals_possible(self):
         run = make_run(immortal_frac=0.05)
@@ -112,16 +113,17 @@ class TestMutations:
     def test_mutation_target_biased_to_long_lived(self):
         run = make_run(long_lived_mutation_bias=1.0)
 
-        class FakeObj:
-            def __init__(self, death):
-                self.death = death
-
-        candidates = [FakeObj(10.0), FakeObj(1e9), FakeObj(500.0)]
+        candidates = [7, 3, 5]   # handles
+        deaths = [10.0, 1e9, 500.0]
         for _ in range(10):
-            assert run.mutation_target(candidates).death == 1e9
+            assert run.mutation_target(candidates, deaths) == 3
+
+    def test_mutation_target_ties_go_to_the_first(self):
+        run = make_run(long_lived_mutation_bias=1.0)
+        assert run.mutation_target([4, 9, 2], [5.0, 8.0, 8.0]) == 9
 
     def test_mutation_target_empty(self):
-        assert make_run().mutation_target([]) is None
+        assert make_run().mutation_target([], []) is None
 
 
 class TestJitter:

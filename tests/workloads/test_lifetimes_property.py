@@ -73,5 +73,5 @@ def test_generator_is_pure_function_of_seed(seed):
     assert [s.alloc_bytes for s in a.slices] == [
         s.alloc_bytes for s in b.slices
     ]
-    assert a.draw_cohort_batch(0.0, 1 * MB)[0] == \
-        b.draw_cohort_batch(0.0, 1 * MB)[0]
+    assert a.draw_cohort_batch(0.0, 1 * MB)[0].tolist() == \
+        b.draw_cohort_batch(0.0, 1 * MB)[0].tolist()
