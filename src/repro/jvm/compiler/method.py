@@ -66,9 +66,9 @@ def _get_quality(method):
 def _set_quality(method, value):
     """Store a quality, bump the epoch and sync the table's column."""
     JavaMethod.quality_epoch += 1
-    table = getattr(method, "_table_ref", None)
-    if table is not None:
-        table._quality_arr[method._table_idx] = value
+    column = getattr(method, "_table_quality", None)
+    if column is not None:
+        column[method._table_idx] = value
     method._quality = value
 
 
@@ -106,9 +106,13 @@ class MethodTable:
         self._quality_arr = np.array(
             [m.quality for m in self.methods], dtype=np.float64
         )
+        # Each method holds the quality column, not the table, so a
+        # table and its methods form no reference cycle: a finished
+        # run's methods are freed with the run, not whenever the cyclic
+        # collector next runs.
         for i, m in enumerate(self.methods):
             object.__setattr__(m, "_table_idx", i)
-            object.__setattr__(m, "_table_ref", self)
+            object.__setattr__(m, "_table_quality", self._quality_arr)
         self._effective_cache = (None, None)
 
     def __len__(self):
