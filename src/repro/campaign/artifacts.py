@@ -8,25 +8,20 @@ period today; HPM period/rotation as they grow axes) share one key and
 therefore one recorded execution, while every simulation axis change
 produces a new one.
 
-The store follows the campaign cell cache's protocol exactly — gzip
-pickle entries under two-hex-char shards, atomic writes (mkstemp +
-``os.replace``), ``.prov`` provenance sidecars, corruption- and
-staleness-tolerant reads, LRU pruning — so ``repro cache
-stats|prune|lineage`` drives both stores with the same machinery.
+Like the campaign cell cache, the store is a
+:class:`~repro.store.ContentStore` of gzip pickles (atomic writes,
+``.prov`` provenance sidecars, corruption- and staleness-tolerant
+reads, LRU pruning), so ``repro cache stats|prune|lineage`` drives both
+stores with the same machinery.
 """
 
-import gzip
 import hashlib
 import os
 import pickle
-import tempfile
 from pathlib import Path
 
-from repro.campaign.cache import (
-    DEFAULT_ORPHAN_AGE_S,
-    scan_entries,
-    sweep_orphans,
-)
+from repro.provenance import build_envelope
+from repro.store import GZIP_PICKLE, ContentStore, StoreAdapter
 
 #: Bump when stored artifact payloads become incompatible with current
 #: code (the payload schema tag guards the layout; this version guards
@@ -36,12 +31,10 @@ ARTIFACT_VERSION = 1
 #: Environment variable overriding the default artifact store root.
 ARTIFACT_DIR_ENV = "REPRO_ARTIFACT_DIR"
 
-#: Artifact entry suffix (the store's only payload kind).
-ARTIFACT_SUFFIXES = (".pkl.gz",)
-
 
 def default_artifact_dir():
-    """The store root: ``$REPRO_ARTIFACT_DIR`` or ``~/.cache/repro``."""
+    """The store root: ``$REPRO_ARTIFACT_DIR`` or
+    ``~/.cache/repro/artifacts``."""
     env = os.environ.get(ARTIFACT_DIR_ENV)
     if env:
         return Path(env)
@@ -69,30 +62,23 @@ def sim_key(config):
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-class ArtifactStore:
-    """Directory-backed map from sim-keys to simulation artifacts."""
-
-    #: See :attr:`repro.campaign.cache.ResultCache._CORRUPTION_ERRORS` —
-    #: the same split between "file damaged" and "payload stale".
-    _CORRUPTION_ERRORS = (OSError, EOFError, pickle.UnpicklingError)
+class ArtifactStore(StoreAdapter):
+    """Directory-backed map from sim-keys to simulation artifacts: a
+    :class:`~repro.store.ContentStore` of gzip-pickled
+    :meth:`~repro.core.simulation.SimulationArtifact.to_payload` dicts
+    keyed by :func:`sim_key`."""
 
     def __init__(self, root=None):
-        self.root = (
-            Path(root) if root is not None else default_artifact_dir()
-        )
-        self.hits = 0
-        self.misses = 0
-        self.stale_evictions = 0
-
-    # -- paths ----------------------------------------------------------
+        super().__init__(ContentStore(
+            root if root is not None else default_artifact_dir(),
+            ".pkl.gz", GZIP_PICKLE,
+        ))
 
     def path_for_key(self, key):
-        return self.root / key[:2] / f"{key}.pkl.gz"
+        return self.store.path_for(key)
 
     def path_for(self, config):
         return self.path_for_key(sim_key(config))
-
-    # -- lookup ---------------------------------------------------------
 
     def get(self, config):
         """Stored artifact for *config*'s sim-key, or ``None``.
@@ -110,135 +96,29 @@ class ArtifactStore:
         """Stored artifact under *key*, or ``None`` (evicts bad entries)."""
         from repro.core.simulation import SimulationArtifact
 
-        path = self.path_for_key(key)
-        try:
-            with gzip.open(path, "rb") as handle:
-                payload = pickle.load(handle)
+        def decode(payload):
             artifact = SimulationArtifact.from_payload(payload)
             if artifact.sim_key != key:
                 raise pickle.UnpicklingError(
                     f"artifact key mismatch: stored {artifact.sim_key}"
                 )
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except Exception as exc:  # noqa: BLE001 - anything load raises
-            self.misses += 1
-            if not isinstance(exc, self._CORRUPTION_ERRORS):
-                self.stale_evictions += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            from repro.provenance import remove_envelope
+            return artifact
 
-            remove_envelope(path)
-            return None
-        self.hits += 1
-        try:
-            os.utime(path)  # mark recently-used for LRU pruning
-        except OSError:
-            pass
-        return artifact
+        return self.store.get(key, decode)
 
     def put(self, config, artifact):
         """Store *artifact* under *config*'s sim-key atomically, with a
         provenance envelope recording the producing code."""
-        from repro.provenance import build_envelope, write_envelope
-
         key = sim_key(config)
-        path = self.path_for_key(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as raw:
-                with gzip.open(raw, "wb") as handle:
-                    pickle.dump(artifact.to_payload(), handle,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        write_envelope(path, build_envelope(
+        return self.store.put(key, artifact.to_payload(), build_envelope(
             "artifact", key,
             platform=artifact.platform_name,
             benchmark=artifact.benchmark,
             n_segments=artifact.n_segments,
         ))
-        return path
-
-    # -- bookkeeping (protocol shared with ResultCache) -----------------
 
     def __contains__(self, config):
-        return self.path_for(config).exists()
-
-    def __len__(self):
-        return len(scan_entries(self.root, ARTIFACT_SUFFIXES))
-
-    @property
-    def hit_rate(self):
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def total_bytes(self):
-        return sum(
-            size
-            for _, size, _ in scan_entries(self.root, ARTIFACT_SUFFIXES)
-        )
-
-    def stats(self):
-        """On-disk shape of the store: entry count, bytes, age span."""
-        entries = scan_entries(self.root, ARTIFACT_SUFFIXES)
-        mtimes = [mtime for _, _, mtime in entries]
-        return {
-            "root": str(self.root),
-            "entries": len(entries),
-            "total_bytes": sum(size for _, size, _ in entries),
-            "oldest_mtime": min(mtimes) if mtimes else None,
-            "newest_mtime": max(mtimes) if mtimes else None,
-        }
-
-    def prune(self, max_bytes, orphan_age_s=DEFAULT_ORPHAN_AGE_S):
-        """LRU-evict until the store fits *max_bytes*; sweeps orphan
-        temp files and stranded envelopes like the cell cache."""
-        from repro.campaign.cache import prune_lru
-        from repro.provenance import sweep_orphan_envelopes
-
-        sweep_orphans(self.root, max_age_s=orphan_age_s)
-        removed = prune_lru(self.root, max_bytes, ARTIFACT_SUFFIXES)
-        sweep_orphan_envelopes(self.root, max_age_s=orphan_age_s)
-        return removed
-
-    def prune_stale(self):
-        """Evict artifacts from a different code version."""
-        from repro.provenance import prune_stale
-
-        return prune_stale(self.root, ARTIFACT_SUFFIXES)
-
-    def lineage(self):
-        """Artifacts grouped by producing code digest / version."""
-        from repro.provenance import lineage
-
-        return lineage(self.root, ARTIFACT_SUFFIXES)
-
-    def clear(self):
-        """Delete every stored artifact (and its envelope)."""
-        from repro.provenance import remove_envelope
-
-        removed = 0
-        for entry, _, _ in scan_entries(self.root, ARTIFACT_SUFFIXES):
-            try:
-                entry.unlink()
-            except OSError:
-                continue
-            remove_envelope(entry)
-            removed += 1
-        return removed
+        return sim_key(config) in self.store
 
 
 __all__ = [

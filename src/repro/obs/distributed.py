@@ -41,6 +41,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from repro.store import atomic_write
+
 #: Schema tag on every spool document.
 SPOOL_SCHEMA = "repro-job-spans-v1"
 
@@ -126,7 +128,7 @@ class SpanRecorder:
         #: Set by the job path once this process actually runs the
         #: campaign.  Guards the spool write: a lease-coalesced waiter
         #: records spans too (its lease wait), but only the executor
-        #: may write ``<key>.spans`` — a waiter's ``os.replace`` would
+        #: may write ``<key>.spans`` — a waiter's atomic rename would
         #: destroy the executor's engine/store spans for the same
         #: content-addressed key.
         self.executed = False
@@ -172,8 +174,6 @@ class SpanRecorder:
 
 def write_spool(path, ctx, records):
     """Atomically write a spool document beside the result entry."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     doc = {
         "schema": SPOOL_SCHEMA,
         "job_id": ctx.job_id,
@@ -181,11 +181,8 @@ def write_spool(path, ctx, records):
         "parent": ctx.parent,
         "spans": list(records),
     }
-    tmp = path.with_name(path.name + f".{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(doc, sort_keys=True,
-                              separators=(",", ":")))
-    os.replace(tmp, path)
-    return path
+    data = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    return atomic_write(path, lambda handle: handle.write(data))
 
 
 def read_spool(path):

@@ -37,8 +37,6 @@ without import cycles.
 
 import hashlib
 import json
-import os
-import tempfile
 import time
 from pathlib import Path
 
@@ -118,24 +116,13 @@ def envelope_path(entry_path):
 
 def write_envelope(entry_path, envelope):
     """Atomically write *envelope* beside *entry_path*; returns the
-    sidecar path (tmp file + ``os.replace``, same protocol as the
-    entry writers — a crash never leaves a torn envelope)."""
-    path = envelope_path(entry_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(envelope, handle, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+    sidecar path (same atomic write as the entries — a crash never
+    leaves a torn envelope)."""
+    from repro.store import atomic_write
+
+    data = json.dumps(envelope, sort_keys=True).encode()
+    return atomic_write(envelope_path(entry_path),
+                        lambda handle: handle.write(data))
 
 
 def read_envelope(entry_path):
@@ -185,27 +172,21 @@ def sweep_orphan_envelopes(root, max_age_s=3600.0):
     between an entry write and its envelope write is never raced.
     Returns the number removed.
     """
-    root = Path(root)
-    if not root.exists():
-        return 0
-    cutoff = time.time() - max_age_s
-    removed = 0
-    for sidecar in root.rglob(f"*{ENVELOPE_SUFFIX}"):
-        entry = sidecar.with_name(sidecar.name[:-len(ENVELOPE_SUFFIX)])
-        try:
-            if entry.exists() or sidecar.stat().st_mtime > cutoff:
-                continue
-            sidecar.unlink()
-        except OSError:
-            continue
-        removed += 1
+    from repro.store import sweep_orphans
+
+    removed, _ = sweep_orphans(
+        root, max_age_s, (f"*{ENVELOPE_SUFFIX}",),
+        entry_for=lambda sidecar: sidecar.with_name(
+            sidecar.name[:-len(ENVELOPE_SUFFIX)]),
+    )
     return removed
 
 
 # -- lineage queries ---------------------------------------------------
 
-def lineage(root, suffixes=None):
-    """Entries under *root* grouped by producing code identity.
+def lineage(store):
+    """Entries of *store* (a :class:`~repro.store.ContentStore`) grouped
+    by producing code identity.
 
     Returns a list of group dicts sorted newest-written first::
 
@@ -216,12 +197,8 @@ def lineage(root, suffixes=None):
     Envelope-less legacy entries group under ``code_digest=None`` and
     always count as stale (unknown provenance).
     """
-    from repro.campaign.cache import ENTRY_SUFFIXES, scan_entries
-
     groups = {}
-    for path, size, mtime in scan_entries(
-        root, suffixes if suffixes is not None else ENTRY_SUFFIXES
-    ):
+    for path, size, mtime in store.entries():
         envelope = read_envelope(path)
         ident = (
             (envelope or {}).get("code_digest"),
@@ -255,27 +232,17 @@ def lineage(root, suffixes=None):
     )
 
 
-def prune_stale(root, suffixes=None):
-    """Evict every entry whose envelope does not match the running
-    code (missing envelopes included — unknown provenance is stale).
-    Sidecars go with their entries.  Returns ``(n_removed,
+def prune_stale(store):
+    """Evict every entry of *store* whose envelope does not match the
+    running code (missing envelopes included — unknown provenance is
+    stale).  Sidecars go with their entries.  Returns ``(n_removed,
     bytes_removed)``."""
-    from repro.campaign.cache import ENTRY_SUFFIXES, scan_entries
-
     n_removed = 0
     bytes_removed = 0
-    for path, size, _ in scan_entries(
-        root, suffixes if suffixes is not None else ENTRY_SUFFIXES
-    ):
-        if not is_stale(read_envelope(path)):
-            continue
-        try:
-            path.unlink()
-        except OSError:
-            continue
-        remove_envelope(path)
-        n_removed += 1
-        bytes_removed += size
+    for path, size, _ in store.entries():
+        if is_stale(read_envelope(path)) and store.remove(path):
+            n_removed += 1
+            bytes_removed += size
     return n_removed, bytes_removed
 
 
@@ -433,12 +400,7 @@ def replay_store_entry(store, key, workers=1):
 def store_keys(store):
     """Every result key under *store*, sorted (scan is recursive, so
     sharded layouts enumerate the same way as flat ones)."""
-    from repro.campaign.cache import scan_entries
-
-    return sorted(
-        path.name[:-len(".json")]
-        for path, _, _ in scan_entries(store.root, (".json",))
-    )
+    return store.keys()
 
 
 __all__ = [

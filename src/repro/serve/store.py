@@ -8,25 +8,26 @@ The serving layer keeps two kinds of state:
   ``queued -> running -> done | failed``; a failed job can be
   resubmitted, which resets it to ``queued`` and bumps ``attempts``.
 * :class:`ResultStore` — an on-disk, content-addressed map from spec
-  hash to the canonical JSON result payload.  Writes are atomic
-  (tmp file + ``os.replace``), reads touch the entry's mtime, and the
-  store prunes LRU with the same helper as the campaign cell cache —
-  a long-running service keeps both directories bounded.
+  hash to the canonical JSON result payload: a
+  :class:`~repro.store.ContentStore` of raw bytes, like the campaign
+  cell cache and artifact store.  Nothing here prunes it on a
+  schedule: ``repro cache prune`` trims it, together with the other
+  two stores.
 
 Nothing here knows about HTTP; the server module builds on these.
 """
 
 import json
 import os
-import tempfile
 import threading
 import time
 from pathlib import Path
 
-from repro.campaign.cache import (
+from repro.store import (
     DEFAULT_ORPHAN_AGE_S,
-    prune_lru,
-    scan_entries,
+    RAW_BYTES,
+    ContentStore,
+    StoreAdapter,
     sweep_orphans,
 )
 
@@ -211,14 +212,14 @@ class JobStore:
             return len(self._jobs)
 
 
-class ResultStore:
+class ResultStore(StoreAdapter):
     """Content-addressed on-disk store of canonical result payloads.
 
     Keys are spec hashes (64 hex chars); values are the exact bytes
     served by ``GET /v1/results/{hash}``.  Entries are immutable once
     written — two writers racing on the same key write identical bytes
-    (the payload is a pure function of the spec), and ``os.replace``
-    makes the last one win atomically.
+    (the payload is a pure function of the spec), and the atomic rename
+    makes the last one win.
 
     **Shared namespace.**  N service instances (and their worker
     processes) may point at one root: writes are atomic, reads are
@@ -234,21 +235,22 @@ class ResultStore:
     """
 
     def __init__(self, root=None, shards=1):
-        self.root = Path(root) if root is not None else default_result_dir()
-        if int(shards) < 1:
-            raise ValueError("shards must be >= 1")
-        self.shards = int(shards)
+        super().__init__(ContentStore(
+            root if root is not None else default_result_dir(),
+            ".json", RAW_BYTES, shards=shards,
+        ))
+
+    @property
+    def shards(self):
+        return self.store.shards
 
     def shard_for(self, key):
-        """The shard index for *key*: a consistent hash over the key's
-        leading hex digits, identical on every instance."""
-        return int(key[:8], 16) % self.shards
+        """The shard index for *key* (see
+        :meth:`repro.store.ContentStore.shard_for`)."""
+        return self.store.shard_for(key)
 
     def path_for(self, key):
-        base = self.root
-        if self.shards > 1:
-            base = base / f"shard-{self.shard_for(key):03d}"
-        return base / key[:2] / f"{key}.json"
+        return self.store.path_for(key)
 
     def lease_path_for(self, key):
         """The single-flight lease file guarding *key* — beside the
@@ -264,21 +266,12 @@ class ResultStore:
         return self.path_for(key).with_suffix(".spans")
 
     def __contains__(self, key):
-        return self.path_for(key).exists()
+        return key in self.store
 
     def get_bytes(self, key):
         """Stored payload bytes for *key*, or ``None``; touches the
         entry's mtime so LRU pruning sees reads as use."""
-        path = self.path_for(key)
-        try:
-            data = path.read_bytes()
-        except OSError:
-            return None
-        try:
-            os.utime(path)
-        except OSError:
-            pass
-        return data
+        return self.store.get(key)
 
     def get_json(self, key):
         """Decoded payload for *key*, or ``None``."""
@@ -296,26 +289,7 @@ class ResultStore:
         touching the payload bytes, so served results stay
         byte-identical with or without provenance.
         """
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        if envelope is not None:
-            from repro.provenance import write_envelope
-
-            write_envelope(path, envelope)
-        return path
+        return self.store.put(key, data, envelope)
 
     def envelope_for(self, key):
         """The provenance envelope beside *key*'s entry, or ``None``
@@ -324,67 +298,24 @@ class ResultStore:
 
         return read_envelope(self.path_for(key))
 
-    def prune_stale(self):
-        """Evict entries whose envelope does not match the running
-        code (missing envelopes included); returns ``(n_removed,
-        bytes_removed)``."""
-        from repro.provenance import prune_stale
-
-        return prune_stale(self.root, (".json",))
-
-    def lineage(self):
-        """Entries grouped by producing code digest / engine version
-        (see :func:`repro.provenance.lineage`)."""
-        from repro.provenance import lineage
-
-        return lineage(self.root, (".json",))
-
-    def __len__(self):
-        return len(scan_entries(self.root, (".json",)))
-
-    def total_bytes(self):
-        return sum(
-            size for _, size, _ in scan_entries(self.root, (".json",))
-        )
-
     def stats(self):
-        entries = scan_entries(self.root, (".json",))
-        mtimes = [mtime for _, _, mtime in entries]
-        return {
-            "root": str(self.root),
-            "shards": self.shards,
-            "entries": len(entries),
-            "total_bytes": sum(size for _, size, _ in entries),
-            "oldest_mtime": min(mtimes) if mtimes else None,
-            "newest_mtime": max(mtimes) if mtimes else None,
-        }
+        stats = self.store.stats()
+        return {"root": stats.pop("root"), "shards": self.shards, **stats}
 
     def prune(self, max_bytes, orphan_age_s=DEFAULT_ORPHAN_AGE_S):
         """LRU-evict until the store fits *max_bytes*; returns
         ``(n_removed, bytes_removed)``.
 
-        Also sweeps aged-out orphans: ``.tmp`` files from crashed
-        writers and ``.lease`` files from crashed holders, both
-        age-gated so live writers and live leases are untouched, plus
-        aged ``.spans`` trace spools and ``.prov`` envelopes whose
-        result entry is gone (pruned, or never written because the job
-        failed) — recent sibling-less spools survive so failed jobs
-        stay debuggable.
+        Besides the content store's own sweeps (``.tmp`` files from
+        crashed writers, stranded ``.prov`` envelopes), also sweeps
+        aged ``.lease`` files from crashed holders and aged ``.spans``
+        trace spools whose result entry is gone (pruned, or never
+        written because the job failed) — all age-gated, so live
+        leases survive and recent sibling-less spools keep failed jobs
+        debuggable.
         """
-        from repro.provenance import sweep_orphan_envelopes
-
-        sweep_orphans(self.root, max_age_s=orphan_age_s,
-                      patterns=("*.tmp", "*.lease"))
-        removed = prune_lru(self.root, max_bytes, (".json",))
-        sweep_orphan_envelopes(self.root, max_age_s=orphan_age_s)
-        now = time.time()
-        for spool in self.root.rglob("*.spans"):
-            try:
-                if spool.with_suffix(".json").exists():
-                    continue
-                if now - spool.stat().st_mtime < orphan_age_s:
-                    continue
-                spool.unlink()
-            except OSError:
-                continue
+        removed = self.store.prune(max_bytes, orphan_age_s)
+        sweep_orphans(self.root, orphan_age_s, ("*.lease",))
+        sweep_orphans(self.root, orphan_age_s, ("*.spans",),
+                      entry_for=lambda spool: spool.with_suffix(".json"))
         return removed

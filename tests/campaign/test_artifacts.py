@@ -149,38 +149,6 @@ class TestArtifactStore:
         assert store.get_key(other) is None
         assert not target.exists()
 
-    def test_stats_and_prune(self, tmp_path, artifact):
-        store = ArtifactStore(tmp_path)
-        store.put(BASE, artifact)
-        stats = store.stats()
-        assert stats["entries"] == 1
-        assert stats["total_bytes"] == store.total_bytes() > 0
-        removed, freed = store.prune(max_bytes=0)
-        assert removed == 1
-        assert freed > 0
-        assert len(store) == 0
-
-    def test_prune_stale_keeps_current_code(self, tmp_path, artifact):
-        store = ArtifactStore(tmp_path)
-        store.put(BASE, artifact)
-        removed, _ = store.prune_stale()
-        assert removed == 0
-        assert len(store) == 1
-
-    def test_lineage_reports_entry(self, tmp_path, artifact):
-        store = ArtifactStore(tmp_path)
-        store.put(BASE, artifact)
-        groups = store.lineage()
-        assert len(groups) == 1
-        assert groups[0]["entries"] == 1
-        assert not groups[0]["stale"]
-
-    def test_clear(self, tmp_path, artifact):
-        store = ArtifactStore(tmp_path)
-        store.put(BASE, artifact)
-        assert store.clear() == 1
-        assert len(store) == 0
-
     def test_env_var_default_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ARTIFACT_DIR_ENV, str(tmp_path / "arts"))
         assert default_artifact_dir() == tmp_path / "arts"

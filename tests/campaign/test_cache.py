@@ -77,13 +77,6 @@ class TestCache:
         path.write_bytes(gzip.compress(b"\x80")[:-2])
         assert cache.get(cfg()) is None
 
-    def test_clear(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(cfg(), {"x": 1})
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.get(cfg()) is None
-
     def test_distinct_configs_do_not_collide(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(cfg(), {"who": "a"})
@@ -93,10 +86,6 @@ class TestCache:
 
 
 class TestOrphanHygiene:
-    def put_one(self, cache):
-        cache.put(cfg(), {"schema": "repro-cell-v1", "n": 1})
-        return cache.path_for(cfg())
-
     def aged(self, path, seconds):
         import os
         import time
@@ -104,46 +93,8 @@ class TestOrphanHygiene:
         past = time.time() - seconds
         os.utime(path, (past, past))
 
-    def test_strays_invisible_to_stats_and_prune(self, tmp_path):
-        """``.tmp`` writer scratch and serve-layer ``.lease`` files are
-        bookkeeping, not entries: they must never be counted, and the
-        LRU pruner must never pick them as victims (deleting a live
-        writer's temp file mid-write corrupts the entry it is about
-        to become)."""
-        cache = ResultCache(tmp_path)
-        entry = self.put_one(cache)
-        (entry.parent / "crashed-writer.tmp").write_bytes(b"x" * 4096)
-        (entry.parent / f"{entry.stem}.lease").write_text("{}")
-        stats = cache.stats()
-        assert stats["entries"] == 1
-        assert stats["total_bytes"] == entry.stat().st_size
-        # Budget exactly one entry: nothing should be evicted, because
-        # the strays neither count against the budget nor rank as LRU.
-        removed, freed = cache.prune(entry.stat().st_size,
-                                     orphan_age_s=3600.0)
-        assert (removed, freed) == (0, 0)
-        assert entry.exists()
-
-    def test_prune_sweeps_aged_tmp_orphans(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        entry = self.put_one(cache)
-        orphan = entry.parent / "crashed-writer.tmp"
-        orphan.write_bytes(b"x" * 100)
-        self.aged(orphan, 7200.0)
-        cache.prune(10_000_000, orphan_age_s=3600.0)
-        assert not orphan.exists()
-        assert entry.exists()
-
-    def test_young_tmp_presumed_live_and_kept(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        entry = self.put_one(cache)
-        inflight = entry.parent / "live-writer.tmp"
-        inflight.write_bytes(b"x")
-        cache.prune(10_000_000, orphan_age_s=3600.0)
-        assert inflight.exists()
-
     def test_sweep_orphans_returns_accounting(self, tmp_path):
-        from repro.campaign.cache import sweep_orphans
+        from repro.store import sweep_orphans
 
         (tmp_path / "ab").mkdir()
         dead = tmp_path / "ab" / "dead.tmp"
@@ -154,7 +105,7 @@ class TestOrphanHygiene:
         assert sweep_orphans(tmp_path / "missing") == (0, 0)
 
     def test_scan_entries_recurses_sharded_layouts(self, tmp_path):
-        from repro.campaign.cache import scan_entries
+        from repro.store import scan_entries
 
         deep = tmp_path / "shard-003" / "ab"
         deep.mkdir(parents=True)
@@ -225,44 +176,6 @@ class TestStaleEviction:
         assert read_envelope(path) is None
 
 
-class TestNestedLayouts:
-    """len()/clear() must see exactly what stats()/prune() see, no
-    matter how deeply entries nest under the root."""
-
-    def put_nested(self, root):
-        deep = root / "shard-007" / "ab"
-        deep.mkdir(parents=True)
-        entry = deep / ("ab" * 32 + ".pkl.gz")
-        entry.write_bytes(b"x" * 32)
-        return entry
-
-    def test_len_counts_nested_entries(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(cfg(), {"x": 1})
-        nested = self.put_nested(tmp_path)
-        assert len(cache) == 2
-        assert cache.stats()["entries"] == 2
-        assert nested.exists()
-
-    def test_clear_removes_nested_entries(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(cfg(), {"x": 1})
-        nested = self.put_nested(tmp_path)
-        assert cache.clear() == 2
-        assert len(cache) == 0
-        assert not nested.exists()
-
-    def test_clear_removes_envelopes(self, tmp_path):
-        from repro.provenance import envelope_path
-
-        cache = ResultCache(tmp_path)
-        cache.put(cfg(), {"x": 1})
-        sidecar = envelope_path(cache.path_for(cfg()))
-        assert sidecar.exists()
-        cache.clear()
-        assert not sidecar.exists()
-
-
 class TestStrictKeySerialization:
     def test_non_canonical_value_raises(self):
         import pathlib
@@ -298,33 +211,3 @@ class TestCacheProvenance:
         cache.put(cfg(), {"x": 1})
         envelope_path(cache.path_for(cfg())).unlink()
         assert cache.get(cfg()) == {"x": 1}  # byte-identical service
-
-    def test_prune_stale_and_lineage(self, tmp_path):
-        from repro.provenance import envelope_path
-
-        cache = ResultCache(tmp_path)
-        cache.put(cfg(), {"who": "current"})
-        cache.put(cfg(seed=43), {"who": "legacy"})
-        envelope_path(cache.path_for(cfg(seed=43))).unlink()
-        groups = cache.lineage()
-        assert {g["stale"] for g in groups} == {True, False}
-        removed, _ = cache.prune_stale()
-        assert removed == 1
-        assert cache.get(cfg()) == {"who": "current"}
-        assert cfg(seed=43) not in cache
-
-    def test_lru_prune_removes_envelopes_with_entries(self, tmp_path):
-        import os
-        import time
-
-        from repro.provenance import envelope_path
-
-        cache = ResultCache(tmp_path)
-        cache.put(cfg(), {"x": 1})
-        cache.put(cfg(seed=43), {"x": 2})
-        old = cache.path_for(cfg())
-        past = time.time() - 3600.0
-        os.utime(old, (past, past))
-        cache.prune(cache.path_for(cfg(seed=43)).stat().st_size)
-        assert not old.exists()
-        assert not envelope_path(old).exists()

@@ -127,6 +127,13 @@ class TestSpool:
                     [])
         assert [p.name for p in tmp_path.iterdir()] == ["key.spans"]
 
+    def test_failed_write_leaves_no_tmp_file(self, tmp_path):
+        target = tmp_path / "key.spans"
+        target.mkdir()  # renaming a file onto a directory fails
+        with pytest.raises(OSError):
+            write_spool(target, TraceContext.for_job(JOB), [])
+        assert [p.name for p in tmp_path.iterdir()] == ["key.spans"]
+
 
 class TestMergeJobTrace:
     def events(self):

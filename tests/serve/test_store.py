@@ -164,24 +164,6 @@ class TestResultStore:
             assert lease.parent == store.path_for(key).parent
             assert lease.name == f"{key}.lease"
 
-    def test_stats_ignore_tmp_and_lease_files(self, tmp_path):
-        """Orphan ``.tmp`` and live ``.lease`` files are bookkeeping,
-        not entries: stats, len and LRU pruning must not see them."""
-        store = ResultStore(tmp_path)
-        store.put_bytes("aa" * 32, b"x" * 100)
-        entry_dir = store.path_for("aa" * 32).parent
-        (entry_dir / "orphan.tmp").write_bytes(b"t" * 999)
-        (entry_dir / f"{'aa' * 32}.lease").write_text("{}")
-        stats = store.stats()
-        assert stats["entries"] == 1
-        assert stats["total_bytes"] == 100
-        assert len(store) == 1
-        # Pruning to exactly the entry's size evicts nothing: the
-        # strays don't count against the budget, nor as LRU victims.
-        removed, _ = store.prune(100, orphan_age_s=3600.0)
-        assert removed == 0
-        assert ("aa" * 32) in store
-
     def test_prune_sweeps_aged_orphans_only(self, tmp_path):
         import os
         import time
@@ -202,54 +184,6 @@ class TestResultStore:
         assert not old_lease.exists()
         assert fresh_tmp.exists()      # young stray: maybe still live
         assert ("aa" * 32) in store
-
-    def test_stats_and_len(self, tmp_path):
-        store = ResultStore(tmp_path)
-        assert len(store) == 0
-        store.put_bytes("aa" * 32, b"x" * 100)
-        store.put_bytes("bb" * 32, b"y" * 50)
-        stats = store.stats()
-        assert stats["entries"] == 2
-        assert stats["total_bytes"] == 150
-        assert len(store) == 2
-
-    def test_prune_lru_by_mtime(self, tmp_path):
-        import os
-
-        store = ResultStore(tmp_path)
-        old, new = "aa" * 32, "bb" * 32
-        store.put_bytes(old, b"x" * 100)
-        store.put_bytes(new, b"y" * 100)
-        os.utime(store.path_for(old), (1_000_000, 1_000_000))
-        removed, freed = store.prune(150)
-        assert removed == 1
-        assert freed == 100
-        assert old not in store
-        assert new in store
-
-    def test_read_refreshes_lru_rank(self, tmp_path):
-        import os
-
-        store = ResultStore(tmp_path)
-        first, second = "aa" * 32, "bb" * 32
-        store.put_bytes(first, b"x" * 100)
-        store.put_bytes(second, b"y" * 100)
-        # Make both old, then read `first` — the read must protect it.
-        for key in (first, second):
-            os.utime(store.path_for(key), (1_000_000, 1_000_000))
-        store.get_bytes(first)
-        removed, _ = store.prune(150)
-        assert removed == 1
-        assert first in store
-        assert second not in store
-
-    def test_prune_to_zero_clears_everything(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.put_bytes("aa" * 32, b"x")
-        store.put_bytes("bb" * 32, b"y")
-        removed, _ = store.prune(0)
-        assert removed == 2
-        assert len(store) == 0
 
     def test_concurrent_writers_same_key(self, tmp_path):
         """Racing writers on one key must leave one intact payload."""

@@ -1,9 +1,12 @@
 """Tests for the pauses/export CLI commands."""
 
 import json
-
+from pathlib import Path
 
 from repro.cli import main
+
+DAQ_SWEEP = (Path(__file__).resolve().parents[1] / "examples" / "scenarios"
+             / "daq-period-sweep.toml")
 
 
 class TestPausesCommand:
@@ -168,6 +171,67 @@ class TestOverheadCommand:
         out = capsys.readouterr().out
         assert "(simulated," in out
         assert "artifact store:" not in out
+
+
+class TestUncertaintyCommand:
+    def test_bootstrap_twice_through_one_artifact_store(self, tmp_path,
+                                                        capsys):
+        """Two bootstrap runs over one artifact store: the report is a
+        pure function of (config, noise, seed, N), and 32 replicates
+        ride on one recorded execution the rerun reads back."""
+        runs = []
+        for n in (1, 2):
+            out = tmp_path / f"unc{n}.json"
+            assert main([
+                "uncertainty", "--heap", "32", "--input-scale", "0.2",
+                "--replicates", "32",
+                "--artifact-dir", str(tmp_path / "artifacts"),
+                "--output", str(out),
+            ]) == 0
+            runs.append((capsys.readouterr().out,
+                         json.loads(out.read_text())))
+        (text1, first), (text2, second) = runs
+        assert "(simulated," in text1
+        assert "(store," in text2
+        assert json.dumps(first["report"], sort_keys=True) == \
+            json.dumps(second["report"], sort_keys=True)
+        assert first["sim_key"] == second["sim_key"]
+        assert first["counters"]["n_simulations"] == 1
+        assert first["counters"]["artifact_source"] == "simulated"
+        assert second["counters"]["n_simulations"] == 0
+        assert second["counters"]["artifact_source"] == "store"
+        report = first["report"]
+        assert report["n_replicates"] == 32
+        for name, dist in report["totals"].items():
+            assert dist["n"] == 32, name
+            assert dist["ci_low"] <= dist["mean"] <= dist["ci_high"], name
+
+
+class TestSpecCampaignCommand:
+    def test_daq_sweep_twice_through_one_artifact_store(self, tmp_path,
+                                                        capsys):
+        """6 cells = 3 DAQ periods x 2 DVFS points: 2 sim identities,
+        simulated once each; the rerun hits the store for both."""
+        summaries = []
+        for n in (1, 2):
+            out = tmp_path / f"run{n}.json"
+            assert main([
+                "campaign",
+                "--spec", str(DAQ_SWEEP),
+                "--no-cache", "--artifact-dir", str(tmp_path / "artifacts"),
+                "--output", str(out),
+            ]) == 0
+            capsys.readouterr()
+            report = json.loads(out.read_text())
+            assert report["summary"]["n_failed"] == 0
+            assert report["scenario"]["spec_hash"]
+            summaries.append(report["summary"])
+        first, second = summaries
+        assert first["n_sim_keys"] == second["n_sim_keys"] == 2
+        assert first["n_simulations"] == 2
+        assert first["n_artifact_hits"] == 0
+        assert second["n_simulations"] == 0
+        assert second["n_artifact_hits"] == 2
 
 
 class TestCacheArtifactStore:

@@ -21,6 +21,11 @@ from repro.provenance import (
     sweep_orphan_envelopes,
     write_envelope,
 )
+from repro.store import RAW_BYTES, ContentStore
+
+
+def json_store(root):
+    return ContentStore(root, ".json", RAW_BYTES)
 
 
 def make_entry(root, name, data=b"{}"):
@@ -169,7 +174,7 @@ def seed_store(tmp_path):
 class TestLineage:
     def test_groups_by_code_identity(self, tmp_path):
         seed_store(tmp_path)
-        groups = lineage(tmp_path, (".json",))
+        groups = lineage(json_store(tmp_path))
         assert len(groups) == 3
         by_digest = {g["code_digest"]: g for g in groups}
         assert not by_digest[code_digest()]["stale"]
@@ -179,14 +184,14 @@ class TestLineage:
 
     def test_groups_sorted_newest_first(self, tmp_path):
         seed_store(tmp_path)
-        groups = lineage(tmp_path, (".json",))
+        groups = lineage(json_store(tmp_path))
         stamps = [g["newest_unix"] for g in groups]
         assert stamps == sorted(stamps, reverse=True)
         assert groups[0]["code_digest"] == code_digest()
 
     def test_accounting_and_key_samples(self, tmp_path):
         seed_store(tmp_path)
-        for group in lineage(tmp_path, (".json",)):
+        for group in lineage(json_store(tmp_path)):
             assert group["entries"] == 1
             assert group["total_bytes"] == 8
             assert len(group["keys"]) == 1
@@ -196,7 +201,7 @@ class TestLineage:
 class TestPruneStale:
     def test_evicts_foreign_and_legacy_keeps_current(self, tmp_path):
         current, foreign, legacy = seed_store(tmp_path)
-        n_removed, bytes_removed = prune_stale(tmp_path, (".json",))
+        n_removed, bytes_removed = prune_stale(json_store(tmp_path))
         assert n_removed == 2
         assert bytes_removed == 16
         assert current.exists()
@@ -208,8 +213,8 @@ class TestPruneStale:
 
     def test_idempotent(self, tmp_path):
         seed_store(tmp_path)
-        prune_stale(tmp_path, (".json",))
-        assert prune_stale(tmp_path, (".json",)) == (0, 0)
+        prune_stale(json_store(tmp_path))
+        assert prune_stale(json_store(tmp_path)) == (0, 0)
 
 
 class TestResultStoreIntegration:
