@@ -1,39 +1,21 @@
-"""CI perf gate for the checked-in benchmark artifacts.
+"""CI gate for the serving benchmark's ``BENCH_serve.json``.
 
-Dispatches on the result file's ``schema`` field:
-
-* ``BENCH_engine.json`` (``benchmarks/perf/bench_engine.py``) — the
-  batched engine's segments/sec is compared against the ``gate``
-  section of ``benchmarks/perf/baseline.json``; exits non-zero when
-  the measured rate falls more than the allowed fraction (default
-  30 %) below the baseline.  When the document carries a ``sweep``
-  section, its amortized fused/split speedup is additionally gated
-  against the baseline's ``sweep_amortized_speedup_min`` — a
-  same-machine ratio, so it is robust on shared runners.
-* ``BENCH_serve.json`` (``repro-bench-serve-v1``, from
-  ``benchmarks/perf/bench_serve.py``) — validates the serving layer's
-  correctness invariants, which hold at any load: byte-identical
-  serving, every distinct spec executed in every mode, exactly-once
-  execution across instances, and sane latency/dedup figures.
-  Throughput itself is not gated — shared CI runners make jobs/sec
-  too noisy for a hard floor.
+Validates a ``repro-bench-serve-v1`` document (from
+``benchmarks/perf/bench_serve.py``) against the serving layer's
+correctness invariants, which hold at any load: byte-identical
+serving, every distinct spec executed in every mode, exactly-once
+execution across instances, and sane latency/dedup figures.
+Throughput itself is not gated — shared CI runners make jobs/sec too
+noisy for a hard floor.  Simulation speed is measured by ``perfbench``.
 
 Usage::
 
-    python scripts/check_perf.py BENCH_engine.json
-    python scripts/check_perf.py BENCH_engine.json --max-regression 0.5
     python scripts/check_perf.py BENCH_serve.json
 """
 
 import argparse
 import json
-import sys
 from pathlib import Path
-
-BASELINE_PATH = (
-    Path(__file__).resolve().parent.parent
-    / "benchmarks" / "perf" / "baseline.json"
-)
 
 
 def check_serve(results):
@@ -120,53 +102,15 @@ def check_serve(results):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("results",
-                        help="BENCH_engine.json / BENCH_serve.json")
-    parser.add_argument("--baseline", default=str(BASELINE_PATH))
-    parser.add_argument(
-        "--max-regression", type=float, default=None,
-        help="allowed fractional drop vs. the gate baseline "
-             "(default: the baseline file's own max_regression; "
-             "engine schema only)",
-    )
+    parser.add_argument("results", help="BENCH_serve.json")
     args = parser.parse_args(argv)
 
     results = json.loads(Path(args.results).read_text())
-    if results.get("schema") == "repro-bench-serve-v1":
-        return check_serve(results)
-    baseline = json.loads(Path(args.baseline).read_text())
-    gate = baseline["gate"]
-    allowed = (args.max_regression if args.max_regression is not None
-               else gate["max_regression"])
-
-    measured = results["microbench"]["batched"]["segments_per_sec"]
-    reference = gate["segments_per_sec"]
-    floor = reference * (1.0 - allowed)
-    ratio = measured / reference
-
-    print(f"segments/sec: measured {measured:,.0f}, "
-          f"gate {reference:,.0f}, floor {floor:,.0f} "
-          f"({ratio:.2f}x of gate)")
-    if measured < floor:
-        print(f"FAIL: regression exceeds {allowed:.0%} "
-              f"(measured {1.0 - ratio:.0%} below the gate baseline)")
+    if results.get("schema") != "repro-bench-serve-v1":
+        print(f"FAIL: unexpected schema {results.get('schema')!r} "
+              "(want repro-bench-serve-v1)")
         return 1
-
-    sweep = results.get("sweep")
-    min_speedup = gate.get("sweep_amortized_speedup_min")
-    if sweep is not None and min_speedup is not None:
-        speedup = sweep["amortized_speedup"]
-        print(f"sweep amortized speedup: {speedup}x over "
-              f"{len(sweep['periods_us'])} DAQ periods "
-              f"(floor {min_speedup}x)")
-        if speedup < min_speedup:
-            print(f"FAIL: split pipeline amortization fell below "
-                  f"{min_speedup}x — the simulate phase is being "
-                  "re-paid per measurement point")
-            return 1
-
-    print("OK: within the allowed regression budget")
-    return 0
+    return check_serve(results)
 
 
 if __name__ == "__main__":

@@ -64,31 +64,46 @@ class MemoryBoundGovernor:
         self.decisions = []
 
     def observe(self, segment):
-        """Feed one retired segment; return the chosen freq scale.
+        """Feed one retired segment; return the chosen freq scale."""
+        return self.observe_row(
+            segment.instructions, segment.cycles, segment.end_cycle
+        )
 
-        The window average is *cycle-weighted*: a long memory-bound
+    def observe_row(self, instructions, cycles, end_cycle):
+        """:meth:`observe` for a segment given as its counts."""
+        ipc = self._push(self._recent, instructions, cycles)
+        scale = self._scale_for(ipc)
+        self.decisions.append(
+            GovernorDecision(cycle=end_cycle, ipc=ipc, freq_scale=scale)
+        )
+        return scale
+
+    def first_change(self, instructions, cycles, scale):
+        """Index of the first of a run of segments whose decision would
+        differ from *scale*, or ``None``; records nothing."""
+        recent = list(self._recent)
+        for i, (n, c) in enumerate(zip(instructions, cycles)):
+            if self._scale_for(self._push(recent, n, c)) != scale:
+                return i
+        return None
+
+    def _push(self, recent, instructions, cycles):
+        """Slide one segment into the window *recent*; return the
+        window's IPC.
+
+        The average is *cycle-weighted*: a long memory-bound
         application phase must not be outvoted by a burst of short
         compiler activations (exactly the aliasing a real OS-timer
         governor avoids by sampling on time, not on events).
         """
-        if segment.instructions > 0 and segment.cycles > 0:
-            self._recent.append((segment.ipc, segment.cycles))
-            if len(self._recent) > self.window:
-                self._recent.pop(0)
-        if self._recent:
-            total = sum(cycles for _, cycles in self._recent)
-            ipc = sum(
-                ipc * cycles for ipc, cycles in self._recent
-            ) / total
-        else:
-            ipc = self.ipc_high
-        scale = self._scale_for(ipc)
-        self.decisions.append(
-            GovernorDecision(
-                cycle=segment.end_cycle, ipc=ipc, freq_scale=scale
-            )
-        )
-        return scale
+        if instructions > 0 and cycles > 0:
+            recent.append((instructions / cycles, cycles))
+            if len(recent) > self.window:
+                recent.pop(0)
+        if not recent:
+            return self.ipc_high
+        total = sum(c for _, c in recent)
+        return sum(ipc * c for ipc, c in recent) / total
 
     def _scale_for(self, ipc):
         if ipc >= self.ipc_high:
@@ -119,12 +134,14 @@ class GovernedScheduler(InstrumentedScheduler):
 
     After every retired segment the governor picks the operating point
     for what follows — the same actuation granularity an OS-timer-driven
-    governor achieves on real hardware.
+    governor achieves on real hardware.  A batch is cut after the first
+    segment that changes the operating point, as after a throttle flip.
     """
 
     def __init__(self, platform, governor, style="jikes",
-                 max_chunk_s=None):
-        super().__init__(platform, style=style, max_chunk_s=max_chunk_s)
+                 max_chunk_s=None, obs=None):
+        super().__init__(platform, style=style, max_chunk_s=max_chunk_s,
+                         obs=obs)
         self.governor = governor
 
     def _append(self, seg):
@@ -133,6 +150,22 @@ class GovernedScheduler(InstrumentedScheduler):
             scale = self.governor.observe(seg)
             if scale != self.platform.cpu.dvfs.freq_scale:
                 self.platform.cpu.set_dvfs(scale)
+
+    def _commit_batch(self, batch, component, tags):
+        instructions = batch.instructions.tolist()
+        cycles = batch.cycles.tolist()
+        change = self.governor.first_change(
+            instructions, cycles, self.platform.cpu.dvfs.freq_scale
+        )
+        if change is not None:
+            batch = batch[:change + 1]
+        consumed = super()._commit_batch(batch, component, tags)
+        end_cycles = batch.end_cycles[:consumed].tolist()
+        for n, c, end in zip(instructions, cycles, end_cycles):
+            scale = self.governor.observe_row(n, c, end)
+        if scale != self.platform.cpu.dvfs.freq_scale:
+            self.platform.cpu.set_dvfs(scale)
+        return consumed
 
 
 def governed_vm(vm_class, platform, governor, **vm_kwargs):
@@ -145,7 +178,7 @@ def governed_vm(vm_class, platform, governor, **vm_kwargs):
     class _GovernedVM(vm_class):
         def _make_scheduler(self):
             return GovernedScheduler(
-                self.platform, governor, style=self.style
+                self.platform, governor, style=self.style, obs=self.obs
             )
 
     _GovernedVM.__name__ = f"Governed{vm_class.__name__}"

@@ -25,7 +25,7 @@ on the Pentium M — while on the PXA255, whose in-order core is cheap to
 stall but has no L2 to miss in, the relative ordering inverts.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -79,6 +79,11 @@ class SegmentBatch:
 
     def __len__(self):
         return len(self.start_cycles)
+
+    def __getitem__(self, rows):
+        """Rows *rows* (a slice) of every column, as views."""
+        return SegmentBatch(*(getattr(self, f.name)[rows]
+                              for f in fields(self)))
 
     @property
     def cycles(self):

@@ -45,13 +45,6 @@ class InstrumentedScheduler:
     #: coupling and measurement see at most ~50 ms of uniform behavior.
     DEFAULT_CHUNK_S = 0.05
 
-    #: Engine used when ``engine`` is not given and no subclass hooks the
-    #: per-segment append path.  The batched engine costs all chunks of
-    #: an activity in one vectorized call and commits them to the
-    #: timeline as column slices; it is bit-identical to the legacy
-    #: per-segment engine (the golden-equivalence suite enforces this).
-    DEFAULT_ENGINE = "batched"
-
     #: Most activities :meth:`execute_many` commits in one batch.  Any
     #: split commits the same rows; this one keeps every per-batch
     #: temporary (a column array or tuple of at most 32 items) in the
@@ -59,25 +52,12 @@ class InstrumentedScheduler:
     RUN_ROWS = 32
 
     def __init__(self, platform, style="jikes", max_chunk_s=None,
-                 obs=None, engine=None):
+                 obs=None):
         if style not in ("jikes", "kaffe"):
             raise ConfigurationError(
                 "instrumentation style must be 'jikes' or 'kaffe', "
                 f"got {style!r}"
             )
-        if engine is None:
-            # Subclasses that intercept the per-segment append hook
-            # (e.g. DVFS governors observing every segment) silently get
-            # the legacy engine; the batched path bypasses ``_append``.
-            overrides_append = (
-                type(self)._append is not InstrumentedScheduler._append
-            )
-            engine = "legacy" if overrides_append else self.DEFAULT_ENGINE
-        if engine not in ("legacy", "batched"):
-            raise ConfigurationError(
-                f"engine must be 'legacy' or 'batched', got {engine!r}"
-            )
-        self.engine = engine
         self.platform = platform
         self.style = style
         self.exec_model = platform.execution_model
@@ -187,17 +167,15 @@ class InstrumentedScheduler:
         """Run *activities* (any iterable, consumed lazily) in order,
         exactly as calling :meth:`execute` on each in turn would.
 
-        On the batched engine, every run of single-chunk activities of
-        one component (a slice's first-call baseline compiles, say) is
-        costed row by row by
-        :meth:`~repro.hardware.activity.ExecutionModel.run_many` and
+        Every run of single-chunk activities of one component (a
+        slice's first-call baseline compiles, say) is costed row by row
+        by :meth:`~repro.hardware.activity.ExecutionModel.run_many` and
         committed, :attr:`RUN_ROWS` rows at a time with per-row tags,
         through :meth:`_commit_batch`, which flushes and re-costs after
-        every throttle flip.  The legacy engine — and with it every subclass
-        that overrides ``_append`` — and Kaffe-style entry/exit
-        scheduling loop over :meth:`execute`.
+        every throttle flip.  Kaffe-style entry/exit scheduling loops
+        over :meth:`execute`.
         """
-        if self.engine != "batched" or self.style != "jikes":
+        if self.style != "jikes":
             for activity in activities:
                 self.execute(activity)
             return
@@ -261,14 +239,7 @@ class InstrumentedScheduler:
             seg.wall_s = seg.cycles / self.platform.cpu.effective_clock_hz
             self._append(seg)
             return
-        if self.engine == "batched":
-            self._emit_chunks_batched(activity, counts)
-            return
-        for instr in counts:
-            chunk = _with_instructions(activity, instr)
-            seg = self.exec_model.run(chunk, self._cycle)
-            seg.wall_s = seg.cycles / self.platform.cpu.effective_clock_hz
-            self._append(seg)
+        self._emit_chunks_batched(activity, counts)
 
     def _emit_chunks_batched(self, activity, counts):
         """Vectorized chunk emission: cost every chunk of the activity in
@@ -279,7 +250,8 @@ class InstrumentedScheduler:
         (:meth:`~repro.hardware.thermal.ThermalModel.step_batch`) stops
         after the first latch flip, the consumed prefix is committed,
         and the remaining chunks are re-costed under the new duty cycle —
-        so duty-cycle feedback stays cycle-exact with the legacy engine.
+        so duty-cycle feedback stays cycle-exact with one segment at a
+        time.
         """
         counts = np.asarray(counts, dtype=np.int64)
         tags = [activity.tag] * len(counts)
@@ -296,17 +268,15 @@ class InstrumentedScheduler:
         """Account an idle interval (e.g. between repetitive runs)."""
         if seconds <= 0:
             return
-        self._write_port(int(component))
-        remaining = self.platform.cpu.seconds_to_cycles(seconds)
-        if self.engine == "batched" and remaining > self.max_chunk_cycles:
-            self._idle_batched(int(component), remaining)
-            return
-        while remaining > 0:
-            cycles = min(remaining, self.max_chunk_cycles)
-            seg = self.exec_model.idle(int(component), self._cycle, cycles)
+        component = int(component)
+        self._write_port(component)
+        cycles = self.platform.cpu.seconds_to_cycles(seconds)
+        if cycles > self.max_chunk_cycles:
+            self._idle_batched(component, cycles)
+        elif cycles > 0:
+            seg = self.exec_model.idle(component, self._cycle, cycles)
             seg.wall_s = cycles / self.platform.cpu.effective_clock_hz
             self._append(seg)
-            remaining -= cycles
 
     def _idle_batched(self, component, remaining):
         chunk = self.max_chunk_cycles
@@ -351,7 +321,8 @@ class InstrumentedScheduler:
             self.platform.cpu.throttled = thermal.throttled
             start_s = self._sim_now_s
             self._sim_now_s = start_s + duration_s
-            self._observe_segment(seg, start_s, was_throttled)
+            self._observe(seg.component, seg.tag, start_s, self._sim_now_s,
+                          thermal.throttled, was_throttled)
 
     def _commit_batch(self, batch, component, tags):
         """Integrate, commit, and observe a batch prefix; return the
@@ -401,7 +372,7 @@ class InstrumentedScheduler:
                 )
         else:
             # Fast path: sequential adds keep the simulated-time cursor
-            # bit-identical to the per-segment engine.
+            # bit-identical to the traced branch above.
             now = self._sim_now_s
             for dt in durations:
                 now = now + dt
@@ -413,13 +384,6 @@ class InstrumentedScheduler:
             elif was_throttled and not throttled:
                 self._throttle_from = None
         return consumed
-
-    def _observe_segment(self, seg, start_s, was_throttled):
-        """Tracing hooks for one retired segment (write-only)."""
-        self._observe(
-            seg.component, seg.tag, start_s, self._sim_now_s,
-            self.platform.cpu.throttled, was_throttled,
-        )
 
     def _observe(self, component, tag, start_s, end_s, throttled,
                  was_throttled):
@@ -487,12 +451,3 @@ class InstrumentedScheduler:
                 self.throttle_episodes
             )
         return self.timeline
-
-
-def _with_instructions(activity, instructions):
-    """Copy *activity* with a different instruction count."""
-    from dataclasses import replace
-
-    if instructions == activity.instructions:
-        return activity
-    return replace(activity, instructions=instructions)

@@ -4,11 +4,13 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.extensions.dvfs_governor import (
+    GovernedScheduler,
     MemoryBoundGovernor,
     governed_vm,
 )
 from repro.hardware.platform import make_platform
 from repro.jvm.vm import JikesRVM
+from repro.obs import Observability
 from repro.timeline import Segment
 
 from tests.conftest import make_tiny_spec
@@ -103,3 +105,36 @@ class TestGovernedRuns:
             governed.gc_stats.collections
             == plain.gc_stats.collections
         )
+
+
+class TestGovernedScheduler:
+    @staticmethod
+    def _run(obs=None):
+        vm = governed_vm(
+            JikesRVM, make_platform("p6"), MemoryBoundGovernor(),
+            heap_mb=24, seed=6, n_slices=40, obs=obs,
+        )
+        return vm.run(make_tiny_spec(
+            app_overrides={"l1_miss_rate": 0.09, "locality": 0.5},
+        ))
+
+    def test_commits_batches(self, monkeypatch):
+        commits = []
+        commit = GovernedScheduler._commit_batch
+
+        def counting(self, batch, component, tags):
+            consumed = commit(self, batch, component, tags)
+            commits.append(consumed)
+            return consumed
+
+        monkeypatch.setattr(GovernedScheduler, "_commit_batch", counting)
+        run = self._run()
+        assert len(commits) > 10
+        assert sum(commits) > len(commits)
+        assert sum(commits) < len(run.timeline)
+
+    def test_metrics_count_every_segment(self):
+        obs = Observability.create(trace=False, metrics=True)
+        run = self._run(obs)
+        emitted = obs.metrics.counter("scheduler.segments_emitted")
+        assert emitted.value == len(run.timeline)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hardware.activity import Activity
+from repro.hardware.activity import Activity, ExecutionModel
 from repro.hardware.cache import MemoryBehavior
 from repro.hardware.platform import make_platform
 from repro.jvm.components import Component
@@ -153,6 +153,11 @@ class TestTimeline:
         assert sched.timeline.duration_s == pytest.approx(0.25,
                                                           rel=0.01)
 
+    def test_idle_shorter_than_a_cycle_appends_no_segment(self, p6):
+        sched = InstrumentedScheduler(p6)
+        sched.idle(1e-12)
+        assert [seg.tag for seg in sched.timeline] == ["port-write"]
+
     def test_counters_track_segments(self, p6):
         sched = InstrumentedScheduler(p6)
         sched.execute(act(Component.APP, instructions=5_000_000))
@@ -163,39 +168,32 @@ class TestTimeline:
 
 
 class TestBatchedEngine:
-    """The vectorized engine must be bit-identical to the legacy path."""
+    """Multi-chunk activities are costed and committed as batches; the
+    simulation golden pins their bytes."""
 
-    def _drive(self, engine, fan_enabled=True, temperature_c=None):
-        platform = make_platform("p6", fan_enabled=fan_enabled)
-        if temperature_c is not None:
-            platform.thermal.temperature_c = temperature_c
-        sched = InstrumentedScheduler(platform, max_chunk_s=0.004,
-                                      engine=engine)
-        for comp in (Component.APP, Component.GC, Component.JIT):
-            sched.execute(act(comp, instructions=120_000_000))
-        sched.idle(0.03)
-        sched.execute(act(Component.APP, instructions=80_000_000))
-        return sched
+    def test_long_activity_is_costed_in_one_batch(self, monkeypatch):
+        # 2e9 instructions in 20 us chunks: tens of thousands of
+        # segments, none of them costed one at a time.
+        calls = {"run": 0, "run_batch": 0}
+        for name in calls:
+            method = getattr(ExecutionModel, name)
 
-    @pytest.mark.parametrize("scenario", [
-        dict(),
-        dict(fan_enabled=False, temperature_c=98.9),  # trips mid-run
-    ])
-    def test_bitwise_identical_to_legacy(self, scenario):
-        legacy = self._drive("legacy", **scenario)
-        batched = self._drive("batched", **scenario)
-        a = legacy.finish()
-        b = batched.finish()
-        assert len(a) == len(b)
-        for sa, sb in zip(a, b):
-            assert sa == sb
-        assert a.duration_s == b.duration_s
-        assert legacy.sim_now_s == batched.sim_now_s
-        assert legacy.now_cycle == batched.now_cycle
-        assert (legacy.platform.thermal.temperature_c
-                == batched.platform.thermal.temperature_c)
-        assert (legacy.platform.counters.snapshot(0).values
-                == batched.platform.counters.snapshot(0).values)
+            def counting(self, *args, _name=name, _method=method,
+                         **kwargs):
+                calls[_name] += 1
+                return _method(self, *args, **kwargs)
+
+            monkeypatch.setattr(ExecutionModel, name, counting)
+        platform = make_platform("p6")
+        sched = InstrumentedScheduler(platform, max_chunk_s=2e-5)
+        activity = act(Component.APP, instructions=2_000_000_000)
+        activity.behavior = MemoryBehavior(
+            footprint_bytes=4 * MB, hot_bytes=256 * KB,
+            locality=0.8, spatial_factor=0.5,
+        )
+        sched.execute(activity)
+        assert len(sched.timeline) == 60_675  # one port write + chunks
+        assert calls == {"run": 0, "run_batch": 1}
 
     @staticmethod
     def _compiles(n=120):
@@ -211,15 +209,14 @@ class TestBatchedEngine:
         acts.insert(100, act(Component.BASE, instructions=90_000_000))
         return acts
 
-    def _run_many(self, many, engine="batched", thermal=None):
+    def _run_many(self, many, thermal=None):
         platform = make_platform("p6", fan_enabled=thermal != "trip")
         if thermal == "trip":
             platform.thermal.temperature_c = 98.9995  # trips at 99 C
         elif thermal == "release":
             platform.thermal.temperature_c = 97.001   # releases < 97 C
             platform.thermal.throttled = platform.cpu.throttled = True
-        sched = InstrumentedScheduler(platform, max_chunk_s=0.004,
-                                      engine=engine)
+        sched = InstrumentedScheduler(platform, max_chunk_s=0.004)
         acts = self._compiles()
         if many:
             sched.execute_many(acts)
@@ -228,11 +225,10 @@ class TestBatchedEngine:
                 sched.execute(a)
         return sched
 
-    @pytest.mark.parametrize("engine", ["batched", "legacy"])
     @pytest.mark.parametrize("thermal", [None, "trip", "release"])
-    def test_execute_many_equals_execute_loop(self, engine, thermal):
-        loop = self._run_many(False, engine, thermal)
-        many = self._run_many(True, engine, thermal)
+    def test_execute_many_equals_execute_loop(self, thermal):
+        loop = self._run_many(False, thermal)
+        many = self._run_many(True, thermal)
         # The throttle latch flips inside the first run of compiles, so
         # a batch is flushed and its rest re-costed mid-run.
         assert many.platform.cpu.throttled == (thermal == "trip")
@@ -249,21 +245,6 @@ class TestBatchedEngine:
         assert (loop.platform.counters.snapshot(0).values
                 == many.platform.counters.snapshot(0).values)
         assert loop.throttle_episodes == many.throttle_episodes
-
-    def test_default_engine_is_batched(self, p6):
-        assert InstrumentedScheduler(p6).engine == "batched"
-
-    def test_append_override_falls_back_to_legacy(self, p6):
-        class Observing(InstrumentedScheduler):
-            def _append(self, seg):
-                super()._append(seg)
-
-        assert Observing(p6).engine == "legacy"
-        assert Observing(p6, engine="batched").engine == "batched"
-
-    def test_rejects_unknown_engine(self, p6):
-        with pytest.raises(ConfigurationError):
-            InstrumentedScheduler(p6, engine="turbo")
 
     def test_batched_timeline_validates(self, p6):
         sched = InstrumentedScheduler(p6, max_chunk_s=0.004)
