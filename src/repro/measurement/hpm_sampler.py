@@ -20,6 +20,7 @@ import numpy as np
 from repro.errors import MeasurementError
 from repro.measurement.traces import PerfTrace
 from repro.obs import NULL_OBS
+from repro.reduce import group_indices, weighted_sum
 
 
 class HPMSampler:
@@ -112,12 +113,10 @@ class HPMSampler:
             metrics.counter("hpm.pre_latch_ticks").inc(
                 int((idx < 0).sum())
             )
-        for cid in np.unique(comp_of_delta):
-            mask = comp_of_delta == cid
-            key = int(cid)
-            out["samples"][key] = int(mask.sum())
+        for cid, idx in group_indices(comp_of_delta):
+            out["samples"][cid] = len(idx)
             for name in counters:
-                out[name][key] = float(deltas[name][mask].sum())
+                out[name][cid] = weighted_sum(deltas[name], index=idx)
         return PerfTrace(
             sample_period_s=self.period_s,
             n_samples=n,

@@ -35,6 +35,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import TimelineError
+from repro.reduce import group_indices, weighted_sum
 
 
 @dataclass
@@ -342,57 +343,47 @@ class ExecutionTimeline:
             self._total_s = math.fsum(self._duration[: self._n])
         return self._total_s
 
-    def _component_sums(self, weights):
-        """Per-component sums of *weights* in encounter order."""
-        comps = self._component[: self._n]
-        out = {}
-        uniq, inverse = np.unique(comps, return_inverse=True)
-        sums = np.bincount(inverse, weights=weights)
-        for cid, total in zip(uniq, sums):
-            out[int(cid)] = total
-        return out
+    def _component_sums(self, values, weights=None):
+        """Per-component sums of *values* (times *weights*), in ID
+        order."""
+        n = self._n
+        weights = None if weights is None else weights[:n]
+        return {
+            cid: weighted_sum(values[:n], weights, idx)
+            for cid, idx in group_indices(self._component[:n])
+        }
 
     def component_cycles(self):
         """Ground-truth cycles per component ID, as a dict."""
-        cycles = (
-            self._end_cycle[: self._n] - self._start_cycle[: self._n]
-        ).astype(np.float64)
+        cycles = self._end_cycle[: self._n] - self._start_cycle[: self._n]
         return {
             cid: int(v) for cid, v in self._component_sums(cycles).items()
         }
 
     def component_seconds(self):
         """Ground-truth wall seconds per component ID."""
-        return {
-            cid: float(v)
-            for cid, v in self._component_sums(
-                self._duration[: self._n]).items()
-        }
+        return self._component_sums(self._duration)
 
     def component_instructions(self):
         """Ground-truth retired instructions per component ID."""
-        instr = self._instructions[: self._n].astype(np.float64)
         return {
-            cid: int(v) for cid, v in self._component_sums(instr).items()
+            cid: int(v)
+            for cid, v in self._component_sums(self._instructions).items()
         }
 
     def cpu_energy_j(self):
         """Ground-truth total CPU energy over the timeline."""
         n = self._n
-        return float(np.dot(self._cpu_power[:n], self._duration[:n]))
+        return weighted_sum(self._cpu_power[:n], self._duration[:n])
 
     def mem_energy_j(self):
         """Ground-truth total main-memory energy over the timeline."""
         n = self._n
-        return float(np.dot(self._mem_power[:n], self._duration[:n]))
+        return weighted_sum(self._mem_power[:n], self._duration[:n])
 
     def component_cpu_energy_j(self):
         """Ground-truth CPU energy per component ID."""
-        n = self._n
-        energy = self._cpu_power[:n] * self._duration[:n]
-        return {
-            cid: float(v) for cid, v in self._component_sums(energy).items()
-        }
+        return self._component_sums(self._cpu_power, self._duration)
 
     def to_arrays(self):
         """Return a :class:`TimelineArrays` vectorized view for samplers.
