@@ -23,7 +23,7 @@ from repro.provenance import build_envelope
 from repro.store import GZIP_PICKLE, ContentStore, StoreAdapter
 
 #: Bump when cached payloads become incompatible with current code.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 #: Environment variable overriding the default cache root.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

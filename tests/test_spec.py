@@ -383,7 +383,7 @@ class TestCacheKeyCompatibility:
             "ebde609b67da3c45cee6fc16cd9a0a15cc809510c7928a2cb314048259fb7625"
         )
         assert digest(config_keys) == (
-            "f1230329fd711b7976bd7bb96a2c4099ceacaabecdbade294611e57c369f7ec5"
+            "07f12ad3fc768d127ea1c386dc5caaba8f268dd3b812ec509bd6f418a3cca193"
         )
 
 
