@@ -1,5 +1,6 @@
 """Tests for the campaign executor: determinism, caching, isolation."""
 
+import json
 import time
 
 import pytest
@@ -62,6 +63,17 @@ class TestParallel:
         for a, b in zip(serial_result, parallel):
             assert a.config == b.config
             assert a.payload == b.payload
+
+
+class TestGridOrder:
+    def test_reversed_grid_gives_the_same_bytes(self, serial_result):
+        def encode(result):
+            return {cell.config: json.dumps(cell.payload, sort_keys=True)
+                    for cell in result}
+
+        reversed_result = run_campaign(SMALL.cells()[::-1], workers=1)
+        assert reversed_result.summary.n_ok == 8
+        assert encode(reversed_result) == encode(serial_result)
 
 
 class TestCache:
@@ -182,8 +194,6 @@ class TestValidation:
         assert seen == [(0, 1, True)]
 
     def test_report_round_trips_through_json(self, serial_result):
-        import json
-
         report = serial_result.as_dict()
         assert report["schema"] == "repro-campaign-v1"
         parsed = json.loads(json.dumps(report))
