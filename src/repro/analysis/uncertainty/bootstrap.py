@@ -235,8 +235,9 @@ class BootstrapEngine:
         components = {}
         for i in range(self.replicates):
             result = self.measure_replicate(sim, i)
-            # Each property re-runs a whole-trace dot; read them once and
-            # add them the way ``ExperimentResult.total_energy_j`` does.
+            # Each property re-runs a whole-trace energy sum; read them
+            # once and add them the way ``ExperimentResult.total_energy_j``
+            # does.
             cpu, mem = result.cpu_energy_j, result.mem_energy_j
             totals["cpu_energy_j"].add(cpu)
             totals["mem_energy_j"].add(mem)
