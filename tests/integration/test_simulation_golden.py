@@ -4,10 +4,10 @@ The simulate phase is the hot loop every optimization touches (object
 graph, heap, collectors, compilers, scheduler, thermal feedback), and
 its contract is that such work changes *speed*, never *output*.  This
 pins, for a matrix of VMs, collectors, platforms and extensions, the
-sha256 of every simulation output that involves no BLAS reduction —
+sha256 of every simulation output that involves no energy reduction —
 the timeline's column bytes and tags, the component-ID port's latch
-history, the GC statistics and the compile counts — so the pins hold
-on any host, unlike energy totals computed with ``np.dot``.
+history, the GC statistics and the compile counts.  Energy totals are
+pinned by ``tests/golden/pre_uncertainty_results.json``.
 
 The pins in ``tests/golden/simulation_golden.json`` were recorded
 before the allocation fast path and the batched first-call compiles
