@@ -266,7 +266,7 @@ def verify_byte_identity(bodies, ids, result_dir):
 
     spec = ScenarioSpec.from_bytes(bodies[0], fmt="toml")
     served = ResultStore(result_dir).get_bytes(ids[0])
-    direct = CampaignRunner(workers=1).run(spec.campaign_config())
+    direct = CampaignRunner(workers=1).run(spec)
     expected = encode_result(build_result_payload(spec, direct))
     return served == expected
 

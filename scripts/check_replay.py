@@ -59,7 +59,7 @@ def run_scenario(spec_path, workers):
     from repro.spec import ScenarioSpec
 
     spec = ScenarioSpec.from_file(spec_path).validate()
-    result = CampaignRunner(workers=workers).run(spec.campaign_config())
+    result = CampaignRunner(workers=workers).run(spec)
     return spec, result
 
 

@@ -20,7 +20,7 @@ execution is order-independent by construction.
 """
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.analysis.uncertainty.distribution import (
     EnergyDistribution,
@@ -28,7 +28,7 @@ from repro.analysis.uncertainty.distribution import (
 )
 from repro.core.experiment import Experiment
 from repro.core.simulation import (
-    MeasurementConfig,
+    MeasurementSession,
     SimulationArtifact,
     SimulationResult,
 )
@@ -159,17 +159,19 @@ class UncertaintyReport:
 class BootstrapEngine:
     """Replays the measurement phase N times over one simulation.
 
-    ``measurement`` fixes the observation knobs (DAQ/HPM periods,
-    rotation) shared by every replicate; only the per-replicate
-    ``measurement_seed`` differs, derived from ``config.seed`` by
+    ``config`` fixes the observation knobs (DAQ/HPM periods, rotation)
+    shared by every replicate; only the per-replicate measurement seed
+    differs, derived from ``config.seed`` by
     :func:`derive_replicate_seed`.  The engine never simulates: it
     accepts a finished :class:`SimulationResult` or
-    :class:`SimulationArtifact` and runs pure sampler passes, so N=32
-    costs 32 measurement passes and zero workload executions.
+    :class:`SimulationArtifact` and runs pure sampler passes through
+    one :class:`~repro.core.simulation.MeasurementSession`, so N=32
+    costs one run reconstruction, 32 measurement passes and zero
+    workload executions.
     """
 
     def __init__(self, config, noise=DEFAULT_NOISE, replicates=32,
-                 ci_level=0.95, measurement=None, obs=None):
+                 ci_level=0.95, obs=None):
         if replicates < 2:
             raise ConfigurationError(
                 "bootstrap needs at least 2 replicates"
@@ -191,26 +193,15 @@ class BootstrapEngine:
         self.noise = noise
         self.replicates = int(replicates)
         self.ci_level = float(ci_level)
-        self.measurement = (
-            measurement if measurement is not None
-            else MeasurementConfig.from_experiment(config)
-        )
         self.obs = obs
 
-    def replicate_measurement(self, index):
-        """The :class:`MeasurementConfig` of replicate *index*."""
-        seed = derive_replicate_seed(self.config.seed, index)
-        return replace(
-            self.measurement,
-            noise=self.noise,
-            measurement_seed=seed,
-        )
-
     def measure_replicate(self, sim, index):
-        """Run one replicate; returns its ``ExperimentResult``."""
+        """Run one replicate over *sim* (a session, result or
+        artifact); returns its ``ExperimentResult``."""
         experiment = Experiment(self.config, obs=self.obs)
         return experiment.measure(
-            sim, self.replicate_measurement(index)
+            sim, noise=self.noise,
+            measurement_seed=derive_replicate_seed(self.config.seed, index),
         )
 
     def run(self, sim, attach_to=None):
@@ -226,7 +217,8 @@ class BootstrapEngine:
                 "run() takes a SimulationResult or SimulationArtifact, "
                 f"got {type(sim).__name__}"
             )
-        truth = self._ground_truth(sim)
+        session = MeasurementSession(sim)
+        truth = self._ground_truth(session)
         totals = {
             "cpu_energy_j": OnlineStats(),
             "mem_energy_j": OnlineStats(),
@@ -234,7 +226,7 @@ class BootstrapEngine:
         }
         components = {}
         for i in range(self.replicates):
-            result = self.measure_replicate(sim, i)
+            result = self.measure_replicate(session, i)
             # Each property re-runs a whole-trace energy sum; read them
             # once and add them the way ``ExperimentResult.total_energy_j``
             # does.
@@ -286,12 +278,9 @@ class BootstrapEngine:
         return report
 
     @staticmethod
-    def _ground_truth(sim):
+    def _ground_truth(session):
         """Exact energies from the recorded timeline."""
-        if isinstance(sim, SimulationArtifact):
-            timeline = sim.timeline()
-        else:
-            timeline = sim.run.timeline
+        timeline = session.run.timeline
         cpu = timeline.cpu_energy_j()
         mem = timeline.mem_energy_j()
         per_comp = timeline.component_cpu_energy_j()
@@ -310,12 +299,11 @@ class BootstrapEngine:
 
 def bootstrap_uncertainty(config, sim, noise=DEFAULT_NOISE,
                           replicates=32, ci_level=0.95,
-                          measurement=None, obs=None,
-                          attach_to=None):
+                          obs=None, attach_to=None):
     """One-call API: build the engine, run it, return the report."""
     engine = BootstrapEngine(
         config, noise=noise, replicates=replicates,
-        ci_level=ci_level, measurement=measurement, obs=obs,
+        ci_level=ci_level, obs=obs,
     )
     return engine.run(sim, attach_to=attach_to)
 

@@ -2,7 +2,7 @@
 
 The paper's results come from a *matrix* of runs (benchmarks x VMs x
 platforms x heap sizes x collectors); this package turns a declarative
-:class:`CampaignConfig` into individual
+:class:`~repro.spec.ScenarioSpec` into individual
 :class:`~repro.core.experiment.ExperimentConfig` cells, executes them on
 a process pool with per-cell timeout, bounded retry and graceful
 degradation, and memoizes each cell's summary in a content-addressed
@@ -10,25 +10,22 @@ on-disk cache so repeated figure/benchmark runs only pay for new cells.
 
 Quickstart::
 
-    from repro.campaign import CampaignConfig, CampaignRunner
+    from repro.campaign import CampaignRunner
+    from repro.spec import ScenarioSpec
 
-    campaign = CampaignConfig(
+    spec = ScenarioSpec(
         benchmarks=("_202_jess", "_209_db"),
         collectors=("SemiSpace", "GenCopy"),
         heap_mbs=(32, 64),
     )
-    outcome = CampaignRunner(workers=4, cache_dir=".repro-cache")
-    result = outcome.run(campaign)
+    runner = CampaignRunner(workers=4, cache_dir=".repro-cache")
+    result = runner.run(spec)
     print(result.summary.describe())
 """
 
 from repro.campaign.artifacts import ArtifactStore, sim_key
 from repro.campaign.cache import ResultCache, config_key
-from repro.campaign.grid import (
-    CampaignConfig,
-    derive_cell_seed,
-    expand_grid,
-)
+from repro.campaign.grid import derive_cell_seed, expand_grid
 from repro.campaign.runner import (
     CampaignResult,
     CampaignRunner,
@@ -39,7 +36,6 @@ from repro.campaign.runner import (
 
 __all__ = [
     "ArtifactStore",
-    "CampaignConfig",
     "CampaignResult",
     "CampaignRunner",
     "CampaignSummary",

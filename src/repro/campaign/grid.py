@@ -1,9 +1,9 @@
-"""Sweep-grid expansion: a declarative campaign into experiment cells.
+"""Sweep-grid expansion: a scenario spec into experiment cells.
 
-A :class:`CampaignConfig` names the axes of a result matrix the way the
-paper's experimental section does ("all benchmarks, on both VMs, at
-every heap size on the ladder"); :func:`expand_grid` turns it into the
-concrete, deterministic list of
+A :class:`~repro.spec.ScenarioSpec` names the axes of a result matrix
+the way the paper's experimental section does ("all benchmarks, on
+both VMs, at every heap size on the ladder"); :func:`expand_grid` turns
+it into the concrete, deterministic list of
 :class:`~repro.core.experiment.ExperimentConfig` cells.  Expansion
 skips combinations the VMs cannot run (a Jikes-only collector under
 Kaffe and vice versa), mirroring how the original study simply had no
@@ -11,21 +11,15 @@ such column in its tables.  Which VM supports which collector is a
 registry query (:func:`repro.registry.collector_supported`), so
 registered extension VMs and collectors participate automatically.
 
-Beyond the paper's axes, campaigns can sweep input scale, DAQ sampling
-period, and DVFS operating point (``input_scales`` /
-``daq_periods_s`` / ``dvfs_freq_scales``); the scalar fields remain as
-single-value conveniences.
+Beyond the paper's axes, specs can sweep input scale, DAQ sampling
+period, DVFS operating point and the HPM period and rotation.
 """
 
 import hashlib
-from dataclasses import dataclass
 from itertools import product
-from typing import Optional
 
 from repro.core.experiment import ExperimentConfig
 from repro.errors import ConfigurationError
-from repro.hardware.platform import validate_overrides
-from repro.measurement.multiplexing import resolve_rotation
 from repro.registry import collector_supported
 from repro.units import DAQ_SAMPLE_PERIOD_S
 
@@ -38,7 +32,6 @@ from repro.units import DAQ_SAMPLE_PERIOD_S
 SEED_DERIVATION_VERSION = 2
 
 __all__ = [
-    "CampaignConfig",
     "SEED_DERIVATION_VERSION",
     "collector_supported",
     "derive_cell_seed",
@@ -92,134 +85,33 @@ def derive_cell_seed(base_seed, benchmark, vm, platform, collector,
     return int.from_bytes(digest[:4], "big")
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
-    """Declarative description of an experiment matrix.
-
-    Every sequence-valued axis is normalized to a tuple so configs are
-    hashable and order-stable; the cross product of all axes (minus
-    VM/collector combinations that cannot run) is the campaign's cell
-    list.  The plural axes ``input_scales``/``daq_periods_s``/
-    ``dvfs_freq_scales`` default to wrapping their scalar counterparts,
-    which stay for backwards compatibility.
-    """
-
-    benchmarks: tuple
-    vms: tuple = ("jikes",)
-    platforms: tuple = ("p6",)
-    collectors: tuple = (None,)
-    heap_mbs: tuple = (64,)
-    seeds: tuple = (42,)
-    input_scale: float = 1.0
-    warmup: bool = True
-    repetitions: int = 1
-    fan_enabled: bool = True
-    n_slices: int = 160
-    daq_period_s: float = DAQ_SAMPLE_PERIOD_S
-    dvfs_freq_scale: Optional[float] = None
-    #: Measurement-side HPM knobs (``None`` = platform default period /
-    #: single-pass sampler); sweepable via the plural axes below.
-    hpm_period_s: Optional[float] = None
-    hpm_rotation: Optional[tuple] = None
-    #: Derive a unique, stable seed per cell from each base seed instead
-    #: of running every cell with the base seed itself.
-    derive_seeds: bool = False
-    #: Sweepable counterparts of the scalar fields above (``None`` =
-    #: sweep just the scalar's value).
-    input_scales: Optional[tuple] = None
-    daq_periods_s: Optional[tuple] = None
-    dvfs_freq_scales: Optional[tuple] = None
-    hpm_periods_s: Optional[tuple] = None
-    hpm_rotations: Optional[tuple] = None
-    #: Hardware-constant overrides applied to every cell's platform
-    #: (canonical tuple of pairs; see
-    #: :data:`repro.hardware.platform.SUPPORTED_OVERRIDES`).
-    overrides: tuple = ()
-    #: Scenario-spec schema version; gates :func:`derive_cell_seed`
-    #: identity (1 = legacy axes only, 2 = full cell identity).
-    spec_version: int = 1
-
-    def __post_init__(self):
-        for axis in ("benchmarks", "vms", "platforms", "collectors",
-                     "heap_mbs", "seeds"):
-            value = getattr(self, axis)
-            if isinstance(value, (str, int)) or value is None:
-                value = (value,)
-            value = tuple(value)
-            if not value:
-                raise ConfigurationError(f"{axis} cannot be empty")
-            object.__setattr__(self, axis, value)
-        for axis, scalar in (("input_scales", self.input_scale),
-                             ("daq_periods_s", self.daq_period_s),
-                             ("dvfs_freq_scales", self.dvfs_freq_scale),
-                             ("hpm_periods_s", self.hpm_period_s)):
-            value = getattr(self, axis)
-            if value is None:
-                value = (scalar,)
-            elif isinstance(value, (int, float)):
-                value = (value,)
-            value = tuple(value)
-            if not value:
-                raise ConfigurationError(f"{axis} cannot be empty")
-            object.__setattr__(self, axis, value)
-        # The rotation axis can't share the loop above: a rotation value
-        # is itself a tuple (of event groups), so tuple(value) would
-        # shred a bare schedule into its groups.  Only None (wrap the
-        # scalar) and explicit sequences of rotation values are
-        # accepted; each value canonicalizes through resolve_rotation.
-        rotations = self.hpm_rotations
-        if rotations is None:
-            rotations = (self.hpm_rotation,)
-        rotations = tuple(resolve_rotation(r) for r in rotations)
-        if not rotations:
-            raise ConfigurationError("hpm_rotations cannot be empty")
-        object.__setattr__(self, "hpm_rotations", rotations)
-        object.__setattr__(
-            self, "hpm_rotation", resolve_rotation(self.hpm_rotation)
-        )
-        object.__setattr__(
-            self, "overrides", validate_overrides(self.overrides)
-        )
-        if self.spec_version not in (1, 2):
-            raise ConfigurationError(
-                f"unknown spec_version {self.spec_version!r} "
-                "(supported: 1, 2)"
-            )
-
-    @property
-    def n_cells(self):
-        return len(self.cells())
-
-    def cells(self):
-        """The campaign's :class:`ExperimentConfig` cells, in grid order."""
-        return expand_grid(self)
-
-
-def expand_grid(campaign):
-    """Expand *campaign* into a list of :class:`ExperimentConfig` cells.
+def expand_grid(spec):
+    """Expand *spec* (a :class:`~repro.spec.ScenarioSpec`) into a list
+    of :class:`ExperimentConfig` cells.
 
     Iteration order is the deterministic cross product
     (benchmark, vm, platform, collector, heap, seed, input scale, DAQ
-    period, DVFS point); unsupported VM/collector pairs are skipped.
+    period, DVFS point, HPM period, HPM rotation); unsupported
+    VM/collector pairs are skipped.
     """
     cells = []
     for (bench, vm, platform, collector, heap, seed, input_scale,
          daq_period, dvfs, hpm_period, hpm_rotation) in product(
-        campaign.benchmarks, campaign.vms, campaign.platforms,
-        campaign.collectors, campaign.heap_mbs, campaign.seeds,
-        campaign.input_scales, campaign.daq_periods_s,
-        campaign.dvfs_freq_scales, campaign.hpm_periods_s,
-        campaign.hpm_rotations,
+        spec.benchmarks, spec.vms, spec.platforms,
+        spec.collectors, spec.heap_mbs, spec.seeds,
+        spec.input_scales, spec.daq_periods_s,
+        spec.dvfs_freq_scales, spec.hpm_periods_s,
+        spec.hpm_rotations,
     ):
         if not collector_supported(vm, collector):
             continue
-        if campaign.derive_seeds:
+        if spec.derive_seeds:
             seed = derive_cell_seed(
                 seed, bench, vm, platform, collector, heap,
                 input_scale=input_scale, daq_period_s=daq_period,
-                dvfs_freq_scale=dvfs, overrides=campaign.overrides,
+                dvfs_freq_scale=dvfs, overrides=spec.overrides,
                 hpm_period_s=hpm_period, hpm_rotation=hpm_rotation,
-                spec_version=campaign.spec_version,
+                spec_version=spec.version,
             )
         cells.append(ExperimentConfig(
             benchmark=bench,
@@ -229,13 +121,13 @@ def expand_grid(campaign):
             heap_mb=heap,
             seed=seed,
             input_scale=input_scale,
-            warmup=campaign.warmup,
-            repetitions=campaign.repetitions,
-            fan_enabled=campaign.fan_enabled,
-            n_slices=campaign.n_slices,
+            warmup=spec.warmup,
+            repetitions=spec.repetitions,
+            fan_enabled=spec.fan_enabled,
+            n_slices=spec.n_slices,
             daq_period_s=daq_period,
             dvfs_freq_scale=dvfs,
-            overrides=campaign.overrides,
+            overrides=spec.overrides,
             hpm_period_s=hpm_period,
             hpm_rotation=hpm_rotation,
         ))

@@ -45,7 +45,6 @@ from pathlib import Path
 from typing import Optional
 
 from repro.campaign.cache import ResultCache
-from repro.campaign.grid import CampaignConfig
 from repro.errors import (
     CampaignError,
     CellTimeoutError,
@@ -476,11 +475,13 @@ class CampaignRunner:
     # -- public API ---------------------------------------------------
 
     def run(self, campaign):
-        """Run *campaign* (a :class:`CampaignConfig` or an explicit
-        sequence of :class:`ExperimentConfig` cells); returns a
+        """Run *campaign* (a :class:`~repro.spec.ScenarioSpec` or an
+        explicit sequence of :class:`ExperimentConfig` cells); returns a
         :class:`CampaignResult` with one :class:`CellResult` per cell,
         in grid order."""
-        if isinstance(campaign, CampaignConfig):
+        # Duck-typed: repro.spec imports this package (via
+        # repro.campaign.grid), so the runner cannot import it back.
+        if hasattr(campaign, "cells"):
             cells = campaign.cells()
         else:
             cells = list(campaign)

@@ -384,10 +384,9 @@ def cmd_campaign(args):
             derive_seeds=args.derive_seeds,
             version=1,
         )
-    campaign = spec.campaign_config()
     print(f"scenario {spec.name or '(unnamed)'} "
           f"spec-hash {spec.spec_hash()[:16]} "
-          f"({len(campaign.cells())} cells)")
+          f"({len(spec.cells())} cells)")
     cache_dir = None if args.no_cache else (
         args.cache_dir or default_cache_dir()
     )
@@ -417,7 +416,7 @@ def cmd_campaign(args):
         trace_dir=args.trace_dir,
         artifact_dir=args.artifact_dir,
     )
-    result = runner.run(campaign)
+    result = runner.run(spec)
     print()
     print(result.summary.describe())
     if cache_dir is not None:
@@ -538,24 +537,24 @@ def cmd_validate(args):
 def cmd_overhead(args):
     import json
     import time as time_mod
+    from dataclasses import replace
 
     from repro.analysis.validation import attribution_error
     from repro.campaign.artifacts import ArtifactStore
-    from repro.core.simulation import MeasurementConfig, MeasurementSession
+    from repro.core.simulation import MeasurementSession
 
     config = _single_cell_config(args, "overhead")
     if config is None:
         return 2
 
     store = None if args.no_artifacts else ArtifactStore(args.artifact_dir)
-    experiment = Experiment(config)
     artifact = store.get(config) if store is not None else None
     if artifact is not None:
         sim_wall_s = 0.0
         source = "store"
     else:
         started = time_mod.perf_counter()
-        artifact = experiment.simulate().artifact()
+        artifact = Experiment(config).simulate().artifact()
         sim_wall_s = time_mod.perf_counter() - started
         source = "simulated"
         if store is not None:
@@ -571,9 +570,9 @@ def cmd_overhead(args):
     measure_wall_total = 0.0
     for period_us in args.periods:
         period_s = period_us * 1e-6
-        measurement = MeasurementConfig(daq_period_s=period_s)
+        point = replace(config, daq_period_s=period_s)
         started = time_mod.perf_counter()
-        result = experiment.measure(session, measurement)
+        result = Experiment(point).measure(session)
         measure_s = time_mod.perf_counter() - started
         measure_wall_total += measure_s
         report = attribution_error(run, session.target,
@@ -602,10 +601,7 @@ def cmd_overhead(args):
         if args.replicates:
             from repro.analysis.uncertainty import BootstrapEngine
 
-            engine = BootstrapEngine(
-                config, replicates=args.replicates,
-                measurement=measurement,
-            )
+            engine = BootstrapEngine(point, replicates=args.replicates)
             dist = engine.run(artifact).totals["cpu_energy_j"]
             record["cpu_energy_ci"] = dist.as_dict()
             ci_cell = (f"±{dist.ci_half_width:.3f} "

@@ -22,7 +22,6 @@ from repro.core.experiment import (
 )
 from repro.core.metrics import EnergyBreakdown, edp
 from repro.core.simulation import (
-    MeasurementConfig,
     SimulationArtifact,
     SimulationResult,
     simulate,
@@ -33,7 +32,6 @@ __all__ = [
     "Experiment",
     "ExperimentConfig",
     "ExperimentResult",
-    "MeasurementConfig",
     "SimulationArtifact",
     "SimulationResult",
     "decompose",

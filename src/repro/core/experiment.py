@@ -231,27 +231,36 @@ class Experiment:
             obs.metrics.counter("experiment.simulations").inc()
         return sim
 
-    def measure(self, sim, measurement=None):
+    def measure(self, sim, noise=None, measurement_seed=None):
         """Run only the measurement phase over *sim* (a
         :class:`~repro.core.simulation.MeasurementSession`,
         :class:`~repro.core.simulation.SimulationResult` or
         :class:`~repro.core.simulation.SimulationArtifact`); returns an
         :class:`ExperimentResult`.  Pass one session to measure many
         configs of one simulation: they share its run reconstruction,
-        perturbation report and, per DAQ setting, its acquisition.
+        perturbation report and, per DAQ setting, its acquisition.  The
+        DAQ and HPM periods and the rotation come from the config, so
+        one artifact fans out into a whole accuracy-vs-overhead
+        frontier through ``replace(config, daq_period_s=...)``.
 
-        ``measurement`` is an optional
-        :class:`~repro.core.simulation.MeasurementConfig` overriding
-        the config's DAQ period (and the platform's HPM period) — the
-        hook that lets one artifact fan out into a whole
-        accuracy-vs-overhead frontier.
+        The two keywords belong to the uncertainty subsystem
+        (:mod:`repro.analysis.uncertainty`): ``noise`` attaches a
+        :class:`~repro.measurement.noise.NoiseConfig` error model to the
+        measurement chain, and ``measurement_seed`` replaces the
+        experiment seed in the measurement-side RNG derivations so one
+        artifact can be re-measured under independent, exactly
+        reproducible noise draws.  Both default to ``None``, which keeps
+        measurement byte-identical to the pre-uncertainty path.
         """
+        if measurement_seed is not None and measurement_seed < 0:
+            raise ConfigurationError("measurement_seed must be >= 0")
         obs = self._bound_obs()
         with obs.tracer.wall_span("measure",
                                   benchmark=self.config.benchmark,
                                   vm=self.config.vm,
                                   platform=self.config.platform):
-            result = self._measure_phase(sim, obs, measurement)
+            result = self._measure_phase(sim, obs, noise,
+                                         measurement_seed)
         if obs.metrics.enabled:
             obs.metrics.counter("experiment.measurements").inc()
         return result
@@ -267,7 +276,7 @@ class Experiment:
                               vm=cfg.vm, platform=cfg.platform,
                               seed=cfg.seed):
             sim = _simulate_phase(cfg, obs=obs)
-            result = self._measure_phase(sim, obs, None)
+            result = self._measure_phase(sim, obs)
         if obs.metrics.enabled:
             obs.metrics.counter("experiment.runs").inc()
         if obs.log.enabled:
@@ -284,7 +293,8 @@ class Experiment:
 
     # -- internals ------------------------------------------------------
 
-    def _measure_phase(self, sim, obs, measurement):
+    def _measure_phase(self, sim, obs, noise_cfg=None,
+                       measurement_seed=None):
         """The sampler + decomposition passes over a finished simulation.
 
         Every source goes through a
@@ -308,29 +318,18 @@ class Experiment:
             )
         run = session.run
         target = session.target
-        daq_period_s = (
-            measurement.daq_period_s if measurement is not None
-            else cfg.daq_period_s
+        hpm_period_s = (
+            target.hpm_period_s if cfg.hpm_period_s is None
+            else cfg.hpm_period_s
         )
-        hpm_period_s = target.hpm_period_s
-        if cfg.hpm_period_s is not None:
-            hpm_period_s = cfg.hpm_period_s
-        if measurement is not None and measurement.hpm_period_s:
-            hpm_period_s = measurement.hpm_period_s
-        rotation = cfg.hpm_rotation
-        if measurement is not None and measurement.hpm_rotation:
-            rotation = measurement.hpm_rotation
         # The measurement-side seed: the experiment seed by default, a
         # per-replicate derived seed when the uncertainty subsystem
         # re-measures one artifact many times.  All measurement RNG
         # streams (sense channels, noise model, multiplexing phase)
         # derive from it with distinct offsets.
-        base_seed = cfg.seed
-        noise_cfg = None
-        if measurement is not None:
-            if measurement.measurement_seed is not None:
-                base_seed = measurement.measurement_seed
-            noise_cfg = measurement.noise
+        base_seed = (
+            cfg.seed if measurement_seed is None else measurement_seed
+        )
         noise = None
         if noise_cfg is not None and noise_cfg.enabled:
             noise = NoiseModel.for_seed(
@@ -340,7 +339,7 @@ class Experiment:
         # What the DAQ reads besides the session's run and target.  A
         # noisy acquisition is never served or held (see
         # MeasurementSession).
-        daq_key = (daq_period_s, base_seed)
+        daq_key = (cfg.daq_period_s, base_seed)
         held = session.held(daq_key) if noise is None else None
         if held is not None:
             power, breakdown = held
@@ -353,11 +352,11 @@ class Experiment:
             measurement_rng = np.random.default_rng(base_seed + 7919)
             with tracer.wall_span("daq-acquire"):
                 daq = DAQ(target, measurement_rng,
-                          sample_period_s=daq_period_s, obs=obs,
+                          sample_period_s=cfg.daq_period_s, obs=obs,
                           noise=noise)
                 power = daq.acquire(run.timeline, port=target.port)
         with tracer.wall_span("hpm-sample"):
-            if rotation:
+            if cfg.hpm_rotation:
                 # A noisy replicate draws its multiplexing phase
                 # alignment from the replicate's own stream; without a
                 # noise model the sampler keeps its historical
@@ -367,7 +366,8 @@ class Experiment:
                     if noise is not None else None
                 )
                 sampler = MultiplexedHPMSampler(
-                    target, rotation=rotation, period_s=hpm_period_s,
+                    target, rotation=cfg.hpm_rotation,
+                    period_s=hpm_period_s,
                     obs=obs, rng=mux_rng, noise=noise,
                 )
             else:

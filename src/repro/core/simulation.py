@@ -32,7 +32,6 @@ over the simulation-only fields lives in
 """
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -41,67 +40,10 @@ from repro.errors import ConfigurationError, MeasurementError
 from repro.jvm.vm import RunResult
 from repro.obs import NULL_OBS
 from repro.timeline import ExecutionTimeline
-from repro.units import DAQ_SAMPLE_PERIOD_S
 
 #: Schema tag on serialized artifacts; bump on incompatible layout
 #: changes so stale artifacts are rejected at load, not mis-measured.
 ARTIFACT_SCHEMA = "repro-sim-artifact-v1"
-
-
-@dataclass(frozen=True)
-class MeasurementConfig:
-    """The measurement-only knobs, split out of the experiment config.
-
-    These select how a finished execution is *observed* — they never
-    change the execution itself, so any number of them can share one
-    :class:`SimulationArtifact`.  ``hpm_period_s`` of ``None`` means
-    "the platform's default period" (as overridden by the scenario's
-    ``hpm_period_s`` hardware override, which the artifact records);
-    ``hpm_rotation`` of ``None`` likewise defers to the experiment
-    config's rotation (itself ``None`` = the single-pass sampler).
-
-    The last two knobs belong to the uncertainty subsystem
-    (:mod:`repro.analysis.uncertainty`): ``noise`` attaches a
-    :class:`~repro.measurement.noise.NoiseConfig` error model to the
-    measurement chain, and ``measurement_seed`` replaces the experiment
-    seed in the measurement-side RNG derivations so one artifact can be
-    re-measured under independent, exactly reproducible noise draws.
-    Both default to ``None``, which keeps measurement byte-identical to
-    the pre-uncertainty path.
-    """
-
-    daq_period_s: float = DAQ_SAMPLE_PERIOD_S
-    hpm_period_s: Optional[float] = None
-    hpm_rotation: Optional[tuple] = None
-    noise: Optional[object] = None           # NoiseConfig
-    measurement_seed: Optional[int] = None
-
-    def __post_init__(self):
-        if self.daq_period_s <= 0:
-            raise ConfigurationError("daq_period_s must be positive")
-        if self.hpm_period_s is not None and self.hpm_period_s <= 0:
-            raise ConfigurationError("hpm_period_s must be positive")
-        if (
-            self.measurement_seed is not None
-            and self.measurement_seed < 0
-        ):
-            raise ConfigurationError(
-                "measurement_seed must be >= 0"
-            )
-        from repro.measurement.multiplexing import resolve_rotation
-
-        object.__setattr__(
-            self, "hpm_rotation", resolve_rotation(self.hpm_rotation)
-        )
-
-    @classmethod
-    def from_experiment(cls, config):
-        """The measurement subset of an ``ExperimentConfig``."""
-        return cls(
-            daq_period_s=config.daq_period_s,
-            hpm_period_s=getattr(config, "hpm_period_s", None),
-            hpm_rotation=getattr(config, "hpm_rotation", None),
-        )
 
 
 class ReplayPort:
@@ -453,7 +395,6 @@ def simulate(config, obs=None):
 
 __all__ = [
     "ARTIFACT_SCHEMA",
-    "MeasurementConfig",
     "MeasurementSession",
     "MeasurementTarget",
     "ReplayPort",

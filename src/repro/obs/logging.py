@@ -52,7 +52,9 @@ class JsonLogger(NullLogger):
 
     ``clock`` is injectable for tests (defaults to ``time.time``);
     ``stream`` defaults to stderr so structured logs never mix with the
-    CLI's tabular stdout output.
+    CLI's tabular stdout output.  The default is looked up at write
+    time, not stored: ``sys.stderr`` can be swapped (and the old stream
+    closed) after the logger was built.
     """
 
     enabled = True
@@ -64,7 +66,7 @@ class JsonLogger(NullLogger):
                 f"unknown log level {level!r}; expected one of "
                 f"{sorted(LEVELS)}"
             )
-        self.stream = stream if stream is not None else sys.stderr
+        self.stream = stream
         self.level = level
         self.context = dict(context or {})
         self.clock = clock
@@ -83,7 +85,8 @@ class JsonLogger(NullLogger):
                   "event": event}
         record.update(self.context)
         record.update(fields)
-        self.stream.write(json.dumps(record, default=str) + "\n")
+        stream = self.stream if self.stream is not None else sys.stderr
+        stream.write(json.dumps(record, default=str) + "\n")
 
     def debug(self, event, **fields):
         self._emit("debug", event, fields)

@@ -363,9 +363,7 @@ def replay_result(stored_bytes, key="", workers=1, runner_factory=None):
     if runner_factory is None:
         from repro.campaign.runner import CampaignRunner as runner_factory
     try:
-        result = runner_factory(workers=workers).run(
-            spec.campaign_config()
-        )
+        result = runner_factory(workers=workers).run(spec)
     except ReproError as exc:
         return report(UNREPLAYABLE, f"replay run failed: {exc}")
     failed = result.failed_cells()

@@ -229,7 +229,7 @@ def _run_under_lease(spec, job_id, results, cell_cache, cell_workers,
             kwargs["obs"] = _traced_runner_obs(obs, local_tracer)
         elif obs is not None:
             kwargs["obs"] = obs
-        result = make_runner(**kwargs).run(spec.campaign_config())
+        result = make_runner(**kwargs).run(spec)
         if local_tracer is not None:
             recorder.extend_from_tracer(local_tracer)
         failed = result.failed_cells()

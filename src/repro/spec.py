@@ -11,8 +11,9 @@ constant overrides.  Every layer builds from it:
   flag-based path is a thin adapter that builds the same spec
   (:meth:`ScenarioSpec.for_experiment`), so both paths are provably
   identical;
-* :meth:`ScenarioSpec.campaign_config` / :meth:`experiment_config`
-  produce the existing config dataclasses;
+* :meth:`ScenarioSpec.cells` / :meth:`experiment_config` expand it
+  into :class:`~repro.core.experiment.ExperimentConfig` cells, and
+  :class:`~repro.campaign.CampaignRunner` runs it directly;
 * :func:`build_platform` / :func:`build_vm` construct the simulated
   hardware and VM for a cell through the component registries.
 
@@ -64,7 +65,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from repro import registry
-from repro.campaign.grid import CampaignConfig
+from repro.campaign.grid import expand_grid
 from repro.errors import ConfigurationError, SpecValidationError
 from repro.hardware.platform import (
     make_platform,
@@ -490,36 +491,14 @@ class ScenarioSpec:
     # -- builders ------------------------------------------------------
 
     def campaign_config(self):
-        """The spec as a :class:`~repro.campaign.grid.CampaignConfig`."""
-        return CampaignConfig(
-            benchmarks=self.benchmarks,
-            vms=self.vms,
-            platforms=self.platforms,
-            collectors=self.collectors,
-            heap_mbs=self.heap_mbs,
-            seeds=self.seeds,
-            input_scale=self.input_scales[0],
-            warmup=self.warmup,
-            repetitions=self.repetitions,
-            fan_enabled=self.fan_enabled,
-            n_slices=self.n_slices,
-            daq_period_s=self.daq_periods_s[0],
-            dvfs_freq_scale=self.dvfs_freq_scales[0],
-            derive_seeds=self.derive_seeds,
-            input_scales=self.input_scales,
-            daq_periods_s=self.daq_periods_s,
-            dvfs_freq_scales=self.dvfs_freq_scales,
-            hpm_period_s=self.hpm_periods_s[0],
-            hpm_rotation=self.hpm_rotations[0],
-            hpm_periods_s=self.hpm_periods_s,
-            hpm_rotations=self.hpm_rotations,
-            overrides=self.overrides,
-            spec_version=self.version,
-        )
+        """The spec itself: :class:`~repro.campaign.CampaignRunner`
+        runs a spec directly.  Kept only because ``perfbench/harness.py``
+        still calls it."""
+        return self
 
     def cells(self):
         """Expanded :class:`ExperimentConfig` cells, in grid order."""
-        return self.campaign_config().cells()
+        return expand_grid(self)
 
     @property
     def is_single_cell(self):
@@ -539,7 +518,7 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"spec expands to {len(cells)} cells; "
                 "`experiment_config` needs exactly one (use "
-                "`campaign_config` for matrices)"
+                "`cells` for matrices)"
             )
         return cells[0]
 

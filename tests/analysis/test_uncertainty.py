@@ -29,11 +29,11 @@ from repro.analysis.uncertainty import (
     bootstrap_uncertainty,
     derive_replicate_seed,
 )
-from repro.campaign.grid import CampaignConfig
 from repro.campaign.runner import run_campaign
 from repro.core.experiment import Experiment, ExperimentConfig
 from repro.errors import ConfigurationError
 from repro.export import format_with_ci, result_to_dict
+from repro.spec import ScenarioSpec
 
 GOLDEN = Path(__file__).parent.parent / "golden" / \
     "pre_uncertainty_results.json"
@@ -268,14 +268,14 @@ class TestNoiseFreeByteIdentity:
 
 class TestCampaignSharesOneSimulation:
     def test_hpm_sweep_records_once(self, tmp_path):
-        campaign = CampaignConfig(
+        campaign = ScenarioSpec(
             benchmarks=("_202_jess",),
             vms=("jikes",),
             platforms=("p6",),
             collectors=("SemiSpace",),
             heap_mbs=(24,),
             seeds=(11,),
-            input_scale=0.1,
+            input_scales=(0.1,),
             n_slices=40,
             hpm_periods_s=(None, 0.002),
             hpm_rotations=(None, "xscale-pairs"),

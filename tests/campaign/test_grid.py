@@ -2,18 +2,15 @@
 
 import pytest
 
-from repro.campaign import (
-    CampaignConfig,
-    derive_cell_seed,
-    expand_grid,
-)
+from repro.campaign import derive_cell_seed, expand_grid
 from repro.campaign.grid import collector_supported
 from repro.errors import ConfigurationError
+from repro.spec import ScenarioSpec
 
 
 class TestExpansion:
     def test_full_product(self):
-        campaign = CampaignConfig(
+        campaign = ScenarioSpec(
             benchmarks=("_202_jess", "_209_db"),
             collectors=("SemiSpace", "GenCopy"),
             heap_mbs=(32, 64),
@@ -24,7 +21,7 @@ class TestExpansion:
         assert len(set(cells)) == len(cells)
 
     def test_grid_order_is_deterministic(self):
-        campaign = CampaignConfig(
+        campaign = ScenarioSpec(
             benchmarks=("_202_jess", "_209_db"),
             heap_mbs=(32, 64, 128),
         )
@@ -33,7 +30,7 @@ class TestExpansion:
             ["_202_jess"] * 3
 
     def test_unsupported_vm_collector_pairs_skipped(self):
-        campaign = CampaignConfig(
+        campaign = ScenarioSpec(
             benchmarks=("_202_jess",),
             vms=("jikes", "kaffe"),
             collectors=("SemiSpace", "KaffeGC"),
@@ -50,16 +47,16 @@ class TestExpansion:
         assert not collector_supported("kaffe", "GenMS")
 
     def test_scalar_axes_normalized(self):
-        campaign = CampaignConfig(benchmarks="_202_jess", heap_mbs=32)
+        campaign = ScenarioSpec(benchmarks="_202_jess", heap_mbs=32)
         assert campaign.benchmarks == ("_202_jess",)
         assert len(campaign.cells()) == 1
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ConfigurationError):
-            CampaignConfig(benchmarks=())
+            ScenarioSpec(benchmarks=())
 
     def test_all_unsupported_rejected(self):
-        campaign = CampaignConfig(
+        campaign = ScenarioSpec(
             benchmarks=("_202_jess",),
             vms=("kaffe",),
             collectors=("SemiSpace",),
@@ -68,11 +65,11 @@ class TestExpansion:
             expand_grid(campaign)
 
     def test_cell_fields_propagate(self):
-        campaign = CampaignConfig(
+        campaign = ScenarioSpec(
             benchmarks=("_202_jess",),
-            input_scale=0.5,
+            input_scales=(0.5,),
             repetitions=2,
-            daq_period_s=1e-3,
+            daq_periods_s=(1e-3,),
         )
         (cell,) = campaign.cells()
         assert cell.input_scale == 0.5
@@ -82,7 +79,7 @@ class TestExpansion:
 
 class TestSeeds:
     def test_fixed_seeds_by_default(self):
-        campaign = CampaignConfig(
+        campaign = ScenarioSpec(
             benchmarks=("_202_jess", "_209_db"), seeds=(7,)
         )
         assert all(c.seed == 7 for c in campaign.cells())
@@ -95,23 +92,23 @@ class TestSeeds:
         assert a == b
 
     def test_derived_seeds_differ_across_cells(self):
-        campaign = CampaignConfig(
+        campaign = ScenarioSpec(
             benchmarks=("_202_jess", "_209_db"),
             heap_mbs=(32, 64),
-            derive_seeds=True,
+            derive_seeds=True, version=1,
         )
         seeds = [c.seed for c in campaign.cells()]
         assert len(set(seeds)) == len(seeds)
 
     def test_derived_seed_survives_grid_growth(self):
         # Adding an axis value must not change unrelated cells' seeds.
-        small = CampaignConfig(
+        small = ScenarioSpec(
             benchmarks=("_202_jess",), heap_mbs=(32,),
-            derive_seeds=True,
+            derive_seeds=True, version=1,
         )
-        big = CampaignConfig(
+        big = ScenarioSpec(
             benchmarks=("_202_jess", "_209_db"), heap_mbs=(32, 64),
-            derive_seeds=True,
+            derive_seeds=True, version=1,
         )
         (anchor,) = small.cells()
         match = [

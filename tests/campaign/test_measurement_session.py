@@ -20,11 +20,12 @@ from repro.analysis.uncertainty import (
     DEFAULT_NOISE,
     BootstrapEngine,
     bootstrap_uncertainty,
+    derive_replicate_seed,
 )
-from repro.campaign import CampaignConfig, run_campaign
+from repro.campaign import run_campaign
 from repro.campaign.runner import _execute_cell
 from repro.core.experiment import Experiment
-from repro.core.simulation import MeasurementConfig, MeasurementSession
+from repro.core.simulation import MeasurementSession
 from repro.errors import ConfigurationError
 from repro.export import result_to_cell_dict
 from repro.measurement.daq import DAQ
@@ -36,11 +37,11 @@ DAQ_PERIODS = (40e-6, 1e-3)
 
 # A reduced DAQ x HPM matrix over one simulation identity: grid order
 # nests the HPM axes inside each DAQ period.
-GRID = CampaignConfig(
+GRID = ScenarioSpec(
     benchmarks=("_202_jess",),
     collectors=("SemiSpace",),
     heap_mbs=(24,),
-    input_scale=0.1,
+    input_scales=(0.1,),
     n_slices=40,
     daq_periods_s=DAQ_PERIODS,
     hpm_periods_s=(None, 2e-3),
@@ -137,9 +138,7 @@ class TestSharedSimulationMatchesFused:
             campaign = GRID
             want = list(grid_fused.values())
         else:
-            campaign = ScenarioSpec.from_file(
-                SCENARIOS / f"{name}.toml"
-            ).campaign_config()
+            campaign = ScenarioSpec.from_file(SCENARIOS / f"{name}.toml")
             want = fused_bytes(campaign.cells())
         store = tmp_path / "artifacts"
         first = run_campaign(campaign, workers=1, artifact_dir=store)
@@ -170,41 +169,36 @@ class TestSession:
     def test_measurement_seed_is_part_of_the_key(self, artifact,
                                                  acquisitions):
         session = MeasurementSession(artifact)
-        experiment = Experiment(GRID.cells()[0])
+        experiment = Experiment(replace(GRID.cells()[0], daq_period_s=1e-3))
 
-        def at(seed):
-            return MeasurementConfig(daq_period_s=1e-3,
-                                     measurement_seed=seed)
+        def at(sim, seed):
+            return encode(result_to_cell_dict(
+                experiment.measure(sim, measurement_seed=seed)
+            ))
 
-        got = [
-            encode(result_to_cell_dict(experiment.measure(session, at(s))))
-            for s in (1, 1, 2, 1)
-        ]
+        got = [at(session, s) for s in (1, 1, 2, 1)]
         # 1 acquires, 1 reuses, 2 evicts and acquires, 1 acquires again.
         assert acquisitions == [1e-3] * 3
-        want = [
-            encode(result_to_cell_dict(experiment.measure(artifact, at(s))))
-            for s in (1, 1, 2, 1)
-        ]
+        want = [at(artifact, s) for s in (1, 1, 2, 1)]
         assert got == want
         assert got[0] != got[2]
 
     def test_noisy_measurement_is_never_served(self, artifact,
                                                acquisitions):
         session = MeasurementSession(artifact)
-        experiment = Experiment(GRID.cells()[0])
-        quiet = MeasurementConfig(daq_period_s=1e-3, measurement_seed=5)
-        noisy = replace(quiet, noise=DEFAULT_NOISE)
-        held = experiment.measure(session, quiet)
-        served = experiment.measure(session, noisy)
+        experiment = Experiment(replace(GRID.cells()[0], daq_period_s=1e-3))
+        held = experiment.measure(session, measurement_seed=5)
+        served = experiment.measure(session, noise=DEFAULT_NOISE,
+                                    measurement_seed=5)
         assert len(acquisitions) == 2
         assert served.power is not held.power
         # Not held: its arrays stay writeable and the next noise-free
         # measurement acquires again.
         assert served.power.cpu_power_w.flags.writeable
-        experiment.measure(session, quiet)
+        experiment.measure(session, measurement_seed=5)
         assert len(acquisitions) == 3
-        alone = experiment.measure(artifact, noisy)
+        alone = experiment.measure(artifact, noise=DEFAULT_NOISE,
+                                   measurement_seed=5)
         assert encode(result_to_cell_dict(served)) == \
             encode(result_to_cell_dict(alone))
         assert encode(result_to_cell_dict(served)) != \
@@ -212,25 +206,30 @@ class TestSession:
 
     def test_bootstrap_report_unchanged_by_held_acquisitions(
             self, artifact, monkeypatch):
-        """Each replicate measures through one shared session that
-        holds a noise-free acquisition under the replicate's own key;
-        the report must equal the plain bootstrap's."""
+        """Every replicate measures through the engine's one session;
+        when that session holds a noise-free acquisition under the
+        replicate's own key, the report must equal the plain
+        bootstrap's."""
         config = GRID.cells()[0]
         want = encode(
             bootstrap_uncertainty(config, artifact, replicates=2).as_dict()
         )
         engine = BootstrapEngine(config, replicates=2)
-        session = MeasurementSession(artifact)
+        sessions = []
 
-        def through_session(sim, index):
-            measurement = engine.replicate_measurement(index)
-            Experiment(config).measure(
-                session, replace(measurement, noise=None)
-            )
-            return Experiment(config).measure(session, measurement)
+        def through_held(session, index):
+            sessions.append(session)
+            seed = derive_replicate_seed(config.seed, index)
+            experiment = Experiment(config)
+            experiment.measure(session, measurement_seed=seed)
+            return experiment.measure(session, noise=engine.noise,
+                                      measurement_seed=seed)
 
-        monkeypatch.setattr(engine, "measure_replicate", through_session)
+        monkeypatch.setattr(engine, "measure_replicate", through_held)
         assert encode(engine.run(artifact).as_dict()) == want
+        assert len(sessions) == 2
+        assert isinstance(sessions[0], MeasurementSession)
+        assert sessions[1] is sessions[0]
 
     def test_other_sim_key_still_raises(self, artifact):
         session = MeasurementSession(artifact)

@@ -2,20 +2,22 @@
 
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro import ExperimentConfig
-from repro.campaign import CampaignConfig, CampaignRunner, run_campaign
+from repro.campaign import CampaignRunner, run_campaign
+from repro.spec import ScenarioSpec
 
 # Small but non-trivial: 2 benchmarks x 2 collectors x 2 heaps = 8
 # cells at a reduced input scale so the whole grid simulates in a
 # couple of seconds.
-SMALL = CampaignConfig(
+SMALL = ScenarioSpec(
     benchmarks=("_202_jess", "_209_db"),
     collectors=("SemiSpace", "GenCopy"),
     heap_mbs=(32, 64),
-    input_scale=0.1,
+    input_scales=(0.1,),
 )
 
 
@@ -94,13 +96,7 @@ class TestCache:
 
     def test_cache_is_config_sensitive(self, tmp_path):
         run_campaign(SMALL, workers=1, cache_dir=tmp_path)
-        shifted = CampaignConfig(
-            benchmarks=SMALL.benchmarks,
-            collectors=SMALL.collectors,
-            heap_mbs=SMALL.heap_mbs,
-            input_scale=SMALL.input_scale,
-            seeds=(43,),
-        )
+        shifted = replace(SMALL, seeds=(43,))
         other = run_campaign(shifted, workers=1, cache_dir=tmp_path)
         assert other.summary.n_cached == 0
 

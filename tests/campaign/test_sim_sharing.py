@@ -7,25 +7,26 @@ payload must be byte-identical to the fused single-cell path.
 
 import pytest
 
-from repro.campaign import CampaignConfig, run_campaign
+from repro.campaign import run_campaign
 from repro.campaign.runner import _execute_cell
+from repro.spec import ScenarioSpec
 
 # 4 measurement points over one simulation identity.
-SWEEP = CampaignConfig(
+SWEEP = ScenarioSpec(
     benchmarks=("_202_jess",),
     collectors=("SemiSpace",),
     heap_mbs=(24,),
-    input_scale=0.1,
+    input_scales=(0.1,),
     n_slices=40,
     daq_periods_s=(40e-6, 200e-6, 1e-3, 1e-2),
 )
 
 # Two sim identities x two measurement points.
-MIXED = CampaignConfig(
+MIXED = ScenarioSpec(
     benchmarks=("_202_jess",),
     collectors=("SemiSpace", "GenCopy"),
     heap_mbs=(24,),
-    input_scale=0.1,
+    input_scales=(0.1,),
     n_slices=40,
     daq_periods_s=(40e-6, 1e-3),
 )

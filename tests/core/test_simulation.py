@@ -8,6 +8,7 @@ reference platforms.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ import pytest
 from repro.core.experiment import Experiment, ExperimentConfig
 from repro.core.simulation import (
     ARTIFACT_SCHEMA,
-    MeasurementConfig,
     SimulationArtifact,
     SimulationResult,
     simulate,
@@ -98,9 +98,9 @@ class TestSplitEqualsFused:
         config, fused = cell
         experiment = Experiment(config)
         artifact = experiment.simulate().artifact()
-        slow = experiment.measure(
-            artifact, MeasurementConfig(daq_period_s=400e-6)
-        )
+        slow = Experiment(
+            replace(config, daq_period_s=400e-6)
+        ).measure(artifact)
         assert slow.power.n_samples < fused.power.n_samples
         # The ground truth side is untouched by the period change.
         assert slow.run.timeline.total_cycles == \
@@ -217,8 +217,8 @@ class TestMeasureGuards:
         with pytest.raises(ConfigurationError):
             Experiment(config).measure("not-a-simulation")
 
-    def test_measurement_config_validates(self):
-        with pytest.raises(ConfigurationError):
-            MeasurementConfig(daq_period_s=0.0)
-        with pytest.raises(ConfigurationError):
-            MeasurementConfig(daq_period_s=-1e-6)
+    def test_measure_rejects_a_negative_seed(self):
+        config = REFERENCE_CELLS["p6-jikes"]
+        with pytest.raises(ConfigurationError, match="measurement_seed"):
+            Experiment(config).measure("not-a-simulation",
+                                       measurement_seed=-1)

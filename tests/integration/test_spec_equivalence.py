@@ -10,8 +10,11 @@ for the resulting :class:`ExperimentResult` — on one cell per
 platform/VM family.
 """
 
+from pathlib import Path
+
 import pytest
 
+from repro.cli import main
 from repro.core.experiment import Experiment
 from repro.export import result_to_json
 from repro.spec import ScenarioSpec
@@ -74,4 +77,16 @@ def test_single_cell_spec_equals_one_cell_campaign():
     campaign expansion, so run/campaign agree on what a cell is."""
     spec = ScenarioSpec.for_experiment("_202_jess", heap_mb=32,
                                        input_scale=0.2)
-    assert spec.campaign_config().cells() == [spec.experiment_config()]
+    assert spec.cells() == [spec.experiment_config()]
+
+
+def test_cli_run_prints_the_same_for_flags_and_the_quickstart_spec(capsys):
+    quickstart = (Path(__file__).resolve().parents[2] / "examples"
+                  / "scenarios" / "quickstart.toml")
+    assert main(["run", "--spec", str(quickstart)]) == 0
+    spec_out = capsys.readouterr().out
+    assert main(["run", "_202_jess", "--collector", "SemiSpace",
+                 "--heap", "32", "--input-scale", "0.2"]) == 0
+    flag_out = capsys.readouterr().out
+    assert spec_out
+    assert spec_out == flag_out

@@ -103,3 +103,17 @@ class TestConfigure:
         get_logger(cell=4).warning("x")
         (rec,) = records(stream)
         assert rec["cell"] == 4
+
+    def test_default_stream_follows_a_swapped_stderr(self, monkeypatch):
+        # A caller (an in-process CLI run, a test's capture) may replace
+        # and close sys.stderr after configure(); later records must go
+        # to the current stderr, not the closed one.
+        stale = io.StringIO()
+        monkeypatch.setattr("sys.stderr", stale)
+        configure()
+        current = io.StringIO()
+        monkeypatch.setattr("sys.stderr", current)
+        stale.close()
+        get_logger(cell=1).warning("kept")
+        (rec,) = records(current)
+        assert rec["event"] == "kept"

@@ -37,8 +37,8 @@ def tiny_spec(**kw):
     return ScenarioSpec.for_experiment("_202_jess", **kw)
 
 
-def fake_result(campaign_config):
-    cells = campaign_config.cells()
+def fake_result(spec):
+    cells = spec.cells()
     results = [
         CellResult(config=config, ok=True, attempts=1, wall_s=0.01,
                    payload={"schema": "repro-cell-v1", "cell": i})
@@ -55,7 +55,7 @@ class GatedRunner:
     """Stands in for CampaignRunner; blocks until the gate opens."""
 
     gate = None       # threading.Event, set per test
-    started = None    # list of campaign configs seen
+    started = None    # list of specs seen
     fail = False
 
     def __init__(self, **kwargs):
@@ -297,6 +297,6 @@ class TestRealExecutionDeterminism:
             served = service.results.get_bytes(job.id)
         finally:
             service.drain(10.0)
-        direct = CampaignRunner(workers=1).run(spec.campaign_config())
+        direct = CampaignRunner(workers=1).run(spec)
         expected = encode_result(build_result_payload(spec, direct))
         assert served == expected

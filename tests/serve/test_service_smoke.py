@@ -50,9 +50,7 @@ def smoke(tmp_path_factory):
 def test_served_bytes_equal_a_direct_run(smoke):
     _, _, served, _ = smoke
     spec = ScenarioSpec.from_file(QUICKSTART)
-    direct = CampaignRunner(workers=1, cache_dir=None).run(
-        spec.campaign_config()
-    )
+    direct = CampaignRunner(workers=1, cache_dir=None).run(spec)
     assert served.read_bytes() == encode_result(
         build_result_payload(spec, direct)
     )

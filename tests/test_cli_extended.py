@@ -1,6 +1,7 @@
 """Tests for the pauses/export CLI commands."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from repro.cli import main
@@ -93,10 +94,7 @@ class TestOverheadCommand:
         from repro.analysis.validation import attribution_error
         from repro.campaign.artifacts import ArtifactStore, sim_key
         from repro.core.experiment import Experiment
-        from repro.core.simulation import (
-            MeasurementConfig,
-            SimulationArtifact,
-        )
+        from repro.core.simulation import SimulationArtifact
         from repro.jvm.components import Component
         from repro.spec import ScenarioSpec
 
@@ -141,9 +139,9 @@ class TestOverheadCommand:
         )
         for point, period_us in zip(frontier["points"], periods):
             period_s = period_us * 1e-6
-            result = Experiment(config).measure(
-                artifact, MeasurementConfig(daq_period_s=period_s)
-            )
+            result = Experiment(
+                replace(config, daq_period_s=period_s)
+            ).measure(artifact)
             report = attribution_error(
                 artifact.run_result(), artifact.measurement_target(),
                 sample_period_s=period_s,

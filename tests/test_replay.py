@@ -33,7 +33,7 @@ def stored():
     from repro.campaign.runner import CampaignRunner
 
     spec = tiny_spec()
-    result = CampaignRunner(workers=1).run(spec.campaign_config())
+    result = CampaignRunner(workers=1).run(spec)
     return spec, encode_result(build_result_payload(spec, result))
 
 
