@@ -1,13 +1,21 @@
 """Tests for the adaptive optimization system."""
 
 import numpy as np
+import pytest
 
 from repro.jvm.compiler.adaptive import (
-    AdaptiveOptimizationSystem,
+    ASSUMED_COMPILE_IPS,
+    FUTURE_DISCOUNT,
     SAMPLE_PERIOD_S,
+    AdaptiveOptimizationSystem,
 )
 from repro.jvm.compiler.baseline import BaselineCompiler
 from repro.jvm.compiler.method import JavaMethod, MethodTable
+from repro.jvm.compiler.optimizing import (
+    OPT_FIXED_INSTR,
+    OPT_LEVELS,
+    OptimizingCompiler,
+)
 
 
 def make_table(weights=(0.7, 0.2, 0.1), size=800):
@@ -106,3 +114,88 @@ class TestController:
 
     def test_next_job_empty(self):
         assert make_aos().next_job() is None
+
+
+def full_sweep(table, queued):
+    """The controller's cost/benefit model swept over every method in
+    table order: the jobs (name, level, benefit, cost) it would queue.
+
+    ``queued`` holds the ids of methods with a pending job.
+    """
+    jobs = []
+    for m in table.methods:
+        if m.quality <= 0.0 or id(m) in queued:
+            continue
+        past_s = m.samples * SAMPLE_PERIOD_S
+        if past_s <= 0.0:
+            continue
+        future_s = past_s * FUTURE_DISCOUNT
+        best = None
+        for level in OPT_LEVELS:
+            if level.quality <= m.quality:
+                continue
+            speedup = level.quality / m.quality
+            benefit_s = future_s * (1.0 - 1.0 / speedup)
+            cost_s = (
+                m.bytecode_bytes * level.instr_per_byte + OPT_FIXED_INSTR
+            ) / ASSUMED_COMPILE_IPS
+            gain = benefit_s - cost_s
+            if gain > 0 and (best is None or gain > best[0]):
+                best = (gain, level, benefit_s, cost_s)
+        if best is not None:
+            jobs.append((m.name, best[1].name, best[2], best[3]))
+    return jobs
+
+
+class TestScanEqualsFullSweep:
+    """The controller scans only the methods whose inputs changed; it
+    must queue exactly the jobs a sweep over every method would."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_history(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 80
+        table = MethodTable([
+            JavaMethod(name=f"m{i}", bytecode_bytes=int(size),
+                       weight=float(w))
+            for i, (size, w) in enumerate(zip(
+                rng.integers(40, 3000, n), rng.pareto(1.1, n) + 1e-3))
+        ])
+        aos = make_aos(table, seed=100 + seed)
+        base, opt = BaselineCompiler("p6"), OptimizingCompiler("p6")
+        uncompiled = list(range(n))
+        sampled_first, skipped = 0, 0
+        for _ in range(60):
+            aos.take_samples(float(rng.exponential(0.25)))
+            # First calls come after sampling, so some methods are
+            # sampled while still uncompiled.
+            k = int(rng.integers(0, 6))
+            for i in sorted(rng.permutation(uncompiled)[:k].tolist()):
+                m = table.methods[i]
+                sampled_first += m.samples > 0
+                base.compile(m)
+                uncompiled.remove(i)
+            queued = {id(j.method) for j in aos.queue}
+            expected = full_sweep(table, queued)
+            got = [
+                (j.method.name, j.level.name, j.predicted_benefit_s,
+                 j.predicted_cost_s)
+                for j in aos.consider_recompilation()
+            ]
+            assert got == expected
+            # Out of band, recompile a queued method past its job's
+            # level, so that job is skipped when it is dequeued.
+            top = OPT_LEVELS[-1].quality
+            low = [j for j in aos.queue
+                   if j.level.quality < top and j.method.quality < top]
+            if low and rng.random() < 0.3:
+                opt.compile(low[0].method, OPT_LEVELS[-1])
+            # Drain part of the queue as the VM would.
+            for _ in range(int(rng.integers(0, len(aos.queue) + 1))):
+                job = aos.next_job()
+                if job.level.quality > job.method.quality:
+                    opt.compile(job.method, job.level)
+                else:
+                    skipped += 1
+        assert sampled_first > 0
+        assert skipped > 0

@@ -1,10 +1,13 @@
 """Tests for deterministic workload generation."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.units import MB
+from repro.workloads import REGISTRY
 from repro.workloads.generator import WorkloadRun
 
 from tests.conftest import make_tiny_spec
@@ -141,3 +144,33 @@ class TestJitter:
             np.std([s.mix_jitter for s in wild.slices])
             > np.std([s.mix_jitter for s in calm.slices])
         )
+
+
+def _per_item_sizes(spec, seed):
+    """Class and method sizes drawn one lognormal call per item, in
+    the order a run's build consumes its generator."""
+    rng = np.random.default_rng(seed)
+    classes = [
+        int(min(max(rng.lognormal(math.log(spec.class_file_bytes), 0.5),
+                    1024), 64 * 1024))
+        for _ in range(spec.app_classes)
+    ] + [
+        int(min(max(rng.lognormal(math.log(4096), 0.5), 1024), 48 * 1024))
+        for _ in range(spec.system_classes)
+    ]
+    rng.random(len(classes))  # first-touch positions
+    methods = [
+        int(min(max(rng.lognormal(math.log(spec.method_bytecode_bytes),
+                                  0.6), 40), 16 * 1024))
+        for _ in range(spec.methods)
+    ]
+    return classes, methods
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_size_draws_equal_per_item_draws(name):
+    spec = REGISTRY[name]
+    run = WorkloadRun(spec, np.random.default_rng(7))
+    classes, methods = _per_item_sizes(spec, 7)
+    assert [c.file_bytes for c in run.classes] == classes
+    assert [m.bytecode_bytes for m in run.method_table] == methods
