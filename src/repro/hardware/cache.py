@@ -22,6 +22,8 @@ Two models are provided:
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 
@@ -114,6 +116,29 @@ class AnalyticCacheModel:
             + (1.0 - behavior.locality) * cold_miss
         )
         return min(1.0, max(self.COMPULSORY_FLOOR, rate))
+
+    def miss_rates(self, footprint_bytes, hot_bytes, locality,
+                   spatial_factor):
+        """:meth:`miss_rate` over a column of footprints that share one
+        hot set, locality and spatial factor; every element is
+        bit-identical to the scalar rate of its behavior."""
+        cap = float(self.capacity_bytes)
+        hot = float(hot_bytes)
+        cold = np.maximum(
+            np.asarray(footprint_bytes, dtype=np.int64) - hot_bytes, 0
+        ).astype(np.float64)
+        hot_coverage = min(1.0, cap / hot) if hot > 0 else 1.0
+        cap_left = max(cap - min(hot, cap), 0.0)
+        has_cold = cold > 0
+        cold_coverage = np.where(
+            has_cold,
+            np.minimum(1.0, cap_left / np.where(has_cold, cold, 1.0)),
+            1.0,
+        )
+        hot_miss = (1.0 - hot_coverage) * spatial_factor
+        cold_miss = (1.0 - cold_coverage) * spatial_factor
+        rate = locality * hot_miss + (1.0 - locality) * cold_miss
+        return np.minimum(1.0, np.maximum(self.COMPULSORY_FLOOR, rate))
 
 
 class SetAssociativeCache:

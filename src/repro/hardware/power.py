@@ -63,11 +63,21 @@ class CPUPowerModel:
 
         ``mix_factor``, ``dvfs`` and ``duty_cycle`` are scalars shared by
         the whole batch (they only change between batches).  Every
-        element performs exactly the scalar method's arithmetic: the
-        utilization exponential is evaluated with scalar ``**`` per
-        element because NumPy's SIMD ``power`` kernel differs from libm
-        in the last ulp, and batched execution must be bit-identical to
-        the per-segment path.
+        element performs exactly the scalar method's arithmetic.
+        """
+        return self.power_w_from_terms(
+            self.utilization_terms(ipc), mix_factor=mix_factor, dvfs=dvfs,
+            duty_cycle=duty_cycle,
+        )
+
+    def utilization_terms(self, ipc):
+        """``u ** gamma`` per element of an array of achieved IPCs: the
+        part of :meth:`power_w` that does not depend on the CPU state.
+
+        The exponential is evaluated with scalar ``**`` per element
+        because NumPy's SIMD ``power`` kernel differs from libm in the
+        last ulp, and batched execution must be bit-identical to the
+        per-segment path.
         """
         spec = self.spec
         if (np.asarray(ipc) < 0).any():
@@ -75,10 +85,15 @@ class CPUPowerModel:
         u = np.minimum(1.0, np.asarray(ipc, dtype=np.float64)
                        / spec.ipc_ref)
         gamma = spec.power_exponent
-        pow_u = np.array([v ** gamma for v in u.tolist()],
-                         dtype=np.float64)
+        return np.array([v ** gamma for v in u.tolist()], dtype=np.float64)
+
+    def power_w_from_terms(self, terms, mix_factor=1.0, dvfs=None,
+                           duty_cycle=1.0):
+        """:meth:`power_w_batch` from precomputed
+        :meth:`utilization_terms`, under the given CPU state."""
+        spec = self.spec
         dynamic = (spec.max_power_w - spec.idle_power_w) * (
-            pow_u * mix_factor
+            terms * mix_factor
         )
         power = spec.idle_power_w + dynamic
         if dvfs is not None:

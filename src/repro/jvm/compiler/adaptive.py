@@ -47,8 +47,33 @@ class CompileJob:
     predicted_cost_s: float
 
 
+def best_recompilation(quality, samples, bytecode_bytes):
+    """The cost/benefit model for one compiled method: its most
+    profitable ``(gain, level, benefit_s, cost_s)``, or ``None`` when
+    no optimization level pays for itself."""
+    past_s = samples * SAMPLE_PERIOD_S
+    if past_s <= 0.0:
+        return None
+    future_s = past_s * FUTURE_DISCOUNT
+    best = None
+    for level in OPT_LEVELS:
+        if level.quality <= quality:
+            continue
+        speedup = level.quality / quality
+        benefit_s = future_s * (1.0 - 1.0 / speedup)
+        cost_instr = bytecode_bytes * level.instr_per_byte + OPT_FIXED_INSTR
+        cost_s = cost_instr / ASSUMED_COMPILE_IPS
+        gain = benefit_s - cost_s
+        if gain > 0 and (best is None or gain > best[0]):
+            best = (gain, level, benefit_s, cost_s)
+    return best
+
+
 class AdaptiveOptimizationSystem:
-    """Sample-driven hotness detection + cost/benefit recompilation."""
+    """Sample-driven hotness detection + cost/benefit recompilation.
+
+    The samples and the queued flags are columns of the method table.
+    """
 
     def __init__(self, method_table, rng, app_instr_per_second):
         self.method_table = method_table
@@ -58,17 +83,10 @@ class AdaptiveOptimizationSystem:
         self.queue = []
         self.total_samples = 0
         self.jobs_submitted = 0
-        self._queued_ids = set()
         self._residue_s = 0.0
-        #: Weights are immutable after table normalization; build the
-        #: multinomial parameter vector once (as the float64 array the
-        #: generator would convert a list to) instead of per epoch.
-        self._weights = np.array(
-            [m.weight for m in method_table.methods], dtype=np.float64
-        )
-        #: Indices of methods that have received at least one sample —
-        #: the only ones the controller's cost/benefit scan can act on.
-        self._sampled = set()
+        #: Methods whose cost/benefit inputs may have changed since the
+        #: last scan (see :meth:`consider_recompilation`).
+        self._dirty = np.zeros(len(method_table), dtype=bool)
 
     def take_samples(self, elapsed_app_s):
         """Distribute the sampling epoch's ticks over methods by weight.
@@ -81,12 +99,10 @@ class AdaptiveOptimizationSystem:
         if n_samples <= 0:
             return 0
         self._residue_s -= n_samples * SAMPLE_PERIOD_S
-        counts = self.rng.multinomial(n_samples, self._weights)
-        methods = self.method_table.methods
-        hit = np.flatnonzero(counts)
-        for i, count in zip(hit.tolist(), counts[hit].tolist()):
-            methods[i].samples += count
-        self._sampled.update(hit.tolist())
+        cols = self.method_table.columns
+        counts = self.rng.multinomial(n_samples, cols.weight)
+        cols.samples += counts
+        self._dirty |= counts > 0
         self.total_samples += n_samples
         return n_samples
 
@@ -95,47 +111,39 @@ class AdaptiveOptimizationSystem:
 
         Returns the list of newly queued :class:`CompileJob` objects.
 
-        Only sampled methods are scanned (an unsampled method has
-        ``past_s == 0`` and can never win), in table order, so the scan
-        enqueues exactly the jobs a full sweep would.
+        Only *dirty* methods are evaluated, in table order: those
+        sampled since the last scan, those dequeued since the last
+        scan, and those sampled but not yet compiled.  Every other
+        method is unsampled (it can never win), still queued, or has
+        the samples and quality that gave it no job last time — a
+        method's quality moves only when it is first compiled or when
+        its dequeued job runs.  So the scan enqueues exactly the jobs a
+        full sweep would.
         """
+        cols = self.method_table.columns
+        quality = cols.quality
+        compiled = quality > 0.0
+        rows = np.flatnonzero(self._dirty & compiled & ~cols.queued)
+        self._dirty &= ~compiled
         new_jobs = []
         methods = self.method_table.methods
-        for i in sorted(self._sampled):
-            method = methods[i]
-            quality = method.quality
-            if quality <= 0.0 or id(method) in self._queued_ids:
-                continue  # not compiled yet, or already queued
-            past_s = method.samples * SAMPLE_PERIOD_S
-            if past_s <= 0.0:
+        for i, q, n, size in zip(rows.tolist(), quality[rows].tolist(),
+                                 cols.samples[rows].tolist(),
+                                 cols.bytecode_bytes[rows].tolist()):
+            best = best_recompilation(q, n, size)
+            if best is None:
                 continue
-            future_s = past_s * FUTURE_DISCOUNT
-            best = None
-            for level in OPT_LEVELS:
-                if level.quality <= quality:
-                    continue
-                speedup = level.quality / quality
-                benefit_s = future_s * (1.0 - 1.0 / speedup)
-                cost_instr = (
-                    method.bytecode_bytes * level.instr_per_byte
-                    + OPT_FIXED_INSTR
-                )
-                cost_s = cost_instr / ASSUMED_COMPILE_IPS
-                gain = benefit_s - cost_s
-                if gain > 0 and (best is None or gain > best[0]):
-                    best = (gain, level, benefit_s, cost_s)
-            if best is not None:
-                _, level, benefit_s, cost_s = best
-                job = CompileJob(
-                    method=method,
-                    level=level,
-                    predicted_benefit_s=benefit_s,
-                    predicted_cost_s=cost_s,
-                )
-                self.queue.append(job)
-                self._queued_ids.add(id(method))
-                self.jobs_submitted += 1
-                new_jobs.append(job)
+            _, level, benefit_s, cost_s = best
+            job = CompileJob(
+                method=methods[i],
+                level=level,
+                predicted_benefit_s=benefit_s,
+                predicted_cost_s=cost_s,
+            )
+            self.queue.append(job)
+            cols.queued[i] = True
+            self.jobs_submitted += 1
+            new_jobs.append(job)
         return new_jobs
 
     def next_job(self):
@@ -147,7 +155,9 @@ class AdaptiveOptimizationSystem:
             reverse=True,
         )
         job = self.queue.pop(0)
-        self._queued_ids.discard(id(job.method))
+        row = job.method.row
+        self.method_table.columns.queued[row] = False
+        self._dirty[row] = True
         return job
 
     @property

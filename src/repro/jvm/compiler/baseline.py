@@ -8,8 +8,9 @@ translation tables — which is why the paper finds its energy share below
 GC's (good locality, high IPC).
 """
 
-from repro.hardware.activity import Activity
-from repro.hardware.cache import MemoryBehavior
+import numpy as np
+
+from repro.hardware.activity import ActivityRows
 from repro.jvm.components import Component
 from repro.jvm.compiler.method import QUALITY_BASELINE
 from repro.jvm.profiles import profile_for
@@ -22,7 +23,12 @@ BASELINE_FIXED_INSTR = 5_000
 
 
 class BaselineCompiler:
-    """Fast single-pass bytecode -> native translation."""
+    """Fast single-pass bytecode -> native translation.
+
+    A VM compiles whole columns of a method table at once: it costs
+    every method's compile up front (:meth:`activity_rows`) and marks a
+    slice's first calls compiled with :meth:`compile_rows`.
+    """
 
     tier = "baseline"
 
@@ -38,24 +44,37 @@ class BaselineCompiler:
         method.compile_count += 1
         self.methods_compiled += 1
         self.bytes_compiled += method.bytecode_bytes
+        return self._rows([method.bytecode_bytes], [method.name]).activity(0)
 
-        instr = (
-            method.bytecode_bytes * BASELINE_INSTR_PER_BYTE
-            + BASELINE_FIXED_INSTR
-        )
+    def compile_rows(self, table, rows):
+        """Baseline-compile rows *rows* (an index array) of *table*."""
+        cols = table.columns
+        cols.mark_compiled(rows, QUALITY_BASELINE, self.tier)
+        self.methods_compiled += len(rows)
+        self.bytes_compiled += int(cols.bytecode_bytes[rows].sum())
+
+    def activity_rows(self, table):
+        """The compile activity of every method of *table*, as
+        :class:`~repro.hardware.activity.ActivityRows` in table order."""
+        return self._rows(table.columns.bytecode_bytes,
+                          [m.name for m in table.methods])
+
+    def _rows(self, bytecode_bytes, names):
+        sizes = np.asarray(bytecode_bytes, dtype=np.int64)
         profile = profile_for(self.platform_name, "baseline")
-        return Activity(
+        tags = np.empty(len(names), dtype=object)
+        tags[:] = [f"base-compile:{name}" for name in names]
+        return ActivityRows(
             component=Component.BASE,
-            instructions=instr,
-            behavior=MemoryBehavior(
-                footprint_bytes=max(method.bytecode_bytes * 6, 64 * 1024),
-                hot_bytes=profile.hot_bytes,
-                locality=profile.locality,
-                spatial_factor=profile.spatial,
-            ),
+            instructions=sizes * BASELINE_INSTR_PER_BYTE
+            + BASELINE_FIXED_INSTR,
+            footprint_bytes=np.maximum(sizes * 6, 64 * 1024),
+            tags=tags,
+            hot_bytes=profile.hot_bytes,
+            locality=profile.locality,
+            spatial_factor=profile.spatial,
             refs_per_instr=profile.refs_per_instr,
             l1_miss_rate=profile.l1_miss_rate,
             mix_factor=profile.mix,
             cpi_scale=profile.cpi_scale,
-            tag=f"base-compile:{method.name}",
         )

@@ -5,9 +5,12 @@ execution; weights across a benchmark's method table sum to 1.  Execution
 speed depends on the *code quality* of the tier that most recently
 compiled the method: the application's effective instructions-per-bytecode
 is the base cost divided by the method's quality.
-"""
 
-from dataclasses import dataclass
+A :class:`MethodTable` keeps its methods' state as columns
+(:class:`MethodColumns`), so the VM compiles a slice's first calls and
+the adaptive system adds its samples with one array write each; a
+:class:`JavaMethod` is a view of one row.
+"""
 
 import numpy as np
 
@@ -23,28 +26,105 @@ QUALITY_KAFFE_JIT = 0.85   # Kaffe JIT does no extensive optimization
 QUALITY_INTERPRETER = 0.22  # bytecode dispatch costs ~4-5x JIT'd code
 
 
-@dataclass
-class JavaMethod:
-    """One compilable method."""
+class MethodColumns:
+    """Per-method state, one row per method.
 
-    name: str
-    bytecode_bytes: int
-    weight: float
-    quality: float = 0.0      # 0.0 = not yet compiled (not executable)
-    tier: str = "none"        # none | baseline | jit | opt0 | opt1 | opt2
-    compile_count: int = 0
-    samples: int = 0
+    ``quality`` 0.0 means not yet compiled (not executable); ``tier`` is
+    ``"none"``, ``"baseline"``, ``"jit"``, ``"interp"`` or an optimization
+    level's name; ``queued`` marks a pending recompilation job.
+    ``version`` counts quality writes, so aggregates over the quality
+    column can be cached between (re)compilations.
+    """
 
-    #: Global generation counter bumped on every quality write, letting
-    #: :meth:`MethodTable.effective_instr_per_bytecode` cache its O(n)
-    #: aggregate between (re)compilations.
-    quality_epoch = 0
+    __slots__ = ("bytecode_bytes", "weight", "quality", "tier",
+                 "compile_count", "samples", "queued", "version")
 
-    def __post_init__(self):
-        if self.bytecode_bytes <= 0:
+    def __init__(self, bytecode_bytes, weight, quality=None, tier=None,
+                 compile_count=None, samples=None):
+        self.bytecode_bytes = np.asarray(bytecode_bytes, dtype=np.int64)
+        self.weight = np.asarray(weight, dtype=np.float64)
+        n = len(self.bytecode_bytes)
+        if (self.bytecode_bytes <= 0).any():
             raise ConfigurationError("method bytecode size must be positive")
-        if self.weight < 0:
+        if (self.weight < 0).any():
             raise ConfigurationError("method weight cannot be negative")
+        self.quality = (np.zeros(n) if quality is None
+                        else np.asarray(quality, dtype=np.float64))
+        self.tier = np.full(n, "none", dtype=object)
+        if tier is not None:
+            self.tier[:] = tier
+        self.compile_count = (
+            np.zeros(n, dtype=np.int64) if compile_count is None
+            else np.asarray(compile_count, dtype=np.int64))
+        self.samples = (np.zeros(n, dtype=np.int64) if samples is None
+                        else np.asarray(samples, dtype=np.int64))
+        self.queued = np.zeros(n, dtype=bool)
+        self.version = 0
+
+    def __len__(self):
+        return len(self.bytecode_bytes)
+
+    def mark_compiled(self, rows, quality, tier):
+        """Record one compile of each of *rows* at *quality*/*tier*."""
+        self.quality[rows] = quality
+        self.tier[rows] = tier
+        self.compile_count[rows] += 1
+        self.version += 1
+
+
+def _column_view(column, cast, doc, writable=True):
+    def get(method):
+        return cast(getattr(method._cols, column)[method.row])
+
+    def set_(method, value):
+        getattr(method._cols, column)[method.row] = value
+
+    return property(get, set_ if writable else None, doc=doc)
+
+
+class JavaMethod:
+    """One compilable method: a view of row :attr:`row` of its columns.
+
+    A method built on its own owns a one-row :class:`MethodColumns`;
+    a :class:`MethodTable` moves it onto the table's columns.
+    """
+
+    __slots__ = ("name", "_cols", "row")
+
+    def __init__(self, name, bytecode_bytes, weight, quality=0.0,
+                 tier="none", compile_count=0, samples=0):
+        self.name = name
+        self._cols = MethodColumns([bytecode_bytes], [weight], [quality],
+                                   [tier], [compile_count], [samples])
+        self.row = 0
+
+    @classmethod
+    def _view(cls, name, cols, row):
+        method = cls.__new__(cls)
+        method.name = name
+        method._cols = cols
+        method.row = row
+        return method
+
+    bytecode_bytes = _column_view("bytecode_bytes", int,
+                                  "Bytecode size.", writable=False)
+    weight = _column_view("weight", float,
+                          "Share of bytecode execution.", writable=False)
+    tier = _column_view("tier", str, "Tier that compiled it last.")
+    compile_count = _column_view("compile_count", int,
+                                 "Compiles so far.")
+    samples = _column_view("samples", int, "AOS samples so far.")
+
+    @property
+    def quality(self):
+        """Code quality; 0.0 = not yet compiled (not executable)."""
+        return float(self._cols.quality[self.row])
+
+    @quality.setter
+    def quality(self, value):
+        cols = self._cols
+        cols.quality[self.row] = value
+        cols.version += 1
 
     @property
     def compiled(self):
@@ -58,23 +138,11 @@ class JavaMethod:
             )
         return INSTR_PER_BYTECODE / self.quality
 
-
-def _get_quality(method):
-    return method._quality
-
-
-def _set_quality(method, value):
-    """Store a quality, bump the epoch and sync the table's column."""
-    JavaMethod.quality_epoch += 1
-    column = getattr(method, "_table_quality", None)
-    if column is not None:
-        column[method._table_idx] = value
-    method._quality = value
-
-
-# Installed after the dataclass is built so ``quality`` stays an
-# ordinary init/repr/eq field; only quality writes pay for the epoch.
-JavaMethod.quality = property(_get_quality, _set_quality)
+    def __repr__(self):
+        return (f"JavaMethod(name={self.name!r}, "
+                f"bytecode_bytes={self.bytecode_bytes}, "
+                f"weight={self.weight!r}, quality={self.quality!r}, "
+                f"tier={self.tier!r})")
 
 
 class MethodTable:
@@ -85,35 +153,49 @@ class MethodTable:
     each method's execution share.  As the adaptive system upgrades hot
     methods, this aggregate drops and the application speeds up — the
     mechanism behind Jikes' performance advantage over Kaffe.
+
+    The methods' state lives in :attr:`columns`; each method holds the
+    columns, not the table, so a table and its methods form no
+    reference cycle and a finished run's methods are freed with it.
     """
 
     def __init__(self, methods):
         if not methods:
             raise ConfigurationError("a method table cannot be empty")
-        total = sum(m.weight for m in methods)
-        if total <= 0:
-            raise ConfigurationError("method weights must sum to > 0")
-        for m in methods:
-            m.weight = m.weight / total
-        self.methods = list(methods)
-        # Weights are immutable after normalization, so that column is
-        # captured once; the quality column is kept in sync by
-        # the :attr:`JavaMethod.quality` setter so the aggregate recompute
-        # never has to walk the method objects.
-        self._weights_arr = np.array(
-            [m.weight for m in self.methods], dtype=np.float64
+        cols = MethodColumns(
+            [m.bytecode_bytes for m in methods],
+            _normalized([m.weight for m in methods]),
+            [m.quality for m in methods], [m.tier for m in methods],
+            [m.compile_count for m in methods],
+            [m.samples for m in methods],
         )
-        self._quality_arr = np.array(
-            [m.quality for m in self.methods], dtype=np.float64
-        )
-        # Each method holds the quality column, not the table, so a
-        # table and its methods form no reference cycle: a finished
-        # run's methods are freed with the run, not whenever the cyclic
-        # collector next runs.
-        for i, m in enumerate(self.methods):
-            object.__setattr__(m, "_table_idx", i)
-            object.__setattr__(m, "_table_quality", self._quality_arr)
+        for i, m in enumerate(methods):
+            m._cols, m.row = cols, i
+        self._init(list(methods), cols)
+
+    @classmethod
+    def from_columns(cls, names, bytecode_bytes, weights):
+        """A table of uncompiled methods named *names*, built from
+        their size and weight columns."""
+        if not len(names):
+            raise ConfigurationError("a method table cannot be empty")
+        cols = MethodColumns(bytecode_bytes,
+                             _normalized(np.asarray(weights).tolist()))
+        table = cls.__new__(cls)
+        view = JavaMethod._view
+        table._init([view(name, cols, i) for i, name in enumerate(names)],
+                     cols)
+        return table
+
+    def _init(self, methods, cols):
+        self.methods = methods
+        self.columns = cols
         self._effective_cache = (None, None)
+
+    @property
+    def version(self):
+        """Count of quality writes to this table's methods."""
+        return self.columns.version
 
     def __len__(self):
         return len(self.methods)
@@ -126,26 +208,26 @@ class MethodTable:
         methods (uncompiled methods don't execute yet and are skipped).
 
         The aggregate only moves when some method's code quality moves,
-        so it is cached against the global quality generation counter;
-        every recompute performs the identical reduction over the same
+        so it is cached against the table's :attr:`version`; every
+        recompute performs the identical reduction over the same
         columns, keeping repeat runs bit-identical.
         """
-        epoch = JavaMethod.quality_epoch
-        cached_epoch, cached = self._effective_cache
-        if cached_epoch == epoch:
+        cols = self.columns
+        cached_version, cached = self._effective_cache
+        if cached_version == cols.version:
             return cached
-        q = self._quality_arr
+        q = cols.quality
         compiled = q > 0.0
-        den = float(self._weights_arr[compiled].sum())
+        den = float(cols.weight[compiled].sum())
         if den == 0.0:
             value = INSTR_PER_BYTECODE
         else:
             num = float(
-                (self._weights_arr[compiled]
+                (cols.weight[compiled]
                  * (INSTR_PER_BYTECODE / q[compiled])).sum()
             )
             value = num / den
-        self._effective_cache = (epoch, value)
+        self._effective_cache = (cols.version, value)
         return value
 
     def hottest(self, n):
@@ -153,4 +235,12 @@ class MethodTable:
         return sorted(self.methods, key=lambda m: -m.weight)[:n]
 
     def total_bytecode_bytes(self):
-        return sum(m.bytecode_bytes for m in self.methods)
+        return int(self.columns.bytecode_bytes.sum())
+
+
+def _normalized(weights):
+    """*weights* (a list) over their left-to-right sum."""
+    total = sum(weights)
+    if total <= 0:
+        raise ConfigurationError("method weights must sum to > 0")
+    return np.asarray(weights, dtype=np.float64) / total

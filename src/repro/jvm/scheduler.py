@@ -45,10 +45,10 @@ class InstrumentedScheduler:
     #: coupling and measurement see at most ~50 ms of uniform behavior.
     DEFAULT_CHUNK_S = 0.05
 
-    #: Most activities :meth:`execute_many` commits in one batch.  Any
-    #: split commits the same rows; this one keeps every per-batch
-    #: temporary (a column array or tuple of at most 32 items) in the
-    #: small-block allocators instead of the process heap.
+    #: Most rows :meth:`execute_rows` commits in one batch.  Any split
+    #: commits the same rows; this one keeps every per-batch temporary
+    #: (a column array of at most 32 items) in the small-block
+    #: allocators instead of the process heap.
     RUN_ROWS = 32
 
     def __init__(self, platform, style="jikes", max_chunk_s=None,
@@ -163,50 +163,44 @@ class InstrumentedScheduler:
             self._write_port(component)
             self._emit_chunks(activity)
 
-    def execute_many(self, activities):
-        """Run *activities* (any iterable, consumed lazily) in order,
-        exactly as calling :meth:`execute` on each in turn would.
+    def execute_rows(self, costed):
+        """Run precomputed activity rows
+        (:class:`~repro.hardware.activity.CostedRows`) in order, exactly
+        as calling :meth:`execute` on each row's activity in turn would.
 
-        Every run of single-chunk activities of one component (a
-        slice's first-call baseline compiles, say) is costed row by row
-        by :meth:`~repro.hardware.activity.ExecutionModel.run_many` and
-        committed, :attr:`RUN_ROWS` rows at a time with per-row tags,
-        through :meth:`_commit_batch`, which flushes and re-costs after
-        every throttle flip.  Kaffe-style entry/exit scheduling loops
-        over :meth:`execute`.
+        Rows are committed :attr:`RUN_ROWS` at a time, with per-row
+        tags, through :meth:`_commit_batch`: each batch's wall time and
+        power come from
+        :meth:`~repro.hardware.activity.ExecutionModel.run_rows` under
+        the CPU state in force when it starts, and the rows after a
+        throttle flip are re-costed.  A row longer than one chunk goes
+        through :meth:`_emit_chunks_batched`.  Kaffe-style entry/exit
+        scheduling loops over :meth:`execute`.
         """
-        if self.style != "jikes":
-            for activity in activities:
-                self.execute(activity)
+        n = len(costed)
+        if n == 0:
             return
-        run, costs = [], []
-        for activity in activities:
-            component = int(activity.component)
-            if component != self._latched or len(run) == self.RUN_ROWS:
-                self._emit_run(run, costs)
-                run, costs = [], []
-                self._write_port(component)  # no-op if already latched
-            if activity.instructions <= 0:
-                continue
-            counts, cost = self._chunk_split(activity)
-            if len(counts) == 1:
-                run.append(activity)
-                costs.append(cost)
-                continue
-            self._emit_run(run, costs)
-            run, costs = [], []
-            self._emit_chunks_batched(activity, counts)
-        self._emit_run(run, costs)
-
-    def _emit_run(self, run, costs):
-        """Commit single-chunk activities of the latched component."""
-        tags = [activity.tag for activity in run]
+        activities = costed.activities
+        if self.style != "jikes":
+            for row in range(n):
+                self.execute(activities.activity(row))
+            return
+        component = int(activities.component)
+        self._write_port(component)
+        long_rows = np.flatnonzero(costed.cycles > self.max_chunk_cycles)
         pos = 0
-        while pos < len(run):
-            batch = self.exec_model.run_many(
-                run[pos:], costs[pos:], self._cycle
-            )
-            pos += self._commit_batch(batch, self._latched, tags[pos:])
+        for stop in long_rows.tolist() + [n]:
+            while pos < stop:
+                rows = costed[pos:min(stop, pos + self.RUN_ROWS)]
+                batch = self.exec_model.run_rows(rows, self._cycle)
+                pos += self._commit_batch(
+                    batch, component, rows.activities.tags
+                )
+            if stop < n:
+                activity = activities.activity(stop)
+                counts, _ = self._chunk_split(activity)
+                self._emit_chunks_batched(activity, counts)
+                pos = stop + 1
 
     def _chunk_split(self, activity):
         """Split an activity's instructions into chunk counts.

@@ -290,9 +290,9 @@ class BaseVM:
     def _boot(self, state):
         raise NotImplementedError
 
-    def _compile_first_calls(self, state, methods):
-        """Compile the methods of *methods* not compiled yet, in order
-        (a slice's first invocations)."""
+    def _compile_first_calls(self, state, sl):
+        """Compile the methods of slice *sl*'s first invocations that
+        are not compiled yet, in table order."""
         raise NotImplementedError
 
     def _post_slice(self, state, sl):
@@ -305,7 +305,7 @@ class BaseVM:
             act = state.classloader.load(cls, warm=state.warm)
             if act is not None:
                 state.sched.execute(act)
-        self._compile_first_calls(state, sl.method_calls)
+        self._compile_first_calls(state, sl)
         state.roots.expire(state.now)
         self._run_app_phase(state, sl)
         self._post_slice(state, sl)
@@ -561,6 +561,7 @@ class _RunState:
     app_seconds: float = 0.0
     aos_mark_s: float = 0.0
     base: Optional[object] = None
+    base_costs: Optional[object] = None
     opt: Optional[object] = None
     jit: Optional[object] = None
     aos: Optional[object] = None
@@ -580,10 +581,16 @@ class JikesRVM(BaseVM):
     boot_instructions = 350_000_000
 
     def _setup_compilers(self, state):
+        table = state.workload.method_table
         state.base = BaselineCompiler(self.platform.name)
+        # Every method's baseline compile costs the same whenever it
+        # runs, so all of them are costed here in one pass.
+        state.base_costs = state.sched.exec_model.cost_rows(
+            state.base.activity_rows(table)
+        )
         state.opt = OptimizingCompiler(self.platform.name)
         state.aos = AdaptiveOptimizationSystem(
-            state.workload.method_table,
+            table,
             rng=state.workload.rng,
             app_instr_per_second=self.platform.clock_hz * 0.7,
         )
@@ -610,13 +617,14 @@ class JikesRVM(BaseVM):
             )
         )
 
-    def _compile_first_calls(self, state, methods):
-        # Baseline compiles are small single-segment activities of one
-        # component: the scheduler commits them in batches.
-        state.sched.execute_many(
-            state.base.compile(method) for method in methods
-            if not method.compiled
-        )
+    def _compile_first_calls(self, state, sl):
+        # One column write compiles the slice's new methods; their
+        # precomputed rows run as batches of one component.
+        table = state.workload.method_table
+        rows = sl.method_ids[table.columns.quality[sl.method_ids] <= 0.0]
+        if len(rows):
+            state.base.compile_rows(table, rows)
+            state.sched.execute_rows(state.base_costs[rows])
 
     #: Controller-thread work per processed sample (bookkeeping) and
     #: per epoch (organizer wakeup).  Sized so the controller stays
@@ -732,8 +740,8 @@ class KaffeVM(BaseVM):
             )
         )
 
-    def _compile_first_calls(self, state, methods):
-        for method in methods:
+    def _compile_first_calls(self, state, sl):
+        for method in sl.method_calls:
             if method.compiled:
                 continue
             if self.mode == "jit":

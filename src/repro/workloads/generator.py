@@ -40,6 +40,9 @@ class Slice:
     alloc_bytes: int
     class_loads: List[ClassSpec] = field(default_factory=list)
     method_calls: List[JavaMethod] = field(default_factory=list)
+    #: Rows of :attr:`method_calls` in the run's method table.
+    method_ids: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64))
     mutations: int = 0
     cpi_jitter: float = 1.0
     mix_jitter: float = 1.0
@@ -64,27 +67,24 @@ class WorkloadRun:
     def _build_classes(self):
         spec = self.spec
         rng = self.rng
-        classes = []
-        for i in range(spec.app_classes):
-            size = int(
-                min(
-                    max(rng.lognormal(math.log(spec.class_file_bytes), 0.5),
-                        1024),
-                    64 * 1024,
-                )
-            )
-            classes.append(
-                ClassSpec(name=f"{spec.name}.C{i}", file_bytes=size,
-                          is_system=False)
-            )
-        for i in range(spec.system_classes):
-            size = int(
-                min(max(rng.lognormal(math.log(4096), 0.5), 1024), 48 * 1024)
-            )
-            classes.append(
-                ClassSpec(name=f"java.sys.S{i}", file_bytes=size,
-                          is_system=True)
-            )
+        app_sizes = np.clip(
+            rng.lognormal(math.log(spec.class_file_bytes), 0.5,
+                          size=spec.app_classes),
+            1024, 64 * 1024,
+        ).astype(np.int64)
+        sys_sizes = np.clip(
+            rng.lognormal(math.log(4096), 0.5, size=spec.system_classes),
+            1024, 48 * 1024,
+        ).astype(np.int64)
+        classes = [
+            ClassSpec(name=f"{spec.name}.C{i}", file_bytes=size,
+                      is_system=False)
+            for i, size in enumerate(app_sizes.tolist())
+        ] + [
+            ClassSpec(name=f"java.sys.S{i}", file_bytes=size,
+                      is_system=True)
+            for i, size in enumerate(sys_sizes.tolist())
+        ]
         self.classes = classes
         # First-touch position of each class, as a fraction of the run.
         self._class_touch = rng.random(len(classes)) ** FIRST_TOUCH_EXPONENT
@@ -95,27 +95,15 @@ class WorkloadRun:
         ranks = np.arange(1, spec.methods + 1, dtype=np.float64)
         weights = ranks ** (-spec.zipf_s)
         weights /= weights.sum()
-        methods = []
-        for i in range(spec.methods):
-            size = int(
-                min(
-                    max(
-                        rng.lognormal(
-                            math.log(spec.method_bytecode_bytes), 0.6
-                        ),
-                        40,
-                    ),
-                    16 * 1024,
-                )
-            )
-            methods.append(
-                JavaMethod(
-                    name=f"{spec.name}.m{i}",
-                    bytecode_bytes=size,
-                    weight=float(weights[i]),
-                )
-            )
-        self.method_table = MethodTable(methods)
+        sizes = np.clip(
+            rng.lognormal(math.log(spec.method_bytecode_bytes), 0.6,
+                          size=spec.methods),
+            40, 16 * 1024,
+        ).astype(np.int64)
+        self.method_table = MethodTable.from_columns(
+            [f"{spec.name}.m{i}" for i in range(spec.methods)],
+            sizes, weights,
+        )
         # Hot methods tend to be invoked early; colder ones later.
         order = rng.random(spec.methods) ** FIRST_TOUCH_EXPONENT
         hot_pull = weights / weights.max()
@@ -168,8 +156,16 @@ class WorkloadRun:
 
         for ci, si in enumerate(class_slices):
             slices[si].class_loads.append(self.classes[ci])
-        for mi, si in enumerate(method_slices):
-            slices[si].method_calls.append(self.method_table.methods[mi])
+        # Each slice's first calls, in table order.
+        by_slice = np.argsort(method_slices, kind="stable")
+        bounds = np.concatenate(
+            ([0], np.cumsum(np.bincount(method_slices, minlength=n)))
+        )
+        methods = self.method_table.methods
+        for s, lo, hi in zip(slices, bounds[:-1].tolist(),
+                             bounds[1:].tolist()):
+            s.method_ids = by_slice[lo:hi]
+            s.method_calls = [methods[i] for i in s.method_ids.tolist()]
 
         # Tracked pointer mutations per slice.
         for s in slices:

@@ -1,9 +1,10 @@
 """Tests for the execution model (activities -> segments)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hardware.activity import Activity, ExecutionModel
+from repro.hardware.activity import Activity, ActivityRows, ExecutionModel
 from repro.hardware.cache import MemoryBehavior
 from repro.hardware.cpu import CPU, PENTIUM_M, PXA255
 from repro.hardware.memory import MemoryModel, P6_SDRAM, PXA255_SDRAM
@@ -136,3 +137,55 @@ class TestSegments:
         # Wall time comes from the effective clock at run time; the
         # scheduler stamps it — here we compute it directly.
         assert cpu.effective_clock_hz == pytest.approx(0.8e9)
+
+
+class TestCostRows:
+    """cost_rows/run_rows are bitwise-equal, row by row, to cost/run of
+    each row's activity."""
+
+    @pytest.mark.parametrize("spec, mem_spec", [(PENTIUM_M, P6_SDRAM),
+                                                (PXA255, PXA255_SDRAM)])
+    def test_rows_equal_scalar_path(self, spec, mem_spec):
+        model, cpu = model_for(spec, mem_spec)
+        rows = ActivityRows(
+            component=3,
+            instructions=np.array([1, 777, 40_000, 3_000_000, 91_000_017]),
+            footprint_bytes=np.array([0, 64 * KB, 700 * KB, 3 * MB,
+                                      40 * MB]),
+            tags=np.array([f"r{i}" for i in range(5)], dtype=object),
+            hot_bytes=256 * KB, locality=0.7, spatial_factor=0.55,
+            refs_per_instr=0.33, l1_miss_rate=0.04, mix_factor=1.07,
+            cpi_scale=0.93,
+        )
+        costed = model.cost_rows(rows)
+        cpu.throttled = True
+        cpu.set_dvfs(0.75)
+        batch = model.run_rows(costed[1:], start_cycle=100)
+        cycle = 100
+        for i in range(1, len(rows)):
+            activity = rows.activity(i)
+            cost = model.cost(activity)
+            assert costed.cycles[i] == cost[0]
+            seg = model.run(activity, cycle, cost=cost)
+            assert (int(batch.start_cycles[i - 1]),
+                    int(batch.end_cycles[i - 1])) == (seg.start_cycle,
+                                                      seg.end_cycle)
+            assert int(batch.instructions[i - 1]) == seg.instructions
+            assert int(batch.l2_accesses[i - 1]) == seg.l2_accesses
+            assert int(batch.l2_misses[i - 1]) == seg.l2_misses
+            assert int(batch.mem_accesses[i - 1]) == seg.mem_accesses
+            assert float(batch.cpu_power_w[i - 1]) == seg.cpu_power_w
+            assert float(batch.mem_power_w[i - 1]) == seg.mem_power_w
+            assert float(batch.durations_s[i - 1]) == (
+                seg.cycles / cpu.effective_clock_hz)
+            cycle = seg.end_cycle
+
+    def test_rows_need_instructions(self):
+        with pytest.raises(ConfigurationError):
+            ActivityRows(
+                component=0, instructions=np.array([5, 0]),
+                footprint_bytes=np.array([1, 1]),
+                tags=np.array(["a", "b"], dtype=object), hot_bytes=0,
+                locality=0.5, spatial_factor=0.5, refs_per_instr=0.3,
+                l1_miss_rate=0.01,
+            )

@@ -81,6 +81,19 @@ class TestAnalyticModel:
         with pytest.raises(ConfigurationError):
             AnalyticCacheModel(0)
 
+    @pytest.mark.parametrize("hot", [0, 64 * KB, 2 * MB])
+    def test_miss_rates_equal_scalar_rates(self, hot):
+        # Footprints below, at and far above the hot set and the L2.
+        model = AnalyticCacheModel(1 * MB)
+        footprints = [0, 1, hot, 64 * KB, 700 * KB, 1 * MB, 3 * MB,
+                      48 * MB, 12_345_678]
+        rates = model.miss_rates(footprints, hot, 0.37, 0.61)
+        assert rates.tolist() == [
+            model._compute(behavior(f, hot=hot, locality=0.37,
+                                    spatial=0.61))
+            for f in footprints
+        ]
+
 
 class TestSetAssociativeCache:
     def spec(self, size=4 * KB, assoc=2, line=64):

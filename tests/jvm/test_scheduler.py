@@ -1,11 +1,14 @@
 """Tests for the instrumented scheduler."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.hardware.activity import Activity, ExecutionModel
 from repro.hardware.cache import MemoryBehavior
 from repro.hardware.platform import make_platform
+from repro.jvm.compiler.baseline import BaselineCompiler
+from repro.jvm.compiler.method import JavaMethod, MethodTable
 from repro.jvm.components import Component
 from repro.jvm.scheduler import InstrumentedScheduler
 from repro.units import KB, MB
@@ -196,55 +199,95 @@ class TestBatchedEngine:
         assert calls == {"run": 0, "run_batch": 1}
 
     @staticmethod
-    def _compiles(n=120):
-        """A run of small, distinctly tagged activities, split by an
-        activity of another component, an empty one and a long one."""
-        acts = []
-        for i in range(n):
-            a = act(Component.BASE, instructions=200_000 + 997 * i)
-            a.tag = f"base-compile:m{i}"
-            acts.append(a)
-        acts.insert(40, act(Component.APP, instructions=30_000_000))
-        acts.insert(80, act(Component.BASE, instructions=0))
-        acts.insert(100, act(Component.BASE, instructions=90_000_000))
-        return acts
+    def _methods(n=120):
+        """A table of distinctly sized methods; one compile is longer
+        than a 10 ms chunk on either platform."""
+        sizes = [200 + 331 * i for i in range(n)]
+        sizes[5 * n // 6] = 3_000_000
+        return MethodTable([
+            JavaMethod(name=f"m{i}", bytecode_bytes=size, weight=1.0)
+            for i, size in enumerate(sizes)
+        ])
 
-    def _run_many(self, many, thermal=None):
-        platform = make_platform("p6", fan_enabled=thermal != "trip")
+    def _run_compiles(self, platform_name, rows, thermal=None):
+        """Baseline-compile a table in three runs split by application
+        work: as precomputed rows (``rows``) or one ``execute`` each."""
+        # The PXA255 never gets near its own trip point.
+        platform = make_platform(
+            platform_name, fan_enabled=thermal != "trip",
+            overrides={"trip_c": 50.0} if platform_name == "pxa255"
+            else None,
+        )
+        spec = platform.thermal.spec
         if thermal == "trip":
-            platform.thermal.temperature_c = 98.9995  # trips at 99 C
+            platform.thermal.temperature_c = spec.trip_c - 0.0005
         elif thermal == "release":
-            platform.thermal.temperature_c = 97.001   # releases < 97 C
+            platform.thermal.temperature_c = spec.resume_c + (
+                0.0001 if platform_name == "pxa255" else 0.001)
             platform.thermal.throttled = platform.cpu.throttled = True
-        sched = InstrumentedScheduler(platform, max_chunk_s=0.004)
-        acts = self._compiles()
-        if many:
-            sched.execute_many(acts)
-        else:
-            for a in acts:
-                sched.execute(a)
-        return sched
+        sched = InstrumentedScheduler(platform, max_chunk_s=0.01)
+        table = self._methods()
+        base = BaselineCompiler(platform.name)
+        costs = sched.exec_model.cost_rows(base.activity_rows(table))
+        commit = sched._commit_batch
+        sched.cut_runs = 0
 
+        def counting_commit(batch, component, tags):
+            consumed = commit(batch, component, tags)
+            if consumed < len(batch) and len(set(tags)) > 1:
+                sched.cut_runs += 1  # a run of compiles, cut short
+            return consumed
+
+        sched._commit_batch = counting_commit
+        for lo, hi in ((0, 40), (40, 41), (41, 120)):
+            if lo:
+                sched.execute(act(Component.APP, instructions=3_000_000))
+            if rows:
+                ids = np.arange(lo, hi)
+                base.compile_rows(table, ids)
+                sched.execute_rows(costs[ids])
+            else:
+                for m in table.methods[lo:hi]:
+                    sched.execute(base.compile(m))
+        return sched, table
+
+    @pytest.mark.parametrize("platform_name", ["p6", "pxa255"])
     @pytest.mark.parametrize("thermal", [None, "trip", "release"])
-    def test_execute_many_equals_execute_loop(self, thermal):
-        loop = self._run_many(False, thermal)
-        many = self._run_many(True, thermal)
+    def test_execute_rows_equals_execute_loop(self, platform_name,
+                                              thermal):
+        loop, loop_table = self._run_compiles(platform_name, False,
+                                              thermal)
+        rows, rows_table = self._run_compiles(platform_name, True,
+                                              thermal)
         # The throttle latch flips inside the first run of compiles, so
         # a batch is flushed and its rest re-costed mid-run.
-        assert many.platform.cpu.throttled == (thermal == "trip")
-        a, b = loop.finish(), many.finish()
+        assert rows.platform.cpu.throttled == (thermal == "trip")
+        assert rows.cut_runs == (thermal is not None)
+        a, b = loop.finish(), rows.finish()
         assert list(a) == list(b)
         assert a.to_columns()["tags"] == b.to_columns()["tags"]
-        assert loop.sim_now_s == many.sim_now_s
-        assert loop.now_cycle == many.now_cycle
-        assert loop.port_writes == many.port_writes
+        assert loop.sim_now_s == rows.sim_now_s
+        assert loop.now_cycle == rows.now_cycle
+        assert loop.port_writes == rows.port_writes
         assert (loop.platform.port.history()
-                == many.platform.port.history())
+                == rows.platform.port.history())
         assert (loop.platform.thermal.temperature_c
-                == many.platform.thermal.temperature_c)
+                == rows.platform.thermal.temperature_c)
         assert (loop.platform.counters.snapshot(0).values
-                == many.platform.counters.snapshot(0).values)
-        assert loop.throttle_episodes == many.throttle_episodes
+                == rows.platform.counters.snapshot(0).values)
+        assert loop.throttle_episodes == rows.throttle_episodes
+        for column in ("quality", "tier", "compile_count"):
+            assert (getattr(loop_table.columns, column).tolist()
+                    == getattr(rows_table.columns, column).tolist())
+
+    def test_kaffe_style_rows_loop_over_execute(self, p6):
+        table = self._methods(8)
+        base = BaselineCompiler(p6.name)
+        sched = InstrumentedScheduler(p6, style="kaffe")
+        sched.execute_rows(
+            sched.exec_model.cost_rows(base.activity_rows(table)))
+        # Each compile is entered and exited like an execute() call.
+        assert sched.port_writes == 2 * len(table)
 
     def test_batched_timeline_validates(self, p6):
         sched = InstrumentedScheduler(p6, max_chunk_s=0.004)
