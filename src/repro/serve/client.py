@@ -25,6 +25,10 @@ SERVER_ENV = "REPRO_SERVER"
 #: unintelligible.
 DEFAULT_RETRY_AFTER_S = 1.0
 
+#: Floor on the wait between retried submissions, so a zero hint (a
+#: past HTTP-date, ``Retry-After: 0``) backs off instead of spinning.
+MIN_RETRY_BACKOFF_S = 0.05
+
 
 def default_server_url():
     return os.environ.get(
@@ -144,7 +148,8 @@ class ServiceClient:
         """POST a spec body; returns the job dict (with ``outcome``).
 
         With ``retry=True`` a 429 is retried after the server's
-        ``Retry-After`` hint until *max_wait_s* is exhausted.
+        ``Retry-After`` hint (at least :data:`MIN_RETRY_BACKOFF_S`)
+        until *max_wait_s* is exhausted.
         """
         content_type = {
             "json": "application/json",
@@ -158,13 +163,11 @@ class ServiceClient:
                 return self._json("/v1/jobs", data=raw,
                                   content_type=content_type)
             except ServiceBusy as exc:
-                if not retry:
+                remaining = deadline - time.monotonic()
+                if not retry or remaining <= 0:
                     raise
-                wait = min(exc.retry_after_s,
-                           max(0.0, deadline - time.monotonic()))
-                if wait <= 0:
-                    raise
-                time.sleep(wait)
+                time.sleep(min(max(exc.retry_after_s,
+                                   MIN_RETRY_BACKOFF_S), remaining))
 
     def submit_file(self, path, retry=False, max_wait_s=60.0):
         """Submit a ``.toml``/``.json`` spec file."""

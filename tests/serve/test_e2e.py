@@ -2,9 +2,11 @@
 
 N concurrent clients submit a mix of K distinct specs (K < N) over
 real HTTP; the service must execute exactly K simulations (verified
-via ``/v1/metrics``), serve result bytes identical to a direct
-``repro run --spec``-equivalent execution, and answer ``429`` with
-``Retry-After`` when the bounded queue is full.
+via ``/v1/metrics``) in either worker mode, serve result bytes
+identical to a direct ``repro run --spec``-equivalent execution, and
+answer ``429`` with ``Retry-After`` when the bounded queue is full.
+Two process-mode instances sharing one store must run each spec once
+between them.
 """
 
 import threading
@@ -36,53 +38,75 @@ HEAPS = (32, 40, 48)           # K = 3 distinct specs
 N_CLIENTS = 9                  # N = 9 concurrent submitters
 
 
-class TestAcceptance:
-    def test_n_clients_k_specs_exactly_k_executions(self, tmp_path):
-        server = ServiceServer(
-            host="127.0.0.1", port=0, queue_size=8, job_workers=2,
-            use_cell_cache=False, result_dir=tmp_path / "results",
-        )
-        server.start()
+def start_server(result_dir, **kwargs):
+    kwargs.setdefault("job_workers", 2)
+    server = ServiceServer(
+        host="127.0.0.1", port=0, queue_size=8, use_cell_cache=False,
+        result_dir=result_dir, **kwargs,
+    )
+    return server.start()
+
+
+def storm(submissions):
+    """Submit every ``(url, heap)`` pair from its own client thread,
+    all released at once, and wait for every job to finish."""
+    finals = []
+    errors = []
+    barrier = threading.Barrier(len(submissions))
+
+    def submit(url, heap):
+        client = ServiceClient(url, timeout_s=30.0)
+        barrier.wait()
         try:
-            outcomes = []
-            errors = []
-            barrier = threading.Barrier(N_CLIENTS)
+            job = client.submit_bytes(
+                spec_toml(heap), fmt="toml", retry=True,
+                max_wait_s=60.0,
+            )
+            finals.append(client.wait(job["id"], timeout_s=120.0))
+        except Exception as exc:  # noqa: BLE001 - collected
+            errors.append(exc)
 
-            def submit(index):
-                client = ServiceClient(server.url, timeout_s=30.0)
-                heap = HEAPS[index % len(HEAPS)]
-                barrier.wait()
-                try:
-                    job = client.submit_bytes(
-                        spec_toml(heap), fmt="toml", retry=True,
-                        max_wait_s=60.0,
-                    )
-                    final = client.wait(job["id"], timeout_s=120.0)
-                    outcomes.append((heap, job["outcome"], final))
-                except Exception as exc:  # noqa: BLE001 - collected
-                    errors.append(exc)
+    threads = [
+        threading.Thread(target=submit, args=pair)
+        for pair in submissions
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(180.0)
+    assert not errors, errors
+    assert len(finals) == len(submissions)
+    assert all(final["state"] == "done" for final in finals)
 
-            threads = [
-                threading.Thread(target=submit, args=(i,))
-                for i in range(N_CLIENTS)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(180.0)
-            assert not errors, errors
-            assert len(outcomes) == N_CLIENTS
-            assert all(final["state"] == "done"
-                       for _, _, final in outcomes)
+
+class TestAcceptance:
+    @pytest.mark.parametrize("worker_mode, job_trace", [
+        ("thread", False), ("process", False), ("thread", True),
+    ], ids=["thread", "process", "thread-traced"])
+    def test_n_clients_k_specs_exactly_k_executions(self, tmp_path,
+                                                    worker_mode,
+                                                    job_trace):
+        results = tmp_path / "results"
+        server = start_server(results, worker_mode=worker_mode,
+                              job_trace=job_trace)
+        try:
+            storm([(server.url, HEAPS[i % len(HEAPS)])
+                   for i in range(N_CLIENTS)])
 
             # Exactly K simulations, despite N submissions.
             client = ServiceClient(server.url, timeout_s=10.0)
-            counters = client.metrics()["counters"]
+            metrics = client.metrics()
+            counters = metrics["counters"]
             assert counters["serve.jobs_executed"] == len(HEAPS)
             assert counters["serve.cells_executed"] == len(HEAPS)
             dedup = (counters.get("serve.jobs_coalesced", 0)
                      + counters.get("serve.result_cache_hits", 0))
             assert dedup == N_CLIENTS - len(HEAPS)
+            assert metrics["derived"]["dedup_rate"] == pytest.approx(
+                (N_CLIENTS - len(HEAPS)) / N_CLIENTS)
+            # One trace spool per executed job, none when untraced.
+            spools = list(results.rglob("*.spans"))
+            assert len(spools) == (len(HEAPS) if job_trace else 0)
 
             # Result bytes are identical to a direct in-process run
             # of the same spec (what `repro run --spec` executes).
@@ -166,3 +190,27 @@ class TestAcceptance:
         finally:
             gate.set()
             server.stop(drain_timeout=15.0)
+
+
+class TestTwoProcessInstances:
+    def test_shared_store_executes_each_spec_once(self, tmp_path):
+        """Every spec raced into two process-mode instances on one
+        store runs once between them: the per-key lease file is the
+        only lock that crosses their worker processes."""
+        store = tmp_path / "shared"
+        servers = [start_server(store, worker_mode="process",
+                                job_workers=1) for _ in range(2)]
+        try:
+            storm([(server.url, heap)
+                   for server in servers for heap in HEAPS])
+            counters = [
+                ServiceClient(server.url).metrics()["counters"]
+                for server in servers
+            ]
+            executed_total = sum(c.get("serve.jobs_executed", 0)
+                                 for c in counters)
+            assert executed_total == len(HEAPS)
+            assert not list(store.rglob("*.lease"))
+        finally:
+            for server in servers:
+                server.stop(drain_timeout=30.0)

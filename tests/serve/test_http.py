@@ -166,6 +166,41 @@ class TestClientErrors:
         assert err.retry_after_s == 3.0
         assert err.status == 429
 
+    @staticmethod
+    def busy_client(monkeypatch, n_busy):
+        """A client whose first *n_busy* submissions get a 429 with a
+        zero ``Retry-After``; returns ``(client, calls)``."""
+        calls = []
+
+        def fake_json(path, data=None, content_type=None):
+            calls.append(path)
+            if len(calls) <= n_busy:
+                raise ServiceBusy(429, {"error": "full"}, 0.0)
+            return {"id": "job", "outcome": "queued"}
+
+        client = ServiceClient("http://127.0.0.1:9", timeout_s=1.0)
+        monkeypatch.setattr(client, "_json", fake_json)
+        return client, calls
+
+    def test_zero_retry_after_is_retried_until_accepted(self,
+                                                         monkeypatch):
+        client, calls = self.busy_client(monkeypatch, n_busy=2)
+        job = client.submit_bytes(SPEC_TOML, fmt="toml", retry=True,
+                                  max_wait_s=5.0)
+        assert job["outcome"] == "queued"
+        assert len(calls) == 3
+
+    def test_zero_retry_after_backs_off_until_the_deadline(
+            self, monkeypatch):
+        from repro.serve.client import MIN_RETRY_BACKOFF_S
+
+        client, calls = self.busy_client(monkeypatch, n_busy=10**6)
+        with pytest.raises(ServiceBusy):
+            client.submit_bytes(SPEC_TOML, fmt="toml", retry=True,
+                                max_wait_s=0.2)
+        # Retried, but spaced by the floor rather than spinning.
+        assert 2 <= len(calls) <= 0.2 / MIN_RETRY_BACKOFF_S + 2
+
 
 class TestRetryAfterParsing:
     """``Retry-After`` may be delta-seconds or an HTTP-date (RFC 9110);

@@ -1,12 +1,15 @@
-"""The service smoke run, in process: a traced server on a real socket,
-the quickstart scenario submitted twice through ``repro submit``, and
-every check made on what it served.
-
-CI keeps only the steps that need a separate process (start the server,
-``repro submit --wait``, a SIGTERM drain); the assertions live here.
+"""The service smoke run: a traced server on a real socket, the
+quickstart scenario submitted twice through ``repro submit``, and every
+check made on what it served; then ``repro serve`` in its own process,
+drained by SIGTERM with the quickstart job in flight.
 """
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,11 +22,12 @@ from repro.serve.server import (
     build_result_payload,
     encode_result,
 )
+from repro.serve.store import ResultStore
 from repro.spec import ScenarioSpec
 from tests.obs.test_exposition import parse_exposition
 
-QUICKSTART = (Path(__file__).resolve().parents[2] / "examples"
-              / "scenarios" / "quickstart.toml")
+REPO = Path(__file__).resolve().parents[2]
+QUICKSTART = REPO / "examples" / "scenarios" / "quickstart.toml"
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +102,39 @@ def test_job_trace_fetched_by_the_cli(smoke):
     assert any(row.startswith("service pid ") for row in rows), rows
     (meta,) = [e for e in events if e.get("name") == "repro_job_trace"]
     assert meta["args"]["trace_id"]
+
+
+def test_sigterm_drains_the_in_flight_job(smoke, tmp_path):
+    """SIGTERM with a job queued or running: the job still finishes
+    into the store, the final metrics are logged and the exit is 0."""
+    _, _, served, _ = smoke
+    results = tmp_path / "results"
+    log = tmp_path / "serve.log"
+    with log.open("w") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "--verbose", "serve",
+             "--port", "0", "--job-workers", "1", "--no-cache",
+             "--result-dir", str(results)],
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+            stdout=subprocess.PIPE, stderr=stderr, text=True,
+        )
+        try:
+            url = re.search(r"listening on (\S+)",
+                            proc.stdout.readline()).group(1)
+            job = ServiceClient(url, timeout_s=10.0).submit_file(QUICKSTART)
+            assert job["state"] in ("queued", "running")
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=120) == 0, log.read_text()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+    assert ResultStore(results).get_bytes(job["id"]) == served.read_bytes()
+    records = {}
+    for line in log.read_text().splitlines():
+        if line.startswith("{"):
+            record = json.loads(line)
+            records[record["event"]] = record
+    assert "serve.final_metrics" in records
+    assert records["serve.stopped"]["clean"] is True

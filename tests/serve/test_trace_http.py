@@ -10,6 +10,7 @@ files.
 
 import pytest
 
+from repro.obs.distributed import TraceContext, span_record, write_spool
 from repro.serve import ServiceClient, ServiceError
 from repro.serve.server import ServiceServer
 from tests.obs.test_exposition import parse_exposition
@@ -130,6 +131,38 @@ class TestTracingDisabled:
             assert excinfo.value.status == 404
         finally:
             server.stop(drain_timeout=10.0)
+
+    @pytest.mark.parametrize("job_trace", [False, True],
+                             ids=["off", "on"])
+    def test_tracing_hooks_run_only_when_tracing_is_on(
+            self, tmp_path, monkeypatch, job_trace):
+        """Tracing off costs nothing: a real job never builds a trace
+        context, records a span or writes a spool.  The traced run
+        proves the counters sit on the live call sites."""
+        hooks = {
+            "repro.serve.server.TraceContext.for_job":
+                TraceContext.for_job,
+            "repro.serve.server.span_record": span_record,
+            "repro.serve.pool.write_spool": write_spool,
+        }
+        calls = dict.fromkeys(hooks, 0)
+        for target, original in hooks.items():
+            def counted(*args, _target=target, _original=original,
+                        **kwargs):
+                calls[_target] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(target, counted)
+        server = make_server(tmp_path, "counted", job_trace=job_trace)
+        try:
+            job = run_job(ServiceClient(server.url, timeout_s=10.0))
+            assert job["state"] == "done"
+        finally:
+            server.stop(drain_timeout=10.0)
+        if job_trace:
+            assert all(calls.values()), calls
+        else:
+            assert calls == dict.fromkeys(hooks, 0)
 
 
 class TestMetricsExposition:
