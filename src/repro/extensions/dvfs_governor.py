@@ -151,18 +151,28 @@ class GovernedScheduler(InstrumentedScheduler):
             if scale != self.platform.cpu.dvfs.freq_scale:
                 self.platform.cpu.set_dvfs(scale)
 
-    def _commit_batch(self, batch, component, tags):
+    def _commit_batch(self, batch, components, tags):
+        # Port writes are not observed (see _append): they neither feed
+        # the governor's window nor cut the batch.
         instructions = batch.instructions.tolist()
         cycles = batch.cycles.tolist()
+        observed = [i for i, tag in enumerate(tags[:len(batch)])
+                    if tag != "port-write"]
         change = self.governor.first_change(
-            instructions, cycles, self.platform.cpu.dvfs.freq_scale
+            [instructions[i] for i in observed],
+            [cycles[i] for i in observed],
+            self.platform.cpu.dvfs.freq_scale,
         )
         if change is not None:
-            batch = batch[:change + 1]
-        consumed = super()._commit_batch(batch, component, tags)
+            batch = batch[:observed[change] + 1]
+        consumed = super()._commit_batch(batch, components, tags)
         end_cycles = batch.end_cycles[:consumed].tolist()
-        for n, c, end in zip(instructions, cycles, end_cycles):
-            scale = self.governor.observe_row(n, c, end)
+        scale = self.platform.cpu.dvfs.freq_scale
+        for i in observed:
+            if i >= consumed:
+                break
+            scale = self.governor.observe_row(
+                instructions[i], cycles[i], end_cycles[i])
         if scale != self.platform.cpu.dvfs.freq_scale:
             self.platform.cpu.set_dvfs(scale)
         return consumed

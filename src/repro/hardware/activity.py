@@ -25,7 +25,8 @@ on the Pentium M — while on the PXA255, whose in-order core is cheap to
 stall but has no L2 to miss in, the relative ordering inverts.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+from typing import Optional
 
 import numpy as np
 
@@ -58,13 +59,15 @@ class Activity:
 
 @dataclass
 class SegmentBatch:
-    """Column-oriented output of :meth:`ExecutionModel.run_batch`.
+    """Column-oriented output of :meth:`ExecutionModel.run_batch` and
+    :meth:`ExecutionModel.run_rows`.
 
-    One row per chunk of a single activity, all costed under one CPU
-    state (DVFS point, throttle duty cycle).  The scheduler commits a
-    prefix of the batch to the timeline — the whole batch normally, a
-    shorter prefix when the thermal model flips the throttle latch
-    mid-batch and the remaining chunks must be re-costed.
+    One row per segment (the chunks of one activity, or a run of rows),
+    all costed under one CPU state (DVFS point, throttle duty cycle).
+    The scheduler commits a prefix of the batch to the timeline — the
+    whole batch normally, a shorter prefix when the thermal model flips
+    the throttle latch mid-batch and the remaining rows must be
+    re-costed.
     """
 
     start_cycles: np.ndarray   # int64
@@ -90,55 +93,73 @@ class SegmentBatch:
         return self.end_cycles - self.start_cycles
 
 
+#: :class:`ActivityRows` columns that may be given as one value shared
+#: by every row, with their dtypes.
+_SHARED_COLUMNS = {
+    "component": np.int64,
+    "hot_bytes": np.int64,
+    "locality": np.float64,
+    "spatial_factor": np.float64,
+    "refs_per_instr": np.float64,
+    "l1_miss_rate": np.float64,
+    "mix_factor": np.float64,
+    "cpi_scale": np.float64,
+}
+
+
 @dataclass
 class ActivityRows:
-    """Activities of one component and one locality profile, as columns.
+    """Activities as columns, one row per activity.
 
-    Each row has its own instruction count, footprint and tag (one
-    baseline compile per method of a table, say); everything else is
-    shared.  :meth:`ExecutionModel.cost_rows` costs every row at once.
+    Every row has its own component, instruction count, footprint, tag
+    and locality profile, so one instance can hold the baseline compile
+    of every method of a table or rows of several components.  The
+    columns after ``tags`` (and ``component``) may be given as one value
+    for every row; they become read-only broadcast columns, which take
+    no memory per row.  :meth:`ExecutionModel.cost_rows` costs every
+    row at once.
     """
 
-    component: int
-    instructions: np.ndarray     # int64, positive
+    component: np.ndarray        # int64
+    instructions: np.ndarray     # int64, non-negative
     footprint_bytes: np.ndarray  # int64
     tags: np.ndarray             # object (str)
-    hot_bytes: int
-    locality: float
-    spatial_factor: float
-    refs_per_instr: float
-    l1_miss_rate: float
-    mix_factor: float = 1.0
-    cpi_scale: float = 1.0
+    hot_bytes: np.ndarray        # int64
+    locality: np.ndarray         # float64
+    spatial_factor: np.ndarray   # float64
+    refs_per_instr: np.ndarray   # float64
+    l1_miss_rate: np.ndarray     # float64
+    mix_factor: np.ndarray = 1.0
+    cpi_scale: np.ndarray = 1.0
 
     def __post_init__(self):
-        if (self.instructions <= 0).any():
-            raise ConfigurationError("activity rows need instructions")
+        n = len(self.instructions)
+        for name, dtype in _SHARED_COLUMNS.items():
+            value = getattr(self, name)
+            if not isinstance(value, np.ndarray):
+                setattr(self, name, np.broadcast_to(
+                    np.asarray(value, dtype=dtype), (n,)))
+        if (self.instructions < 0).any():
+            raise ConfigurationError("instruction count cannot be negative")
 
     def __len__(self):
         return len(self.instructions)
 
-    def __getitem__(self, rows):
-        """Rows *rows* (a slice or an index array)."""
-        return replace(self, instructions=self.instructions[rows],
-                       footprint_bytes=self.footprint_bytes[rows],
-                       tags=self.tags[rows])
-
     def activity(self, row):
         """Row *row* as an :class:`Activity`."""
         return Activity(
-            component=self.component,
+            component=int(self.component[row]),
             instructions=int(self.instructions[row]),
             behavior=MemoryBehavior(
                 footprint_bytes=int(self.footprint_bytes[row]),
-                hot_bytes=self.hot_bytes,
-                locality=self.locality,
-                spatial_factor=self.spatial_factor,
+                hot_bytes=int(self.hot_bytes[row]),
+                locality=float(self.locality[row]),
+                spatial_factor=float(self.spatial_factor[row]),
             ),
-            refs_per_instr=self.refs_per_instr,
-            l1_miss_rate=self.l1_miss_rate,
-            mix_factor=self.mix_factor,
-            cpi_scale=self.cpi_scale,
+            refs_per_instr=float(self.refs_per_instr[row]),
+            l1_miss_rate=float(self.l1_miss_rate[row]),
+            mix_factor=float(self.mix_factor[row]),
+            cpi_scale=float(self.cpi_scale[row]),
             tag=self.tags[row],
         )
 
@@ -146,28 +167,69 @@ class ActivityRows:
 @dataclass
 class CostedRows:
     """:class:`ActivityRows` costed by :meth:`ExecutionModel.cost_rows`:
-    everything about each row that does not depend on the CPU state.
+    everything about each row that running it needs and that does not
+    depend on the CPU state.
 
     Each element equals what :meth:`ExecutionModel.cost` gives the
-    row's :meth:`~ActivityRows.activity`, with the IPC replaced by the
-    power model's ``u ** gamma`` term.
+    row's activity, with the IPC replaced by the power model's
+    ``u ** gamma`` term.  ``activities`` is the table the rows were
+    costed from and ``source`` each row's row of it, so a scheduler can
+    re-cost a row longer than one of its chunks chunk by chunk; rows
+    joined from several tables have neither.
     """
 
-    activities: ActivityRows
+    component: np.ndarray      # int64
+    instructions: np.ndarray   # int64
+    tags: np.ndarray           # object (str)
+    mix_factor: np.ndarray     # float64
     cycles: np.ndarray         # int64
     l2_accesses: np.ndarray    # float64
     l2_misses: np.ndarray      # float64
     mem_accesses: np.ndarray   # float64
     power_terms: np.ndarray    # float64
+    source: Optional[np.ndarray] = None
+    activities: Optional[ActivityRows] = None
 
     def __len__(self):
         return len(self.cycles)
 
+    @classmethod
+    def _of(cls, fields):
+        """An instance holding *fields* (in field order), taken from
+        instances that were built already; skips the dataclass
+        constructor, whose cost shows on small streams."""
+        rows = object.__new__(cls)
+        rows.__dict__.update(zip(_COSTED_FIELDS, fields))
+        return rows
+
     def __getitem__(self, rows):
         """Rows *rows* (a slice or an index array) of every column."""
-        return CostedRows(self.activities[rows],
-                          *(getattr(self, f.name)[rows]
-                            for f in fields(self)[1:]))
+        columns = self.__dict__
+        source = self.source
+        return self._of([
+            *[columns[name][rows] for name in COSTED_COLUMNS],
+            None if source is None else source[rows], self.activities,
+        ])
+
+    def activity(self, row):
+        """Row *row* as an :class:`Activity`."""
+        return self.activities.activity(int(self.source[row]))
+
+    @classmethod
+    def concat(cls, parts):
+        """The rows of *parts*, in order, as one instance of their
+        columns alone."""
+        return cls._of([
+            *[np.concatenate([p.__dict__[name] for p in parts])
+              for name in COSTED_COLUMNS],
+            None, None,
+        ])
+
+
+_COSTED_FIELDS = tuple(f.name for f in fields(CostedRows))
+
+#: The columns of :class:`CostedRows` that every row has, in order.
+COSTED_COLUMNS = _COSTED_FIELDS[:-2]
 
 
 class ExecutionModel:
@@ -237,8 +299,9 @@ class ExecutionModel:
     def cost_rows(self, rows):
         """Cost every row of an :class:`ActivityRows` in one pass;
         returns :class:`CostedRows`.  The L2 miss rate is computed over
-        the footprint column, so each row's numbers are bit-identical
-        to :meth:`cost` of its activity."""
+        the footprint and profile columns, so each row's numbers
+        (zero cycles for a row with no instructions included) are
+        bit-identical to :meth:`cost` of its activity."""
         l2_miss_rate = (
             self._l2_model.miss_rates(
                 rows.footprint_bytes, rows.hot_bytes, rows.locality,
@@ -251,15 +314,18 @@ class ExecutionModel:
             rows.refs_per_instr, rows.l1_miss_rate, rows.cpi_scale,
         )
         return CostedRows(
-            rows, cycles, l2_acc, l2_miss, mem_acc,
+            rows.component, rows.instructions, rows.tags, rows.mix_factor,
+            cycles, l2_acc, l2_miss, mem_acc,
             self.power_model.utilization_terms(ipc),
+            np.arange(len(rows)), rows,
         )
 
     def _cost_columns(self, instr, l2_miss_rate, refs_per_instr,
                       l1_miss_rate, cpi_scale):
-        """:meth:`cost`'s arithmetic over a float64 array of positive
-        instruction counts; ``l2_miss_rate`` is a scalar or one rate per
-        element (``None`` without an L2)."""
+        """:meth:`cost`'s arithmetic over a float64 array of
+        non-negative instruction counts; every other argument is a
+        scalar or one value per element (``l2_miss_rate`` is ``None``
+        without an L2)."""
         spec = self.cpu.spec
         l1_misses = instr * refs_per_instr * l1_miss_rate
 
@@ -285,10 +351,11 @@ class ExecutionModel:
             * exposed
         )
         cpi = spec.base_cpi * cpi_scale + stall_cpi
+        # At least one cycle, as in cost(); none without instructions.
         cycles = np.maximum(
-            1, np.rint(instr * cpi).astype(np.int64)
+            instr > 0, np.rint(instr * cpi).astype(np.int64)
         )
-        ipc = instr / cycles
+        ipc = instr / np.maximum(cycles, 1)
         return cycles, l2_accesses, l2_misses, mem_accesses, ipc
 
     def run_batch(self, activity, instructions, start_cycle):
@@ -378,16 +445,19 @@ class ExecutionModel:
         cycles = costed.cycles
         end_cycles = start_cycle + np.cumsum(cycles)
         durations = cycles / self.cpu.effective_clock_hz
+        l2_accesses, l2_misses, mem_accesses = np.rint(np.array(
+            (costed.l2_accesses, costed.l2_misses, costed.mem_accesses)
+        )).astype(np.int64)
         return SegmentBatch(
             start_cycles=end_cycles - cycles,
             end_cycles=end_cycles,
-            instructions=costed.activities.instructions,
-            l2_accesses=np.rint(costed.l2_accesses).astype(np.int64),
-            l2_misses=np.rint(costed.l2_misses).astype(np.int64),
-            mem_accesses=np.rint(costed.mem_accesses).astype(np.int64),
+            instructions=costed.instructions,
+            l2_accesses=l2_accesses,
+            l2_misses=l2_misses,
+            mem_accesses=mem_accesses,
             cpu_power_w=self.power_model.power_w_from_terms(
                 costed.power_terms,
-                mix_factor=costed.activities.mix_factor,
+                mix_factor=costed.mix_factor,
                 dvfs=self.cpu.dvfs,
                 duty_cycle=self.cpu.duty_cycle,
             ),

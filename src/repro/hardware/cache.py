@@ -119,20 +119,22 @@ class AnalyticCacheModel:
 
     def miss_rates(self, footprint_bytes, hot_bytes, locality,
                    spatial_factor):
-        """:meth:`miss_rate` over a column of footprints that share one
-        hot set, locality and spatial factor; every element is
-        bit-identical to the scalar rate of its behavior."""
+        """:meth:`miss_rate` over columns of footprints, hot-set sizes,
+        localities and spatial factors (each but the footprints may be
+        one value for every element); every element is bit-identical
+        to the scalar rate of its behavior."""
         cap = float(self.capacity_bytes)
-        hot = float(hot_bytes)
+        hot_bytes = np.asarray(hot_bytes, dtype=np.int64)
+        hot = hot_bytes.astype(np.float64)
         cold = np.maximum(
             np.asarray(footprint_bytes, dtype=np.int64) - hot_bytes, 0
         ).astype(np.float64)
-        hot_coverage = min(1.0, cap / hot) if hot > 0 else 1.0
-        cap_left = max(cap - min(hot, cap), 0.0)
-        has_cold = cold > 0
+        # Sizes are whole bytes, so a size of 0.5 stands in for an empty
+        # set: the hot coverage comes out 1.0, as for an empty hot set.
+        hot_coverage = np.minimum(1.0, cap / np.maximum(hot, 0.5))
+        cap_left = cap - np.minimum(hot, cap)
         cold_coverage = np.where(
-            has_cold,
-            np.minimum(1.0, cap_left / np.where(has_cold, cold, 1.0)),
+            cold > 0, np.minimum(1.0, cap_left / np.maximum(cold, 0.5)),
             1.0,
         )
         hot_miss = (1.0 - hot_coverage) * spatial_factor

@@ -17,6 +17,8 @@ depends on whether the fan is running:
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 
@@ -143,11 +145,11 @@ class ThermalModel:
         throttled = self.throttled
         history = self._history
         consumed = 0
-        for i in range(n):
-            dt = float(dt_s[i])
+        for power, dt in zip(np.asarray(power_w, dtype=np.float64).tolist(),
+                             np.asarray(dt_s, dtype=np.float64).tolist()):
             if dt < 0:
                 raise ConfigurationError("dt must be non-negative")
-            t_inf = ambient + float(power_w[i]) * resistance
+            t_inf = ambient + power * resistance
             decay = math.exp(-dt / tau)
             temperature = t_inf + (temperature - t_inf) * decay
             consumed += 1

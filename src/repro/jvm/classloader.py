@@ -17,9 +17,12 @@ pays a storage-read stall, which the paper's warm-up run removes — the
 warm-up before measuring.
 """
 
+import copy
 from dataclasses import dataclass
 
-from repro.hardware.activity import Activity
+import numpy as np
+
+from repro.hardware.activity import Activity, ActivityRows
 from repro.hardware.cache import MemoryBehavior
 from repro.jvm.components import Component
 from repro.jvm.profiles import profile_for
@@ -86,18 +89,30 @@ class ClassLoader:
             if spec.is_system:
                 self._loaded.add(spec.name)
 
+    def _admit(self, spec):
+        """Record the dynamic load of *spec* if it needs one; return
+        whether it did."""
+        if not self.needs_load(spec):
+            return False
+        self._loaded.add(spec.name)
+        self.loads += 1
+        self.loaded_bytes += spec.file_bytes
+        return True
+
+    def load_all(self, specs):
+        """Record the dynamic loads that touching each of *specs* in
+        turn triggers; return how many there were.  Their work is
+        priced beforehand, by :meth:`activity_rows`."""
+        return sum(map(self._admit, specs))
+
     def load(self, spec, warm=True):
         """Load *spec*; return the :class:`Activity` performing the work.
 
         Returns ``None`` when no dynamic load is needed (already loaded,
         or system class satisfied by the boot image).
         """
-        if not self.needs_load(spec):
+        if not self._admit(spec):
             return None
-        self._loaded.add(spec.name)
-        self.loads += 1
-        self.loaded_bytes += spec.file_bytes
-
         instr = (
             spec.file_bytes * LOAD_INSTR_PER_BYTE + LOAD_FIXED_INSTR
         )
@@ -125,4 +140,39 @@ class ClassLoader:
             mix_factor=profile.mix,
             cpi_scale=profile.cpi_scale,
             tag=f"classload:{spec.name}",
+        )
+
+    def activity_rows(self, specs, warm=True):
+        """:meth:`load` of each of *specs* in turn, as
+        :class:`~repro.hardware.activity.ActivityRows` of the loads it
+        triggers, in load order.  Nothing is loaded: a copy of this
+        loader does the bookkeeping."""
+        probe = copy.copy(self)
+        probe._loaded = set(self._loaded)
+        loads = [spec for spec in specs if probe._admit(spec)]
+        sizes = np.array([spec.file_bytes for spec in loads],
+                         dtype=np.int64)
+        instr = sizes * LOAD_INSTR_PER_BYTE + LOAD_FIXED_INSTR
+        if not warm:
+            instr += sizes * COLD_READ_INSTR_PER_BYTE
+        instr = (instr * self.loader_factor).astype(np.int64)
+        if self.platform_name == "pxa255":
+            instr = (instr * PXA255_STORAGE_FACTOR).astype(np.int64)
+        profile = profile_for(self.platform_name, "classloader")
+        tags = np.empty(len(loads), dtype=object)
+        tags[:] = [f"classload:{spec.name}" for spec in loads]
+        return ActivityRows(
+            component=Component.CL,
+            instructions=instr,
+            footprint_bytes=np.maximum(
+                (self.loaded_bytes + np.cumsum(sizes)) * 2, 512 * 1024
+            ),
+            tags=tags,
+            hot_bytes=profile.hot_bytes,
+            locality=profile.locality,
+            spatial_factor=profile.spatial,
+            refs_per_instr=profile.refs_per_instr,
+            l1_miss_rate=profile.l1_miss_rate,
+            mix_factor=profile.mix,
+            cpi_scale=profile.cpi_scale,
         )

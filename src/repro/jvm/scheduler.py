@@ -22,10 +22,19 @@ refreshed so that a thermal emergency (Figure 1) halves the duty cycle of
 everything that follows.
 """
 
+from functools import reduce
+from itertools import accumulate
+from operator import add
+
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.hardware.activity import SegmentBatch
+from repro.hardware.activity import (
+    COSTED_COLUMNS,
+    CostedRows,
+    SegmentBatch,
+    instr_round,
+)
 from repro.jvm.components import Component
 from repro.obs import NULL_OBS
 from repro.obs.tracer import SimSpanOpen
@@ -46,10 +55,10 @@ class InstrumentedScheduler:
     DEFAULT_CHUNK_S = 0.05
 
     #: Most rows :meth:`execute_rows` commits in one batch.  Any split
-    #: commits the same rows; this one keeps every per-batch temporary
-    #: (a column array of at most 32 items) in the small-block
-    #: allocators instead of the process heap.
-    RUN_ROWS = 32
+    #: commits the same rows.  Each batch has a fixed cost, and at 256
+    #: all but the first-call compile bursts early in a Jikes run
+    #: commit a slice's whole stream in one batch.
+    RUN_ROWS = 256
 
     def __init__(self, platform, style="jikes", max_chunk_s=None,
                  obs=None):
@@ -80,15 +89,11 @@ class InstrumentedScheduler:
         self._open_component = None   # SimSpanOpen for the current run
         self._throttle_from = None    # sim time the throttle latched
         self.throttle_episodes = 0
+        self._port_rows = {}
 
     @property
     def now_cycle(self):
         return self._cycle
-
-    @property
-    def now_s(self):
-        """Wall time elapsed so far."""
-        return self.timeline.duration_s
 
     @property
     def sim_now_s(self):
@@ -150,6 +155,19 @@ class InstrumentedScheduler:
         # same ID; Jikes-style scheduling has no exits.
         self._write_port(self._stack[-1], force=self.style == "kaffe")
 
+    def _port_row(self, component):
+        """A port write latching *component*, as a one-row stream piece
+        (cached; pieces are never written)."""
+        piece = self._port_rows.get(component)
+        if piece is None:
+            piece = self._port_rows[component] = CostedRows(
+                np.array([component]), np.array([PORT_WRITE_INSTR]),
+                np.array(["port-write"], dtype=object), np.ones(1),
+                np.array([self.platform.port.write_cost_cycles]),
+                np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1),
+            )
+        return piece
+
     # -- execution ------------------------------------------------------
 
     def execute(self, activity):
@@ -163,44 +181,64 @@ class InstrumentedScheduler:
             self._write_port(component)
             self._emit_chunks(activity)
 
-    def execute_rows(self, costed):
-        """Run precomputed activity rows
-        (:class:`~repro.hardware.activity.CostedRows`) in order, exactly
-        as calling :meth:`execute` on each row's activity in turn would.
+    def execute_rows(self, *parts):
+        """Run *parts* in order as one stream, exactly as calling
+        :meth:`execute` on each row's activity in turn would; return the
+        simulated-time cursor before the first row and after each row.
 
-        Rows are committed :attr:`RUN_ROWS` at a time, with per-row
-        tags, through :meth:`_commit_batch`: each batch's wall time and
-        power come from
-        :meth:`~repro.hardware.activity.ExecutionModel.run_rows` under
-        the CPU state in force when it starts, and the rows after a
-        throttle flip are re-costed.  A row longer than one chunk goes
-        through :meth:`_emit_chunks_batched`.  Kaffe-style entry/exit
-        scheduling loops over :meth:`execute`.
+        A part is :class:`~repro.hardware.activity.CostedRows` or a
+        sequence of :class:`~repro.hardware.activity.Activity` records,
+        which are costed here as :meth:`execute` costs them.  Rows may
+        mix components: a port-write row goes in wherever the latched
+        component changes, with :meth:`_write_port`'s elision and cost,
+        and a row with no instructions still latches its component.  A
+        row longer than one chunk is split into its chunks.  The stream
+        is committed :attr:`RUN_ROWS` rows at a time through
+        :meth:`_commit_batch`: each batch's wall time and power come
+        from :meth:`~repro.hardware.activity.ExecutionModel.run_rows`
+        under the CPU state in force when it starts, and the rows after
+        a throttle flip are re-costed.  Kaffe-style entry/exit
+        scheduling (and a port whose writes cost nothing, which leaves
+        no row to write at) loops over :meth:`execute`.
         """
-        n = len(costed)
-        if n == 0:
-            return
-        activities = costed.activities
-        if self.style != "jikes":
-            for row in range(n):
-                self.execute(activities.activity(row))
-            return
-        component = int(activities.component)
-        self._write_port(component)
-        long_rows = np.flatnonzero(costed.cycles > self.max_chunk_cycles)
-        pos = 0
-        for stop in long_rows.tolist() + [n]:
-            while pos < stop:
-                rows = costed[pos:min(stop, pos + self.RUN_ROWS)]
-                batch = self.exec_model.run_rows(rows, self._cycle)
-                pos += self._commit_batch(
-                    batch, component, rows.activities.tags
-                )
-            if stop < n:
-                activity = activities.activity(stop)
-                counts, _ = self._chunk_split(activity)
-                self._emit_chunks_batched(activity, counts)
-                pos = stop + 1
+        cursor = [self._sim_now_s]
+        port = self.platform.port
+        if self.style != "jikes" or port.write_cost_cycles == 0:
+            for part in parts:
+                for row in range(len(part)):
+                    self.execute(part.activity(row)
+                                 if isinstance(part, CostedRows)
+                                 else part[row])
+                    cursor.append(self._sim_now_s)
+            return cursor
+        builder = _StreamBuilder(self)
+        for part in parts:
+            if isinstance(part, CostedRows):
+                builder.add_rows(part)
+            else:
+                builder.add_activities(part)
+        stream, stops, writes = builder.finish()
+        ends = cursor[:]   # the cursor after each stream row
+        port_power = (self.platform.power_model.idle_power_w()
+                      * PORT_WRITE_POWER_FACTOR)
+        pos, m = 0, 0 if stream is None else len(stream)
+        while pos < m:
+            end = min(m, pos + self.RUN_ROWS)
+            rows = stream if end - pos == m else stream[pos:end]
+            batch = self.exec_model.run_rows(rows, self._cycle)
+            here = [(row - pos, component) for row, component in writes
+                    if pos <= row < end]
+            # A port write draws the same power in any CPU state.
+            batch.cpu_power_w[[row for row, _ in here]] = port_power
+            consumed = self._commit_batch(batch, rows.component, rows.tags)
+            starts = batch.start_cycles[:consumed].tolist()
+            for row, component in here:
+                if row < consumed:
+                    port.write(starts[row], component)
+            ends.extend(accumulate(batch.durations_s[:consumed].tolist(),
+                                   initial=ends.pop()))
+            pos += consumed
+        return cursor + [ends[k] for k in stops]
 
     def _chunk_split(self, activity):
         """Split an activity's instructions into chunk counts.
@@ -248,15 +286,15 @@ class InstrumentedScheduler:
         time.
         """
         counts = np.asarray(counts, dtype=np.int64)
+        components = np.full(len(counts), activity.component,
+                             dtype=np.int64)
         tags = [activity.tag] * len(counts)
         pos = 0
         while pos < len(counts):
             batch = self.exec_model.run_batch(
                 activity, counts[pos:], self._cycle
             )
-            pos += self._commit_batch(
-                batch, int(activity.component), tags[pos:]
-            )
+            pos += self._commit_batch(batch, components[pos:], tags[pos:])
 
     def idle(self, seconds, component=Component.IDLE):
         """Account an idle interval (e.g. between repetitive runs)."""
@@ -297,7 +335,9 @@ class InstrumentedScheduler:
                 ),
                 durations_s=durations,
             )
-            consumed = self._commit_batch(batch, component, ["idle"] * k)
+            consumed = self._commit_batch(
+                batch, np.full(k, component, dtype=np.int64), ["idle"] * k
+            )
             remaining -= int(cycles[:consumed].sum())
 
     def _append(self, seg):
@@ -318,40 +358,43 @@ class InstrumentedScheduler:
             self._observe(seg.component, seg.tag, start_s, self._sim_now_s,
                           thermal.throttled, was_throttled)
 
-    def _commit_batch(self, batch, component, tags):
+    def _commit_batch(self, batch, components, tags):
         """Integrate, commit, and observe a batch prefix; return the
         number of segments consumed (``>= 1``).
 
-        ``tags`` has one tag per batch row.  The thermal model consumes
-        segments until the throttle latch flips (or the batch ends);
-        only that prefix — costed under the correct duty cycle — reaches
-        the timeline and the counters.
+        ``components`` (an array) and ``tags`` have one entry per batch
+        row.  The thermal model consumes segments until the throttle
+        latch flips (or the batch ends); only that prefix — costed under
+        the correct duty cycle — reaches the timeline and the counters.
         """
         thermal = self.platform.thermal
         consumed = thermal.step_batch(
             batch.cpu_power_w, batch.durations_s, record=False
         )
-        sl = slice(0, consumed)
-        cycles = batch.end_cycles[sl] - batch.start_cycles[sl]
+        if consumed < len(batch):
+            batch = batch[:consumed]
+        components = components[:consumed]
+        tags = tags[:consumed]
+        cycles = batch.cycles
         self.timeline.append_batch(
-            batch.start_cycles[sl], batch.end_cycles[sl], component,
-            batch.instructions[sl], batch.l2_accesses[sl],
-            batch.l2_misses[sl], batch.mem_accesses[sl],
-            batch.cpu_power_w[sl], batch.mem_power_w[sl],
-            batch.durations_s[sl], tags=tags[:consumed],
+            batch.start_cycles, batch.end_cycles, components,
+            batch.instructions, batch.l2_accesses, batch.l2_misses,
+            batch.mem_accesses, batch.cpu_power_w, batch.mem_power_w,
+            batch.durations_s, tags=tags,
         )
-        self._cycle = int(batch.end_cycles[consumed - 1])
+        self._cycle = int(batch.end_cycles[-1])
         self.platform.counters.record_batch(
-            cycles, batch.instructions[sl], batch.l2_accesses[sl],
-            batch.l2_misses[sl], batch.mem_accesses[sl],
+            cycles, batch.instructions, batch.l2_accesses,
+            batch.l2_misses, batch.mem_accesses,
         )
         was_throttled = self.platform.cpu.throttled
         self.platform.cpu.throttled = thermal.throttled
-        durations = batch.durations_s[sl].tolist()
+        durations = batch.durations_s.tolist()
         if self._tracer.enabled:
             # The latch can only flip on the *last* consumed segment
             # (step_batch stops there), so every earlier segment ran
             # under the previous throttle state.
+            components = components.tolist()
             for i, dt in enumerate(durations):
                 start_s = self._sim_now_s
                 end_s = start_s + dt
@@ -361,16 +404,13 @@ class InstrumentedScheduler:
                     else was_throttled
                 )
                 self._observe(
-                    component, tags[i], start_s, end_s, throttled,
+                    components[i], tags[i], start_s, end_s, throttled,
                     was_throttled,
                 )
         else:
             # Fast path: sequential adds keep the simulated-time cursor
             # bit-identical to the traced branch above.
-            now = self._sim_now_s
-            for dt in durations:
-                now = now + dt
-            self._sim_now_s = now
+            now = self._sim_now_s = reduce(add, durations, self._sim_now_s)
             throttled = thermal.throttled
             if throttled and not was_throttled:
                 self._throttle_from = now
@@ -445,3 +485,142 @@ class InstrumentedScheduler:
                 self.throttle_episodes
             )
         return self.timeline
+
+
+class _StreamBuilder:
+    """Assembles the rows :meth:`InstrumentedScheduler.execute_rows`
+    commits, in order, from its parts.
+
+    A part of at least :attr:`WHOLE_ROWS` rows of one component that all
+    fit a chunk joins the stream whole, after a port-write row if it
+    changes the latched component.  Every other row goes through
+    Python, as :meth:`execute` would run it: a port-write row if its
+    component differs from the latched one, then its chunks (none
+    without instructions).
+    """
+
+    #: Fewest rows a part needs to join whole.  Joining costs a few
+    #: fixed NumPy calls and a share of the stream's concatenation;
+    #: below this, taking the rows one at a time in Python is cheaper.
+    WHOLE_ROWS = 16
+
+    def __init__(self, sched):
+        self.sched = sched
+        self.latched = sched._latched
+        self.writes = []   # (stream row, component) of each port write
+        self.pieces = []   # CostedRows, in order
+        self.rows = []     # Python rows not yet made into a piece
+        self.stops = []    # stream rows made up to each input row
+        self.made = 0      # stream rows made so far
+
+    def add_rows(self, costed):
+        """Queue :class:`~repro.hardware.activity.CostedRows`."""
+        n = len(costed)
+        if n >= self.WHOLE_ROWS:
+            component = int(costed.component[0])
+            if ((costed.component == component).all()
+                    and costed.instructions.all()
+                    and costed.cycles.max() <= self.sched.max_chunk_cycles):
+                self._latch(component)
+                self._flush()
+                self.pieces.append(costed)
+                self.stops.extend(range(self.made + 1, self.made + n + 1))
+                self.made += n
+                return
+        columns = [costed.__dict__[name].tolist() for name in COSTED_COLUMNS]
+        for row, values in enumerate(zip(*columns)):
+            self._latch(values[0])
+            if values[1] > 0:
+                if values[4] > self.sched.max_chunk_cycles:
+                    self._add_chunks(costed.activity(row))
+                else:
+                    self._add(values)
+            self.stops.append(self.made)
+
+    def add_activities(self, activities):
+        """Queue :class:`~repro.hardware.activity.Activity` records,
+        costed as :meth:`InstrumentedScheduler.execute` costs them."""
+        power_model = self.sched.platform.power_model
+        gamma = power_model.spec.power_exponent
+        for act in activities:
+            self._latch(int(act.component))
+            if act.instructions > 0:
+                counts, cost = self.sched._chunk_split(act)
+                if len(counts) > 1:
+                    self._add_chunks(act, counts)
+                else:
+                    cycles, l2_acc, l2_miss, mem_acc, ipc = cost
+                    self._add((
+                        int(act.component), instr_round(act.instructions),
+                        act.tag, act.mix_factor, cycles, l2_acc, l2_miss,
+                        mem_acc, power_model.utilization(ipc) ** gamma,
+                    ))
+            self.stops.append(self.made)
+
+    def _latch(self, component):
+        if component != self.latched:
+            self.writes.append((self.made, component))
+            self._add((
+                component, PORT_WRITE_INSTR, "port-write", 1.0,
+                self.sched.platform.port.write_cost_cycles,
+                0.0, 0.0, 0.0, 0.0,
+            ))
+            self.latched = component
+
+    def _add(self, values):
+        self.rows.append(values)
+        self.made += 1
+
+    def _add_chunks(self, activity, counts=None):
+        """The chunks of *activity*, costed as
+        :meth:`InstrumentedScheduler._emit_chunks_batched` costs them."""
+        if counts is None:
+            counts, _ = self.sched._chunk_split(activity)
+        model = self.sched.exec_model
+        cycles, l2_acc, l2_miss, mem_acc, ipc = model.cost_batch(
+            activity, counts)
+        terms = model.power_model.utilization_terms(ipc)
+        for n, *values in zip(counts, cycles.tolist(), l2_acc.tolist(),
+                              l2_miss.tolist(), mem_acc.tolist(),
+                              terms.tolist()):
+            self._add((int(activity.component), instr_round(n),
+                       activity.tag, activity.mix_factor, *values))
+
+    def _flush(self):
+        rows = self.rows
+        if not rows:
+            return
+        self.rows = []
+        if len(rows) == 1 and self.writes[-1:] == [(self.made - 1,
+                                                     rows[0][0])]:
+            # A lone port write: its cached piece.
+            self.pieces.append(self.sched._port_row(rows[0][0]))
+            return
+        component, instructions, tags, *numbers = zip(*rows)
+        mix, cycles, l2_acc, l2_miss, mem_acc, terms = np.array(
+            numbers, dtype=np.float64)
+        tag_column = np.empty(len(tags), dtype=object)
+        tag_column[:] = tags
+        self.pieces.append(CostedRows(
+            np.array(component, dtype=np.int64),
+            np.array(instructions, dtype=np.int64), tag_column, mix,
+            cycles.astype(np.int64), l2_acc, l2_miss, mem_acc, terms,
+        ))
+
+    def finish(self):
+        """The stream, the stream rows made up to each input row, and
+        the stream row and component of each port write.  The
+        scheduler's latch and write count move on here; the port itself
+        is written as the port-write rows commit."""
+        self._flush()
+        sched = self.sched
+        sched._latched = self.latched
+        sched.port_writes += len(self.writes)
+        pieces = self.pieces
+        if not pieces:
+            stream = None
+        elif len(pieces) == 1:
+            stream = pieces[0]
+        else:
+            stream = CostedRows.concat(pieces)
+        return stream, self.stops, self.writes

@@ -438,11 +438,15 @@ class BaseVM:
             raise OutOfMemoryError(
                 request, self.heap_bytes, state.roots.live_bytes()
             ) from None
+        self._emit_gc(state, reports)
+
+    def _emit_gc(self, state, reports):
+        """Run the phases of a cycle's collections."""
         pause_from = state.sched.sim_now_s
         for report in reports:
             for act in state.gc_cost.activities(report):
                 state.sched.execute(act)
-        self._observe_gc(state, reports, pause_from)
+        self._observe_gc(reports, pause_from, state.sched.sim_now_s)
 
     def _compact(self, state):
         """At a slice's end, drop object-table rows nothing can reach any
@@ -473,13 +477,14 @@ class BaseVM:
         state.mutation_ring = mapping[ring].tolist()
         state.collector.remap(mapping)
 
-    def _observe_gc(self, state, reports, pause_from):
-        """Record one GC cycle (span + pause histogram + log)."""
+    def _observe_gc(self, reports, pause_from, pause_to):
+        """Record one GC cycle (span + pause histogram + log) whose
+        phases ran from simulated time *pause_from* to *pause_to*."""
         obs = self.obs
         if not (obs.tracer.enabled or obs.metrics.enabled
                 or obs.log.enabled) or not reports:
             return
-        pause_s = state.sched.sim_now_s - pause_from
+        pause_s = pause_to - pause_from
         kind = reports[-1].kind
         freed = sum(r.freed_bytes for r in reports)
         if obs.tracer.enabled:
@@ -494,19 +499,33 @@ class BaseVM:
                       freed_bytes=freed)
 
     def _emit_app(self, state, sl, bytecodes):
-        if bytecodes <= 0:
+        """Run an application stretch of *bytecodes* bytecodes."""
+        act = self._app_activity(state, sl, bytecodes)
+        if act is None:
             return
+        # The scheduler's running cursor is one add per segment; the
+        # timeline's exactly rounded duration_s is O(n) per read and
+        # made this accounting quadratic over a run.
+        before = state.sched.sim_now_s
+        state.sched.execute(act)
+        state.app_seconds += state.sched.sim_now_s - before
+
+    def _app_activity(self, state, sl, bytecodes):
+        """The activity of an application stretch of *bytecodes*
+        bytecodes, or ``None`` when it retires nothing."""
+        if bytecodes <= 0:
+            return None
         profile = state.app_profile
         collector = state.collector
         ipb = state.workload.method_table.effective_instr_per_bytecode()
         instr = int(bytecodes * ipb * (1.0 + collector.barrier_overhead))
         if instr <= 0:
-            return
+            return None
         locality = min(
             max(profile.locality + collector.mutator_locality_delta, 0.0),
             1.0,
         )
-        act = Activity(
+        return Activity(
             component=Component.APP,
             instructions=instr,
             behavior=MemoryBehavior(
@@ -523,12 +542,6 @@ class BaseVM:
             cpi_scale=profile.cpi_scale * sl.cpi_jitter,
             tag=f"app:slice{sl.index}",
         )
-        # The scheduler's running cursor is one add per segment; the
-        # timeline's exactly rounded duration_s is O(n) per read and
-        # made this accounting quadratic over a run.
-        before = state.sched.sim_now_s
-        state.sched.execute(act)
-        state.app_seconds += state.sched.sim_now_s - before
 
 
 @dataclass
@@ -541,6 +554,31 @@ class _SliceCohorts:
     deaths: object
     mutation_points: range
     wired: int = 0
+
+
+@dataclass
+class _SliceStream:
+    """A Jikes slice's work, queued in execution order: costed rows
+    (class loads, first-call compiles), then activities still to be
+    costed (application stretches and GC phases), with the row of each
+    stretch and the rows of each collection cycle."""
+
+    costed: list = field(default_factory=list)
+    n_costed: int = 0
+    activities: list = field(default_factory=list)
+    stretches: list = field(default_factory=list)
+    collections: list = field(default_factory=list)
+
+    def add_costed(self, costed):
+        """Queue precosted rows; they come before every activity."""
+        self.costed.append(costed)
+        self.n_costed += len(costed)
+
+    def add(self, activities):
+        """Queue *activities*; return the row of the first."""
+        first = self.n_costed + len(self.activities)
+        self.activities.extend(activities)
+        return first
 
 
 @dataclass
@@ -562,6 +600,9 @@ class _RunState:
     aos_mark_s: float = 0.0
     base: Optional[object] = None
     base_costs: Optional[object] = None
+    class_costs: Optional[object] = None
+    classes_loaded: int = 0
+    stream: Optional[_SliceStream] = None
     opt: Optional[object] = None
     jit: Optional[object] = None
     aos: Optional[object] = None
@@ -598,6 +639,15 @@ class JikesRVM(BaseVM):
     def _boot(self, state):
         # System classes ship in the boot image: no dynamic loads.
         state.classloader.preload_system(state.workload.classes)
+        # The slices fix the order of the dynamic loads, and so each
+        # load's footprint: all of them are costed here in one pass.
+        state.class_costs = state.sched.exec_model.cost_rows(
+            state.classloader.activity_rows(
+                [cls for sl in state.workload.slices
+                 for cls in sl.class_loads],
+                warm=state.warm,
+            )
+        )
         profile = profile_for(self.platform.name, "boot")
         state.sched.execute(
             Activity(
@@ -617,14 +667,56 @@ class JikesRVM(BaseVM):
             )
         )
 
+    def _run_slice(self, state, sl):
+        """One emission pass: the slice's class loads, first-call
+        compiles, application stretches and GC phases are queued in
+        order and committed as one row stream before the AOS epoch."""
+        state.stream = stream = _SliceStream()
+        loads = state.classloader.load_all(sl.class_loads)
+        if loads:
+            done = state.classes_loaded
+            stream.add_costed(state.class_costs[done:done + loads])
+            state.classes_loaded = done + loads
+        self._compile_first_calls(state, sl)
+        state.roots.expire(state.now)
+        self._run_app_phase(state, sl)
+        self._commit_stream(state, stream)
+        self._post_slice(state, sl)
+
     def _compile_first_calls(self, state, sl):
         # One column write compiles the slice's new methods; their
-        # precomputed rows run as batches of one component.
+        # precomputed rows join the slice's stream.
         table = state.workload.method_table
         rows = sl.method_ids[table.columns.quality[sl.method_ids] <= 0.0]
         if len(rows):
             state.base.compile_rows(table, rows)
-            state.sched.execute_rows(state.base_costs[rows])
+            state.stream.add_costed(state.base_costs[rows])
+
+    def _emit_app(self, state, sl, bytecodes):
+        act = self._app_activity(state, sl, bytecodes)
+        if act is not None:
+            state.stream.stretches.append(state.stream.add([act]))
+
+    def _emit_gc(self, state, reports):
+        stream = state.stream
+        acts = [act for report in reports
+                for act in state.gc_cost.activities(report)]
+        first = stream.add(acts)
+        stream.collections.append((first, first + len(acts), reports))
+
+    def _commit_stream(self, state, stream):
+        """Run the slice's stream.
+
+        ``state.app_seconds`` gains, per stretch, the cursor after its
+        rows minus the cursor before its port write, and each GC pause
+        spans its collections' rows: exactly what reading
+        ``sched.sim_now_s`` around an ``execute`` of each would give.
+        """
+        cursor = state.sched.execute_rows(*stream.costed, stream.activities)
+        for row in stream.stretches:
+            state.app_seconds += cursor[row + 1] - cursor[row]
+        for first, stop, reports in stream.collections:
+            self._observe_gc(reports, cursor[first], cursor[stop])
 
     #: Controller-thread work per processed sample (bookkeeping) and
     #: per epoch (organizer wakeup).  Sized so the controller stays

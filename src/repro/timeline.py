@@ -272,11 +272,11 @@ class ExecutionTimeline:
         """Append a contiguous run of segments from column arrays.
 
         All array arguments must have the same length; ``component`` is
-        a scalar shared by the whole batch.  ``tag`` is shared by every
-        row (the chunks of one activity), unless ``tags`` gives one tag
-        per row (a run of activities of one component).  The batch must
-        be internally contiguous and start where the timeline currently
-        ends.
+        one component per row, or a scalar shared by the whole batch.
+        ``tag`` is shared by every row (the chunks of one activity),
+        unless ``tags`` gives one tag per row (a run of activities).
+        The batch must be internally contiguous and start where the
+        timeline currently ends.
         """
         k = len(start_cycles)
         if k == 0:

@@ -147,43 +147,75 @@ class TestCostRows:
                                                 (PXA255, PXA255_SDRAM)])
     def test_rows_equal_scalar_path(self, spec, mem_spec):
         model, cpu = model_for(spec, mem_spec)
-        rows = ActivityRows(
-            component=3,
-            instructions=np.array([1, 777, 40_000, 3_000_000, 91_000_017]),
-            footprint_bytes=np.array([0, 64 * KB, 700 * KB, 3 * MB,
-                                      40 * MB]),
-            tags=np.array([f"r{i}" for i in range(5)], dtype=object),
+        instructions = np.array([1, 777, 40_000, 3_000_000, 91_000_017])
+        footprints = np.array([0, 64 * KB, 700 * KB, 3 * MB, 40 * MB])
+        tags = np.array([f"r{i}" for i in range(5)], dtype=object)
+        shared = ActivityRows(
+            component=3, instructions=instructions,
+            footprint_bytes=footprints, tags=tags,
             hot_bytes=256 * KB, locality=0.7, spatial_factor=0.55,
             refs_per_instr=0.33, l1_miss_rate=0.04, mix_factor=1.07,
             cpi_scale=0.93,
         )
-        costed = model.cost_rows(rows)
+        # One component and profile per row, as in a slice's stream;
+        # one hot set is empty and one covers the whole footprint.
+        per_row = ActivityRows(
+            component=np.array([3, 1, 7, 3, 2]),
+            instructions=instructions, footprint_bytes=footprints,
+            tags=tags,
+            hot_bytes=np.array([1 * MB, 384 * KB, 128 * KB, 3 * MB, 0]),
+            locality=np.array([0.7, 0.45, 0.95, 0.6, 0.3]),
+            spatial_factor=np.array([0.55, 0.25, 0.6, 0.5, 0.41]),
+            refs_per_instr=np.array([0.33, 0.2, 0.41, 0.3, 0.28]),
+            l1_miss_rate=np.array([0.04, 0.012, 0.024, 0.06, 0.08]),
+            mix_factor=np.array([1.07, 1.12, 0.9, 1.0, 0.96]),
+            cpi_scale=np.array([0.93, 0.45, 1.1, 1.0, 1.3]),
+        )
         cpu.throttled = True
         cpu.set_dvfs(0.75)
-        batch = model.run_rows(costed[1:], start_cycle=100)
-        cycle = 100
-        for i in range(1, len(rows)):
-            activity = rows.activity(i)
-            cost = model.cost(activity)
-            assert costed.cycles[i] == cost[0]
-            seg = model.run(activity, cycle, cost=cost)
-            assert (int(batch.start_cycles[i - 1]),
-                    int(batch.end_cycles[i - 1])) == (seg.start_cycle,
-                                                      seg.end_cycle)
-            assert int(batch.instructions[i - 1]) == seg.instructions
-            assert int(batch.l2_accesses[i - 1]) == seg.l2_accesses
-            assert int(batch.l2_misses[i - 1]) == seg.l2_misses
-            assert int(batch.mem_accesses[i - 1]) == seg.mem_accesses
-            assert float(batch.cpu_power_w[i - 1]) == seg.cpu_power_w
-            assert float(batch.mem_power_w[i - 1]) == seg.mem_power_w
-            assert float(batch.durations_s[i - 1]) == (
-                seg.cycles / cpu.effective_clock_hz)
-            cycle = seg.end_cycle
+        for rows in (shared, per_row):
+            costed = model.cost_rows(rows)
+            batch = model.run_rows(costed[1:], start_cycle=100)
+            cycle = 100
+            for i in range(1, len(rows)):
+                activity = rows.activity(i)
+                assert costed.activity(i) == activity
+                assert int(costed.component[i]) == activity.component
+                cost = model.cost(activity)
+                assert costed.cycles[i] == cost[0]
+                seg = model.run(activity, cycle, cost=cost)
+                assert (int(batch.start_cycles[i - 1]),
+                        int(batch.end_cycles[i - 1])) == (seg.start_cycle,
+                                                          seg.end_cycle)
+                assert int(batch.instructions[i - 1]) == seg.instructions
+                assert int(batch.l2_accesses[i - 1]) == seg.l2_accesses
+                assert int(batch.l2_misses[i - 1]) == seg.l2_misses
+                assert int(batch.mem_accesses[i - 1]) == seg.mem_accesses
+                assert float(batch.cpu_power_w[i - 1]) == seg.cpu_power_w
+                assert float(batch.mem_power_w[i - 1]) == seg.mem_power_w
+                assert float(batch.durations_s[i - 1]) == (
+                    seg.cycles / cpu.effective_clock_hz)
+                cycle = seg.end_cycle
 
-    def test_rows_need_instructions(self):
+    def test_zero_instruction_row_costs_nothing(self):
+        model, _ = model_for(PENTIUM_M, P6_SDRAM)
+        rows = ActivityRows(
+            component=0, instructions=np.array([0, 5]),
+            footprint_bytes=np.array([1, 1]),
+            tags=np.array(["a", "b"], dtype=object), hot_bytes=0,
+            locality=0.5, spatial_factor=0.5, refs_per_instr=0.3,
+            l1_miss_rate=0.01,
+        )
+        costed = model.cost_rows(rows)
+        assert model.cost(rows.activity(0)) == (0, 0.0, 0.0, 0.0, 0.0)
+        assert (int(costed.cycles[0]), float(costed.l2_accesses[0]),
+                float(costed.power_terms[0])) == (0, 0.0, 0.0)
+        assert int(costed.cycles[1]) == model.cost(rows.activity(1))[0]
+
+    def test_rows_reject_negative_instructions(self):
         with pytest.raises(ConfigurationError):
             ActivityRows(
-                component=0, instructions=np.array([5, 0]),
+                component=0, instructions=np.array([5, -1]),
                 footprint_bytes=np.array([1, 1]),
                 tags=np.array(["a", "b"], dtype=object), hot_bytes=0,
                 locality=0.5, spatial_factor=0.5, refs_per_instr=0.3,

@@ -24,7 +24,7 @@ change that is *meant* to alter the simulation::
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +142,18 @@ def _governed(governor=None, obs=None):
     return run, platform.port
 
 
+def _throttled():
+    """Fan off, started 0.01 C below the P6 trip point and with the
+    release point moved up to 0.01 C below it as well: the throttle
+    latch flips both ways all through the run, so batches are cut at a
+    flip and their rest re-costed under the new duty cycle."""
+    platform = make_platform("p6", fan_enabled=False)
+    platform.thermal.spec = replace(platform.thermal.spec, resume_c=98.99)
+    vm = JikesRVM(platform, heap_mb=24, seed=99, n_slices=40,
+                  initial_temperature_c=98.99)
+    return vm.run("_213_javac", input_scale=0.1), platform.port
+
+
 def _trace_replay():
     spec = make_tiny_spec()
     trace = record_trace(spec, seed=11, alloc_bytes=spec.alloc_bytes + MB)
@@ -218,10 +230,12 @@ CASES = {
     "jikes-p6-GenMS-repetitions2": _repetitions,
     **{name: (lambda cell=cell: _matrix(*cell))
        for name, cell in MATRIX.items()},
-    # Fan off + repetitions push the P6 into its throttle region, so
-    # batches are flushed early and re-costed at every latch flip.
+    # Fan off for three repetitions: thermal coupling without the fan.
+    # The die ends near 37 C, far below the 99 C trip point (tau is
+    # 165 s), so nothing throttles here; "jikes-p6-throttled" does.
     "jikes-p6-_213_javac-fanless-repetitions3": lambda: _matrix(
         "_213_javac", "jikes", "p6", fan_enabled=False, repetitions=3),
+    "jikes-p6-throttled": _throttled,
 }
 
 
@@ -258,9 +272,22 @@ def _drive(fan_enabled=True, temperature_c=None):
             "throttle_episodes": sched.throttle_episodes}
 
 
+def _gc_cycle_spans(obs=None):
+    """The GC pause spans of the traced ``jikes-p6-GenCopy`` run (run
+    here unless *obs* recorded it)."""
+    if obs is None:
+        obs = Observability.create(trace=True, metrics=True)
+        _jikes("GenCopy", obs=obs)
+    spans = [(span.start_s, span.dur_s, sorted(span.args.items()))
+             for span in obs.tracer.spans_on(SIM_CLOCK, "gc")
+             if span.name == "gc-cycle"]
+    return {"n": len(spans), "spans": _sha256(spans)}
+
+
 #: Pins that are not run digests, keyed like :data:`CASES`.
 OOM_CASE = "jikes-p6-GenCopy-12MB-oom"
 DECISIONS_CASE = "GovernedScheduler-decisions"
+GC_SPANS_CASE = "jikes-p6-GenCopy-gc-cycle-spans"
 DRIVES = {
     "scheduler-drive": {},
     # Starts 0.01 C below the P6 trip point: the latch flips mid-batch.
@@ -317,18 +344,47 @@ def test_scheduler_drive_matches_golden(case):
 
 def test_golden_covers_every_case():
     assert sorted(_golden()) == sorted(
-        [*CASES, OOM_CASE, DECISIONS_CASE, *DRIVES])
+        [*CASES, OOM_CASE, DECISIONS_CASE, GC_SPANS_CASE, *DRIVES])
+
+
+def test_throttled_case_cuts_slice_streams(monkeypatch):
+    # The latch flips inside the slices' row streams: a stream batch is
+    # committed short and its rest re-costed under the new duty cycle.
+    scheds, cuts = [], []
+    commit = InstrumentedScheduler._commit_batch
+
+    def counting(self, batch, components, tags):
+        consumed = commit(self, batch, components, tags)
+        if consumed < len(batch) and len(set(components.tolist())) > 1:
+            cuts.append(tags[consumed - 1])
+        return consumed
+
+    make = JikesRVM._make_scheduler
+
+    def keeping(self):
+        scheds.append(make(self))
+        return scheds[-1]
+
+    monkeypatch.setattr(InstrumentedScheduler, "_commit_batch", counting)
+    monkeypatch.setattr(JikesRVM, "_make_scheduler", keeping)
+    assert digests(*_throttled()) == _golden()["jikes-p6-throttled"]
+    assert scheds[0].throttle_episodes >= 1
+    assert len(cuts) >= 1
 
 
 def test_traced_run_is_byte_identical():
-    # Tracing observes every row of the batched first-call compiles
-    # (one component span per run of segments) and writes nothing back.
+    # Tracing observes every row of the slices' streams (one component
+    # span per run of segments) and writes nothing back.
     obs = Observability.create(trace=True, metrics=True)
-    traced = digests(*_jikes("GenCopy", obs=obs))
-    assert traced == _golden()["jikes-p6-GenCopy"]
+    run, port = _jikes("GenCopy", obs=obs)
+    assert digests(run, port) == _golden()["jikes-p6-GenCopy"]
     spans = obs.tracer.spans_on(SIM_CLOCK, "components")
     base = Component.BASE.short_name
     assert sum(span.name == base for span in spans) > 10
+    writes = obs.tracer.spans_on(SIM_CLOCK, "perturbation")
+    assert sum(span.name == "port-write" for span in writes) == (
+        run.port_writes)
+    assert _gc_cycle_spans(obs) == _golden()[GC_SPANS_CASE]
 
 
 def test_traced_governed_run_is_byte_identical():
@@ -345,6 +401,7 @@ if __name__ == "__main__":
     pins = {case: digests(*CASES[case]()) for case in sorted(CASES)}
     pins[OOM_CASE] = _out_of_memory()
     pins[DECISIONS_CASE] = _governor_decisions()
+    pins[GC_SPANS_CASE] = _gc_cycle_spans()
     pins.update({case: _drive(**DRIVES[case]) for case in DRIVES})
     GOLDEN.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(pins)} pins to {GOLDEN}")

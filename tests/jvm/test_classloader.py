@@ -1,5 +1,6 @@
 """Tests for the dynamic class loader."""
 
+import pytest
 
 from repro.jvm.classloader import (
     ClassLoader,
@@ -99,3 +100,28 @@ class TestCosts:
             last.behavior.footprint_bytes
             > first.behavior.footprint_bytes
         )
+
+
+class TestActivityRows:
+    @pytest.mark.parametrize("platform_name", ["p6", "pxa255"])
+    @pytest.mark.parametrize("lazy, factor", [(False, 1.0),
+                                              (True, KAFFE_LOADER_FACTOR)])
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_rows_price_the_loads_in_order(self, platform_name, lazy,
+                                           factor, warm):
+        # Repeats, boot-image system classes and a growing footprint.
+        specs = [app_class("a", 5000), sys_class("s", 4100),
+                 app_class("b", 700_001), app_class("a", 5000),
+                 *[app_class(f"c{i}", 3000 + 97 * i) for i in range(9)]]
+        rows_loader = ClassLoader(platform_name, lazy, loader_factor=factor)
+        loop_loader = ClassLoader(platform_name, lazy, loader_factor=factor)
+        rows_loader.load(app_class("before", 9000))
+        loop_loader.load(app_class("before", 9000))
+        rows = rows_loader.activity_rows(specs, warm=warm)
+        assert rows_loader.loads == 1  # pricing loads nothing
+        loads = [act for act in (loop_loader.load(spec, warm=warm)
+                                 for spec in specs) if act is not None]
+        assert [rows.activity(i) for i in range(len(rows))] == loads
+        assert rows_loader.load_all(specs) == len(loads)
+        assert (rows_loader.loads, rows_loader.loaded_bytes) == (
+            loop_loader.loads, loop_loader.loaded_bytes)

@@ -4,26 +4,56 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hardware.activity import Activity, ExecutionModel
+from repro.hardware.activity import Activity, ActivityRows, ExecutionModel
 from repro.hardware.cache import MemoryBehavior
 from repro.hardware.platform import make_platform
+from repro.jvm.classloader import ClassLoader, ClassSpec
 from repro.jvm.compiler.baseline import BaselineCompiler
 from repro.jvm.compiler.method import JavaMethod, MethodTable
 from repro.jvm.components import Component
+from repro.jvm.gc.base import CollectionReport
+from repro.jvm.gc.cost import GCCostModel
 from repro.jvm.scheduler import InstrumentedScheduler
 from repro.units import KB, MB
 
 
-def act(component, instructions=2_000_000):
+def act(component, instructions=2_000_000, footprint=1 * MB,
+        locality=0.8):
     return Activity(
         component=int(component),
         instructions=instructions,
         behavior=MemoryBehavior(
-            footprint_bytes=1 * MB, hot_bytes=128 * KB,
-            locality=0.8, spatial_factor=0.5,
+            footprint_bytes=footprint, hot_bytes=128 * KB,
+            locality=locality, spatial_factor=0.5,
         ),
         refs_per_instr=0.3,
         l1_miss_rate=0.03,
+    )
+
+
+def rows_of(activities):
+    """*activities* as :class:`ActivityRows`, a column per field."""
+    behaviors = [a.behavior for a in activities]
+    tags = np.empty(len(activities), dtype=object)
+    tags[:] = [a.tag for a in activities]
+
+    def column(values, dtype=np.float64):
+        return np.array(list(values), dtype=dtype)
+
+    return ActivityRows(
+        component=column((a.component for a in activities), np.int64),
+        instructions=column((a.instructions for a in activities),
+                            np.int64),
+        footprint_bytes=column((b.footprint_bytes for b in behaviors),
+                               np.int64),
+        tags=tags,
+        hot_bytes=column((b.hot_bytes for b in behaviors), np.int64),
+        locality=column(b.locality for b in behaviors),
+        spatial_factor=column(b.spatial_factor for b in behaviors),
+        refs_per_instr=column(a.refs_per_instr for a in activities),
+        l1_miss_rate=column(a.l1_miss_rate for a in activities),
+        mix_factor=column(a.mix_factor for a in activities),
+        cpi_scale=column(a.cpi_scale for a in activities),
     )
 
 
@@ -209,9 +239,33 @@ class TestBatchedEngine:
             for i, size in enumerate(sizes)
         ])
 
+    @staticmethod
+    def _mixed(platform_name):
+        """Class loads, then work of mixed components and profiles: a
+        collection's phases (its sweep retires no instructions), a JIT
+        compile, and an application stretch longer than a 10 ms
+        chunk."""
+        classes = [ClassSpec(name=f"C{i}", file_bytes=900 + 517 * i)
+                   for i in range(6)]
+        report = CollectionReport(
+            kind="minor", collector="GenCopy", traced_bytes=3 * MB,
+            edges=40_000, copied_bytes=1 * MB, swept_bytes=12,
+            footprint_bytes=5 * MB,
+        )
+        work = [
+            act(Component.APP, 1_500_000, footprint=9 * MB, locality=0.4),
+            *GCCostModel(platform_name).activities(report),
+            act(Component.JIT, 700_000, footprint=200 * KB),
+            act(Component.APP, 90_000_000, locality=0.9),
+            act(Component.CL, 0),
+        ]
+        return classes, work
+
     def _run_compiles(self, platform_name, rows, thermal=None):
         """Baseline-compile a table in three runs split by application
-        work: as precomputed rows (``rows``) or one ``execute`` each."""
+        work, the middle one inside a mixed stream: as precomputed rows
+        and activities through ``execute_rows`` (``rows``) or one
+        ``execute`` each."""
         # The PXA255 never gets near its own trip point.
         platform = make_platform(
             platform_name, fan_enabled=thermal != "trip",
@@ -225,17 +279,26 @@ class TestBatchedEngine:
             platform.thermal.temperature_c = spec.resume_c + (
                 0.0001 if platform_name == "pxa255" else 0.001)
             platform.thermal.throttled = platform.cpu.throttled = True
+        elif thermal == "release-at-port":
+            # The first port write cools the die just past the release
+            # point: the work row after it is re-costed unthrottled.
+            platform.thermal.temperature_c = spec.resume_c + 1e-9
+            platform.thermal.throttled = platform.cpu.throttled = True
+        elif thermal == "dvfs":
+            platform.cpu.set_dvfs(0.75)
         sched = InstrumentedScheduler(platform, max_chunk_s=0.01)
         table = self._methods()
         base = BaselineCompiler(platform.name)
         costs = sched.exec_model.cost_rows(base.activity_rows(table))
+        classes, work = self._mixed(platform_name)
+        loader = ClassLoader(platform.name, lazy_system_classes=False)
         commit = sched._commit_batch
-        sched.cut_runs = 0
+        sched.cuts = []   # the last row of each run of rows cut short
 
-        def counting_commit(batch, component, tags):
-            consumed = commit(batch, component, tags)
+        def counting_commit(batch, components, tags):
+            consumed = commit(batch, components, tags)
             if consumed < len(batch) and len(set(tags)) > 1:
-                sched.cut_runs += 1  # a run of compiles, cut short
+                sched.cuts.append(tags[consumed - 1])
             return consumed
 
         sched._commit_batch = counting_commit
@@ -245,14 +308,28 @@ class TestBatchedEngine:
             if rows:
                 ids = np.arange(lo, hi)
                 base.compile_rows(table, ids)
-                sched.execute_rows(costs[ids])
+                parts = [costs[ids]]
+                if hi == 41:
+                    loads = sched.exec_model.cost_rows(
+                        loader.activity_rows(classes))
+                    assert loader.load_all(classes) == len(classes)
+                    mixed = sched.exec_model.cost_rows(rows_of(work[:4]))
+                    parts = [loads, *parts, mixed, work[4:]]
+                sched.execute_rows(*parts)
             else:
+                if hi == 41:
+                    for cls in classes:
+                        sched.execute(loader.load(cls))
                 for m in table.methods[lo:hi]:
                     sched.execute(base.compile(m))
+                if hi == 41:
+                    for activity in work:
+                        sched.execute(activity)
         return sched, table
 
     @pytest.mark.parametrize("platform_name", ["p6", "pxa255"])
-    @pytest.mark.parametrize("thermal", [None, "trip", "release"])
+    @pytest.mark.parametrize("thermal", [None, "trip", "release",
+                                         "release-at-port", "dvfs"])
     def test_execute_rows_equals_execute_loop(self, platform_name,
                                               thermal):
         loop, loop_table = self._run_compiles(platform_name, False,
@@ -262,7 +339,10 @@ class TestBatchedEngine:
         # The throttle latch flips inside the first run of compiles, so
         # a batch is flushed and its rest re-costed mid-run.
         assert rows.platform.cpu.throttled == (thermal == "trip")
-        assert rows.cut_runs == (thermal is not None)
+        assert len(rows.cuts) == (thermal in ("trip", "release",
+                                              "release-at-port"))
+        if thermal == "release-at-port":
+            assert rows.cuts == ["port-write"]
         a, b = loop.finish(), rows.finish()
         assert list(a) == list(b)
         assert a.to_columns()["tags"] == b.to_columns()["tags"]
@@ -280,14 +360,32 @@ class TestBatchedEngine:
             assert (getattr(loop_table.columns, column).tolist()
                     == getattr(rows_table.columns, column).tolist())
 
+    @pytest.mark.parametrize("platform_name", ["p6", "pxa255"])
+    def test_execute_rows_returns_the_cursor_around_each_row(
+            self, platform_name):
+        # The cursor before a row's port write and after its work: what
+        # reading sim_now_s around an execute() of the row would give.
+        classes, work = self._mixed(platform_name)
+        loop = InstrumentedScheduler(make_platform(platform_name),
+                                     max_chunk_s=0.01)
+        expected = [loop.sim_now_s]
+        for activity in work:
+            loop.execute(activity)
+            expected.append(loop.sim_now_s)
+        rows = InstrumentedScheduler(make_platform(platform_name),
+                                     max_chunk_s=0.01)
+        mixed = rows.exec_model.cost_rows(rows_of(work[:3]))
+        assert rows.execute_rows(mixed, work[3:]) == expected
+
     def test_kaffe_style_rows_loop_over_execute(self, p6):
         table = self._methods(8)
         base = BaselineCompiler(p6.name)
         sched = InstrumentedScheduler(p6, style="kaffe")
         sched.execute_rows(
-            sched.exec_model.cost_rows(base.activity_rows(table)))
+            sched.exec_model.cost_rows(base.activity_rows(table)),
+            [act(Component.GC)])
         # Each compile is entered and exited like an execute() call.
-        assert sched.port_writes == 2 * len(table)
+        assert sched.port_writes == 2 * (len(table) + 1)
 
     def test_batched_timeline_validates(self, p6):
         sched = InstrumentedScheduler(p6, max_chunk_s=0.004)

@@ -27,3 +27,22 @@ def test_perturbed_golden_fails_the_gate(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(gate, "GOLDEN_PATH", perturbed)
     assert gate.main(["--only", "quickstart"]) != 0
     assert "cpu_energy_j drifted" in capsys.readouterr().out
+
+
+def test_stored_result_is_current_in_lineage(tmp_path, capsys):
+    # A result the gate stores is written by this code: lineage lists
+    # it as current, and finds no stale entry.
+    from repro.cli import main
+
+    gate = load_gate()
+    spec, result = gate.run_scenario(
+        gate.SCENARIO_DIR / "quickstart.toml", workers=1)
+    gate.store_result(tmp_path / "store", spec, result)
+    stores = ["--result-dir", str(tmp_path / "store"),
+              "--cache-dir", str(tmp_path / "nocache")]
+    capsys.readouterr()
+    assert main(["cache", "lineage", *stores]) == 0
+    rows = capsys.readouterr().out.splitlines()[3:]
+    assert [row.split()[-3] for row in rows] == ["current"]
+    assert main(["cache", "lineage", "--stale", *stores]) == 0
+    assert capsys.readouterr().out.strip() == "(no stale entries)"
