@@ -75,33 +75,44 @@ def _oom_payload(config, error):
 
 
 class _CellTimer:
-    """Per-cell wall-clock budget via SIGALRM (worker main thread only)."""
+    """Per-cell wall-clock budget via SIGALRM (worker main thread only).
+
+    The alarm raises :class:`~repro.errors.CellTimeoutError` wherever
+    the main thread is.  Where Python drops that exception (inside a
+    ``gc.callbacks`` hook it is reported as unraisable), the timer
+    still remembers that it fired, and leaving the ``with`` block
+    raises it.
+    """
 
     def __init__(self, timeout_s):
         self.timeout_s = timeout_s
         self.armed = False
+        self.fired = False
+
+    def _timeout(self):
+        return CellTimeoutError(
+            f"cell exceeded its {self.timeout_s:.1f} s budget")
 
     def __enter__(self):
         if self.timeout_s and (
             threading.current_thread() is threading.main_thread()
         ):
-            timeout_s = self.timeout_s
-
             def _on_alarm(signum, frame):
-                raise CellTimeoutError(
-                    f"cell exceeded its {timeout_s:.1f} s budget"
-                )
+                self.fired = True
+                raise self._timeout()
 
             signal.signal(signal.SIGALRM, _on_alarm)
-            signal.setitimer(signal.ITIMER_REAL, timeout_s)
+            signal.setitimer(signal.ITIMER_REAL, self.timeout_s)
             self.armed = True
         return self
 
-    def __exit__(self, *exc_info):
+    def __exit__(self, exc_type, exc, tb):
         if self.armed:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, signal.SIG_DFL)
             self.armed = False
+        if self.fired and exc_type is None:
+            raise self._timeout()
         return False
 
 

@@ -21,7 +21,7 @@ it fired and what it bought (see
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.jvm.vm import JikesRVM
+from repro.jvm.vm import JikesRVM, _SliceStream
 
 
 @dataclass
@@ -71,8 +71,9 @@ class ThermalAwareVM(JikesRVM):
             return
         stats.triggers += 1
         stats.trigger_temps_c.append(thermal.temperature_c)
-        state.roots.expire(state.now)
-        reports = state.collector.collect(state.roots, state.now)
-        for report in reports:
-            for act in state.gc_cost.activities(report):
-                state.sched.execute(act)
+        # The cooling collection runs as a stream of its own, before
+        # the slice's, through the VM's one GC path (no cohort is
+        # waiting for room, so it requests 0 bytes).
+        state.stream = stream = _SliceStream()
+        self._collect(state, 0)
+        self._commit_stream(state, stream)

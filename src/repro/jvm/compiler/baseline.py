@@ -27,10 +27,26 @@ class BaselineCompiler:
 
     A VM compiles whole columns of a method table at once: it costs
     every method's compile up front (:meth:`activity_rows`) and marks a
-    slice's first calls compiled with :meth:`compile_rows`.
+    slice's first calls compiled with :meth:`compile_rows`.  A compile
+    costs :attr:`instr_per_byte` instructions per bytecode byte plus
+    :attr:`fixed_instr`, over a footprint of :attr:`footprint_factor`
+    bytes per bytecode byte (64 KiB at least), with the platform's
+    :attr:`profile` behaviour; a subclass prices another single-pass
+    translator by changing these class constants.
     """
 
+    component = Component.BASE
     tier = "baseline"
+    quality = QUALITY_BASELINE
+    instr_per_byte = BASELINE_INSTR_PER_BYTE
+    fixed_instr = BASELINE_FIXED_INSTR
+    footprint_factor = 6
+    profile = "baseline"
+    #: Timeline tag prefix, and the name of a compile's trace span.
+    tag = "base-compile"
+    #: Whether each compile gets a trace span and a
+    #: ``compiler.<tier>_compiles`` count.
+    traced = False
 
     def __init__(self, platform_name):
         self.platform_name = platform_name
@@ -38,8 +54,8 @@ class BaselineCompiler:
         self.bytes_compiled = 0
 
     def compile(self, method):
-        """Baseline-compile *method*; return the compilation activity."""
-        method.quality = QUALITY_BASELINE
+        """Compile *method*; return the compilation activity."""
+        method.quality = self.quality
         method.tier = self.tier
         method.compile_count += 1
         self.methods_compiled += 1
@@ -47,9 +63,9 @@ class BaselineCompiler:
         return self._rows([method.bytecode_bytes], [method.name]).activity(0)
 
     def compile_rows(self, table, rows):
-        """Baseline-compile rows *rows* (an index array) of *table*."""
+        """Compile rows *rows* (an index array) of *table*."""
         cols = table.columns
-        cols.mark_compiled(rows, QUALITY_BASELINE, self.tier)
+        cols.mark_compiled(rows, self.quality, self.tier)
         self.methods_compiled += len(rows)
         self.bytes_compiled += int(cols.bytecode_bytes[rows].sum())
 
@@ -61,14 +77,14 @@ class BaselineCompiler:
 
     def _rows(self, bytecode_bytes, names):
         sizes = np.asarray(bytecode_bytes, dtype=np.int64)
-        profile = profile_for(self.platform_name, "baseline")
+        profile = profile_for(self.platform_name, self.profile)
         tags = np.empty(len(names), dtype=object)
-        tags[:] = [f"base-compile:{name}" for name in names]
+        tags[:] = [f"{self.tag}:{name}" for name in names]
         return ActivityRows(
-            component=Component.BASE,
-            instructions=sizes * BASELINE_INSTR_PER_BYTE
-            + BASELINE_FIXED_INSTR,
-            footprint_bytes=np.maximum(sizes * 6, 64 * 1024),
+            component=self.component,
+            instructions=sizes * self.instr_per_byte + self.fixed_instr,
+            footprint_bytes=np.maximum(sizes * self.footprint_factor,
+                                       64 * 1024),
             tags=tags,
             hot_bytes=profile.hot_bytes,
             locality=profile.locality,

@@ -11,11 +11,9 @@ benchmark runtimes and correspondingly diluted JVM-component energy
 shares in Figure 9.
 """
 
-from repro.hardware.activity import Activity
-from repro.hardware.cache import MemoryBehavior
 from repro.jvm.components import Component
+from repro.jvm.compiler.baseline import BaselineCompiler
 from repro.jvm.compiler.method import QUALITY_KAFFE_JIT
-from repro.jvm.profiles import profile_for
 
 #: Instructions per bytecode byte translated (single pass + peephole).
 JIT_INSTR_PER_BYTE = 110
@@ -24,38 +22,21 @@ JIT_INSTR_PER_BYTE = 110
 JIT_FIXED_INSTR = 18_000
 
 
-class KaffeJIT:
-    """Compile-on-first-use JIT with fixed (modest) code quality."""
+class KaffeJIT(BaselineCompiler):
+    """Compile-on-first-use JIT with fixed (modest) code quality: a
+    single-pass translator like the Jikes baseline compiler, with its
+    own prices."""
 
+    component = Component.JIT
     tier = "jit"
-
-    def __init__(self, platform_name):
-        self.platform_name = platform_name
-        self.methods_compiled = 0
-        self.bytes_compiled = 0
+    quality = QUALITY_KAFFE_JIT
+    instr_per_byte = JIT_INSTR_PER_BYTE
+    fixed_instr = JIT_FIXED_INSTR
+    footprint_factor = 8
+    profile = "jit"
+    tag = "jit-compile"
+    traced = True
 
     def compile(self, method):
         """JIT-compile *method*; return the compilation activity."""
-        method.quality = QUALITY_KAFFE_JIT
-        method.tier = self.tier
-        method.compile_count += 1
-        self.methods_compiled += 1
-        self.bytes_compiled += method.bytecode_bytes
-
-        instr = method.bytecode_bytes * JIT_INSTR_PER_BYTE + JIT_FIXED_INSTR
-        profile = profile_for(self.platform_name, "jit")
-        return Activity(
-            component=Component.JIT,
-            instructions=instr,
-            behavior=MemoryBehavior(
-                footprint_bytes=max(method.bytecode_bytes * 8, 64 * 1024),
-                hot_bytes=profile.hot_bytes,
-                locality=profile.locality,
-                spatial_factor=profile.spatial,
-            ),
-            refs_per_instr=profile.refs_per_instr,
-            l1_miss_rate=profile.l1_miss_rate,
-            mix_factor=profile.mix,
-            cpi_scale=profile.cpi_scale,
-            tag=f"jit-compile:{method.name}",
-        )
+        return super().compile(method)

@@ -66,9 +66,14 @@ class MethodColumns:
 
     def mark_compiled(self, rows, quality, tier):
         """Record one compile of each of *rows* at *quality*/*tier*."""
+        self.set_quality(rows, quality, tier)
+        self.compile_count[rows] += 1
+
+    def set_quality(self, rows, quality, tier):
+        """Run *rows* at *quality*, as *tier*, from now on (with no
+        compile, as the interpreter does)."""
         self.quality[rows] = quality
         self.tier[rows] = tier
-        self.compile_count[rows] += 1
         self.version += 1
 
 

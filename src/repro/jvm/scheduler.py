@@ -4,12 +4,17 @@ This is the software half of the paper's Section IV-C: the VM must make
 the identity of the running component visible at the I/O port so the DAQ
 can attribute power samples.  The two VMs are instrumented differently:
 
-* **Kaffe** brackets each component with *entry and exit* port writes —
-  nested calls (e.g. the class loader invoked from the JIT) restore the
-  caller's ID on exit, so a component stack is maintained;
+* **Kaffe** brackets each component with *entry and exit* port writes:
+  the entry write latches the component, and the exit write latches the
+  application again, whatever is already on the port;
 * **Jikes RVM** runs services such as the optimizing compiler on separate
   threads, so the identification call lives in the *thread scheduler*: one
-  port write per context switch, no nesting.
+  port write per context switch.
+
+The model never nests one component inside another: every activity runs
+from the application, so a Kaffe exit always restores
+:attr:`~repro.jvm.components.Component.APP`, and the two styles differ
+only in that exit write after each non-application activity.
 
 Every port write costs real cycles (about a microsecond per parallel-port
 OUT on the P6 platform); the scheduler charges that cost to the entered
@@ -68,11 +73,12 @@ class InstrumentedScheduler:
                 f"got {style!r}"
             )
         self.platform = platform
-        self.style = style
         self.exec_model = platform.execution_model
         self.timeline = ExecutionTimeline(platform.clock_hz)
         self._cycle = 0
-        self._stack = [int(Component.APP)]
+        #: Whether a port write latches APP again after every other
+        #: component's activity (Kaffe's exit stubs).
+        self._exit_writes = style == "kaffe"
         self._latched = None
         self.max_chunk_cycles = int(
             (max_chunk_s or self.DEFAULT_CHUNK_S) * platform.clock_hz
@@ -100,23 +106,12 @@ class InstrumentedScheduler:
         """Cheap running simulated-time cursor (for tracing hooks)."""
         return self._sim_now_s
 
-    @property
-    def current_component(self):
-        return self._stack[-1]
-
     # -- component identification ------------------------------------
 
-    def _write_port(self, component, force=False):
-        """Latch *component* on the port and charge the write cost.
-
-        ``force`` bypasses the redundant-write elision.  Kaffe's exit
-        stubs execute the OUT unconditionally — they cannot know the
-        restored caller ID already sits on the port — so eliding those
-        writes undercounted the exit-path perturbation whenever a nested
-        call re-entered the component already latched (e.g. the class
-        loader loading a superclass from inside itself).
-        """
-        if not force and self._latched == component:
+    def _write_port(self, component):
+        """Latch *component* on the port and charge the write cost; a
+        write of the component already latched is elided."""
+        if self._latched == component:
             return
         port = self.platform.port
         port.write(self._cycle, component)
@@ -140,21 +135,6 @@ class InstrumentedScheduler:
             )
             self._append(seg)
 
-    def enter(self, component):
-        """Kaffe-style component entry: push and latch."""
-        component = int(component)
-        self._stack.append(component)
-        self._write_port(component)
-
-    def exit(self):
-        """Kaffe-style component exit: pop and restore the caller's ID."""
-        if len(self._stack) <= 1:
-            raise ConfigurationError("component stack underflow")
-        self._stack.pop()
-        # Kaffe rewrites the port on exit even if an outer frame has the
-        # same ID; Jikes-style scheduling has no exits.
-        self._write_port(self._stack[-1], force=self.style == "kaffe")
-
     def _port_row(self, component):
         """A port write latching *component*, as a one-row stream piece
         (cached; pieces are never written)."""
@@ -171,15 +151,13 @@ class InstrumentedScheduler:
     # -- execution ------------------------------------------------------
 
     def execute(self, activity):
-        """Run *activity*: latch its component, account its chunks."""
+        """Run *activity*: latch its component, account its chunks, and
+        in Kaffe style latch APP again after any other component."""
         component = int(activity.component)
-        if self.style == "kaffe" and component != self.current_component:
-            self.enter(activity.component)
-            self._emit_chunks(activity)
-            self.exit()
-        else:
-            self._write_port(component)
-            self._emit_chunks(activity)
+        self._write_port(component)
+        self._emit_chunks(activity)
+        if self._exit_writes and component != Component.APP:
+            self._write_port(int(Component.APP))
 
     def execute_rows(self, *parts):
         """Run *parts* in order as one stream, exactly as calling
@@ -197,13 +175,13 @@ class InstrumentedScheduler:
         :meth:`_commit_batch`: each batch's wall time and power come
         from :meth:`~repro.hardware.activity.ExecutionModel.run_rows`
         under the CPU state in force when it starts, and the rows after
-        a throttle flip are re-costed.  Kaffe-style entry/exit
-        scheduling (and a port whose writes cost nothing, which leaves
-        no row to write at) loops over :meth:`execute`.
+        a throttle flip are re-costed.  A port whose writes cost nothing
+        leaves no row to write at, so its streams loop over
+        :meth:`execute`.
         """
         cursor = [self._sim_now_s]
         port = self.platform.port
-        if self.style != "jikes" or port.write_cost_cycles == 0:
+        if port.write_cost_cycles == 0:
             for part in parts:
                 for row in range(len(part)):
                     self.execute(part.activity(row)
@@ -492,11 +470,12 @@ class _StreamBuilder:
     commits, in order, from its parts.
 
     A part of at least :attr:`WHOLE_ROWS` rows of one component that all
-    fit a chunk joins the stream whole, after a port-write row if it
-    changes the latched component.  Every other row goes through
-    Python, as :meth:`execute` would run it: a port-write row if its
-    component differs from the latched one, then its chunks (none
-    without instructions).
+    fit a chunk, and that need no exit writes, joins the stream whole,
+    after a port-write row if it changes the latched component.  Every
+    other row goes through Python, as :meth:`execute` would run it: a
+    port-write row if its component differs from the latched one, then
+    its chunks (none without instructions), then in Kaffe style a
+    port-write row latching APP if its component is another.
     """
 
     #: Fewest rows a part needs to join whole.  Joining costs a few
@@ -506,6 +485,7 @@ class _StreamBuilder:
 
     def __init__(self, sched):
         self.sched = sched
+        self.exit_writes = sched._exit_writes
         self.latched = sched._latched
         self.writes = []   # (stream row, component) of each port write
         self.pieces = []   # CostedRows, in order
@@ -518,7 +498,8 @@ class _StreamBuilder:
         n = len(costed)
         if n >= self.WHOLE_ROWS:
             component = int(costed.component[0])
-            if ((costed.component == component).all()
+            if ((component == Component.APP or not self.exit_writes)
+                    and (costed.component == component).all()
                     and costed.instructions.all()
                     and costed.cycles.max() <= self.sched.max_chunk_cycles):
                 self._latch(component)
@@ -535,7 +516,7 @@ class _StreamBuilder:
                     self._add_chunks(costed.activity(row))
                 else:
                     self._add(values)
-            self.stops.append(self.made)
+            self._end_row(values[0])
 
     def add_activities(self, activities):
         """Queue :class:`~repro.hardware.activity.Activity` records,
@@ -555,7 +536,7 @@ class _StreamBuilder:
                         act.tag, act.mix_factor, cycles, l2_acc, l2_miss,
                         mem_acc, power_model.utilization(ipc) ** gamma,
                     ))
-            self.stops.append(self.made)
+            self._end_row(int(act.component))
 
     def _latch(self, component):
         if component != self.latched:
@@ -566,6 +547,13 @@ class _StreamBuilder:
                 0.0, 0.0, 0.0, 0.0,
             ))
             self.latched = component
+
+    def _end_row(self, component):
+        """Close an input row of *component*: in Kaffe style its exit
+        write latches APP again."""
+        if self.exit_writes and component != Component.APP:
+            self._latch(int(Component.APP))
+        self.stops.append(self.made)
 
     def _add(self, values):
         self.rows.append(values)

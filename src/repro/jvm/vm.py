@@ -15,7 +15,9 @@ A VM executes a :class:`~repro.workloads.generator.WorkloadRun` slice by
 slice; everything it does — class loads, compilations, application
 execution, allocation, and the collections allocation forces — flows
 through the instrumented scheduler into a ground-truth timeline that the
-measurement infrastructure then samples.
+measurement infrastructure then samples.  Both VMs share one slice loop:
+a slice's class loads, first-call compiles, application stretches and
+GC phases reach the scheduler as one row stream.
 """
 
 import bisect
@@ -39,6 +41,7 @@ from repro.jvm.compiler import (
     KaffeJIT,
     OptimizingCompiler,
 )
+from repro.jvm.compiler.method import QUALITY_INTERPRETER
 from repro.jvm.components import Component
 from repro.jvm.gc import JIKES_COLLECTORS, make_collector
 from repro.jvm.gc.cost import GCBurstProfile, GCCostModel
@@ -125,8 +128,9 @@ class BaseVM:
     #: Heap bytes reserved for the VM's own data (boot image, compiled
     #: code, VM structures) and unavailable to the application.
     vm_reserved_bytes = 6 * MB
-    #: Instruction cost of VM bootstrap.
+    #: Instruction cost of VM bootstrap, and its memory footprint.
     boot_instructions = 350_000_000
+    boot_footprint_bytes = 8 * MB
 
     def __init__(self, platform, collector=None, heap_mb=64, seed=42,
                  n_slices=160, dvfs_freq_scale=None,
@@ -263,12 +267,9 @@ class BaseVM:
                 self.platform.port.total_perturbation_cycles()
             ),
             repetitions=repetitions,
-            opt_compiles=getattr(state.opt, "methods_compiled", 0)
-            if state.opt else 0,
-            base_compiles=getattr(state.base, "methods_compiled", 0)
-            if state.base else 0,
-            jit_compiles=getattr(state.jit, "methods_compiled", 0)
-            if state.jit else 0,
+            opt_compiles=getattr(state.opt, "methods_compiled", 0),
+            base_compiles=getattr(state.base, "methods_compiled", 0),
+            jit_compiles=getattr(state.jit, "methods_compiled", 0),
         )
 
     # -- hooks implemented by subclasses ----------------------------
@@ -285,15 +286,43 @@ class BaseVM:
                                      obs=self.obs)
 
     def _setup_compilers(self, state):
-        raise NotImplementedError
+        """Cost the compile of every method by ``state.compiler`` (set
+        by the subclass first; ``None`` interprets): a compile costs
+        the same whenever it runs, so all of them are costed here in
+        one pass."""
+        if state.compiler is not None:
+            state.compile_costs = state.sched.exec_model.cost_rows(
+                state.compiler.activity_rows(state.workload.method_table)
+            )
 
     def _boot(self, state):
-        raise NotImplementedError
-
-    def _compile_first_calls(self, state, sl):
-        """Compile the methods of slice *sl*'s first invocations that
-        are not compiled yet, in table order."""
-        raise NotImplementedError
+        # The slices fix the order of the dynamic loads, and so each
+        # load's footprint: all of them are costed here in one pass.
+        state.class_costs = state.sched.exec_model.cost_rows(
+            state.classloader.activity_rows(
+                [cls for sl in state.workload.slices
+                 for cls in sl.class_loads],
+                warm=state.warm,
+            )
+        )
+        profile = profile_for(self.platform.name, "boot")
+        state.sched.execute(
+            Activity(
+                component=Component.APP,
+                instructions=self.boot_instructions,
+                behavior=MemoryBehavior(
+                    footprint_bytes=self.boot_footprint_bytes,
+                    hot_bytes=profile.hot_bytes,
+                    locality=profile.locality,
+                    spatial_factor=profile.spatial,
+                ),
+                refs_per_instr=profile.refs_per_instr,
+                l1_miss_rate=profile.l1_miss_rate,
+                mix_factor=profile.mix,
+                cpi_scale=profile.cpi_scale,
+                tag="boot",
+            )
+        )
 
     def _post_slice(self, state, sl):
         """Subclass hook after each slice (Jikes runs the AOS here)."""
@@ -301,14 +330,72 @@ class BaseVM:
     # -- slice execution -------------------------------------------------
 
     def _run_slice(self, state, sl):
-        for cls in sl.class_loads:
-            act = state.classloader.load(cls, warm=state.warm)
-            if act is not None:
-                state.sched.execute(act)
+        """One emission pass: the slice's class loads, first-call
+        compiles, application stretches and GC phases are queued in
+        order and committed as one row stream before
+        :meth:`_post_slice`."""
+        state.stream = stream = _SliceStream()
+        loads = state.classloader.load_all(sl.class_loads)
+        if loads:
+            done = state.classes_loaded
+            stream.add_costed(state.class_costs[done:done + loads])
+            state.classes_loaded = done + loads
         self._compile_first_calls(state, sl)
         state.roots.expire(state.now)
         self._run_app_phase(state, sl)
+        self._commit_stream(state, stream)
         self._post_slice(state, sl)
+
+    def _compile_first_calls(self, state, sl):
+        """Compile the methods of slice *sl*'s first invocations that
+        are not compiled yet, in table order: one column write, and
+        their precosted rows join the slice's stream."""
+        table = state.workload.method_table
+        rows = sl.method_ids[table.columns.quality[sl.method_ids] <= 0.0]
+        if not len(rows):
+            return
+        compiler = state.compiler
+        if compiler is None:
+            # The interpreter executes bytecodes directly: no compile
+            # activity, but dreadful code quality from then on.
+            table.columns.set_quality(rows, QUALITY_INTERPRETER, "interp")
+            return
+        compiler.compile_rows(table, rows)
+        first = state.stream.add_costed(state.compile_costs[rows])
+        if compiler.traced:
+            state.stream.compiles.append((first, rows))
+
+    def _commit_stream(self, state, stream):
+        """Run the slice's stream.
+
+        ``state.app_seconds`` gains, per stretch, the cursor after its
+        rows minus the cursor before its port write; each GC pause spans
+        its collections' rows, and each traced compile its row: exactly
+        what reading ``sched.sim_now_s`` around an ``execute`` of each
+        would give.
+        """
+        cursor = state.sched.execute_rows(*stream.costed, stream.activities)
+        for row in stream.stretches:
+            state.app_seconds += cursor[row + 1] - cursor[row]
+        for first, rows in stream.compiles:
+            self._observe_compiles(state, rows, cursor, first)
+        for first, stop, reports in stream.collections:
+            self._observe_gc(reports, cursor[first], cursor[stop])
+
+    def _observe_compiles(self, state, rows, cursor, first):
+        """Record the compiles of method table rows *rows*, stream rows
+        from *first* on (a span each, and a count)."""
+        compiler = state.compiler
+        self.obs.metrics.counter(
+            f"compiler.{compiler.tier}_compiles").inc(len(rows))
+        tracer = self.obs.tracer
+        if tracer.enabled:
+            methods = state.workload.method_table.methods
+            for k, row in enumerate(rows.tolist(), first):
+                tracer.add_sim_span(
+                    compiler.tag, "compiler", cursor[k], cursor[k + 1],
+                    method=methods[row].name,
+                )
 
     def _run_app_phase(self, state, sl):
         """Allocate, root and wire the slice's cohorts, collecting as the
@@ -441,12 +528,12 @@ class BaseVM:
         self._emit_gc(state, reports)
 
     def _emit_gc(self, state, reports):
-        """Run the phases of a cycle's collections."""
-        pause_from = state.sched.sim_now_s
-        for report in reports:
-            for act in state.gc_cost.activities(report):
-                state.sched.execute(act)
-        self._observe_gc(reports, pause_from, state.sched.sim_now_s)
+        """Queue the phases of a cycle's collections."""
+        stream = state.stream
+        acts = [act for report in reports
+                for act in state.gc_cost.activities(report)]
+        first = stream.add(acts)
+        stream.collections.append((first, first + len(acts), reports))
 
     def _compact(self, state):
         """At a slice's end, drop object-table rows nothing can reach any
@@ -499,16 +586,10 @@ class BaseVM:
                       freed_bytes=freed)
 
     def _emit_app(self, state, sl, bytecodes):
-        """Run an application stretch of *bytecodes* bytecodes."""
+        """Queue an application stretch of *bytecodes* bytecodes."""
         act = self._app_activity(state, sl, bytecodes)
-        if act is None:
-            return
-        # The scheduler's running cursor is one add per segment; the
-        # timeline's exactly rounded duration_s is O(n) per read and
-        # made this accounting quadratic over a run.
-        before = state.sched.sim_now_s
-        state.sched.execute(act)
-        state.app_seconds += state.sched.sim_now_s - before
+        if act is not None:
+            state.stream.stretches.append(state.stream.add([act]))
 
     def _app_activity(self, state, sl, bytecodes):
         """The activity of an application stretch of *bytecodes*
@@ -558,21 +639,26 @@ class _SliceCohorts:
 
 @dataclass
 class _SliceStream:
-    """A Jikes slice's work, queued in execution order: costed rows
-    (class loads, first-call compiles), then activities still to be
-    costed (application stretches and GC phases), with the row of each
-    stretch and the rows of each collection cycle."""
+    """A slice's work, queued in execution order: costed rows (class
+    loads, first-call compiles), then activities still to be costed
+    (application stretches and GC phases), with the row of each
+    stretch, the rows of each collection cycle and the first row and
+    method table rows of each traced run of compiles."""
 
     costed: list = field(default_factory=list)
     n_costed: int = 0
     activities: list = field(default_factory=list)
     stretches: list = field(default_factory=list)
     collections: list = field(default_factory=list)
+    compiles: list = field(default_factory=list)
 
     def add_costed(self, costed):
-        """Queue precosted rows; they come before every activity."""
+        """Queue precosted rows, which come before every activity;
+        return the row of the first."""
+        first = self.n_costed
         self.costed.append(costed)
         self.n_costed += len(costed)
+        return first
 
     def add(self, activities):
         """Queue *activities*; return the row of the first."""
@@ -598,8 +684,11 @@ class _RunState:
     now: float = 0.0
     app_seconds: float = 0.0
     aos_mark_s: float = 0.0
+    #: The first-call compiler (``None`` interprets) and the costed
+    #: compile of every method by it.
+    compiler: Optional[object] = None
+    compile_costs: Optional[object] = None
     base: Optional[object] = None
-    base_costs: Optional[object] = None
     class_costs: Optional[object] = None
     classes_loaded: int = 0
     stream: Optional[_SliceStream] = None
@@ -622,16 +711,11 @@ class JikesRVM(BaseVM):
     boot_instructions = 350_000_000
 
     def _setup_compilers(self, state):
-        table = state.workload.method_table
-        state.base = BaselineCompiler(self.platform.name)
-        # Every method's baseline compile costs the same whenever it
-        # runs, so all of them are costed here in one pass.
-        state.base_costs = state.sched.exec_model.cost_rows(
-            state.base.activity_rows(table)
-        )
+        state.base = state.compiler = BaselineCompiler(self.platform.name)
+        super()._setup_compilers(state)
         state.opt = OptimizingCompiler(self.platform.name)
         state.aos = AdaptiveOptimizationSystem(
-            table,
+            state.workload.method_table,
             rng=state.workload.rng,
             app_instr_per_second=self.platform.clock_hz * 0.7,
         )
@@ -639,84 +723,7 @@ class JikesRVM(BaseVM):
     def _boot(self, state):
         # System classes ship in the boot image: no dynamic loads.
         state.classloader.preload_system(state.workload.classes)
-        # The slices fix the order of the dynamic loads, and so each
-        # load's footprint: all of them are costed here in one pass.
-        state.class_costs = state.sched.exec_model.cost_rows(
-            state.classloader.activity_rows(
-                [cls for sl in state.workload.slices
-                 for cls in sl.class_loads],
-                warm=state.warm,
-            )
-        )
-        profile = profile_for(self.platform.name, "boot")
-        state.sched.execute(
-            Activity(
-                component=Component.APP,
-                instructions=self.boot_instructions,
-                behavior=MemoryBehavior(
-                    footprint_bytes=8 * MB,
-                    hot_bytes=profile.hot_bytes,
-                    locality=profile.locality,
-                    spatial_factor=profile.spatial,
-                ),
-                refs_per_instr=profile.refs_per_instr,
-                l1_miss_rate=profile.l1_miss_rate,
-                mix_factor=profile.mix,
-                cpi_scale=profile.cpi_scale,
-                tag="boot",
-            )
-        )
-
-    def _run_slice(self, state, sl):
-        """One emission pass: the slice's class loads, first-call
-        compiles, application stretches and GC phases are queued in
-        order and committed as one row stream before the AOS epoch."""
-        state.stream = stream = _SliceStream()
-        loads = state.classloader.load_all(sl.class_loads)
-        if loads:
-            done = state.classes_loaded
-            stream.add_costed(state.class_costs[done:done + loads])
-            state.classes_loaded = done + loads
-        self._compile_first_calls(state, sl)
-        state.roots.expire(state.now)
-        self._run_app_phase(state, sl)
-        self._commit_stream(state, stream)
-        self._post_slice(state, sl)
-
-    def _compile_first_calls(self, state, sl):
-        # One column write compiles the slice's new methods; their
-        # precomputed rows join the slice's stream.
-        table = state.workload.method_table
-        rows = sl.method_ids[table.columns.quality[sl.method_ids] <= 0.0]
-        if len(rows):
-            state.base.compile_rows(table, rows)
-            state.stream.add_costed(state.base_costs[rows])
-
-    def _emit_app(self, state, sl, bytecodes):
-        act = self._app_activity(state, sl, bytecodes)
-        if act is not None:
-            state.stream.stretches.append(state.stream.add([act]))
-
-    def _emit_gc(self, state, reports):
-        stream = state.stream
-        acts = [act for report in reports
-                for act in state.gc_cost.activities(report)]
-        first = stream.add(acts)
-        stream.collections.append((first, first + len(acts), reports))
-
-    def _commit_stream(self, state, stream):
-        """Run the slice's stream.
-
-        ``state.app_seconds`` gains, per stretch, the cursor after its
-        rows minus the cursor before its port write, and each GC pause
-        spans its collections' rows: exactly what reading
-        ``sched.sim_now_s`` around an ``execute`` of each would give.
-        """
-        cursor = state.sched.execute_rows(*stream.costed, stream.activities)
-        for row in stream.stretches:
-            state.app_seconds += cursor[row + 1] - cursor[row]
-        for first, stop, reports in stream.collections:
-            self._observe_gc(reports, cursor[first], cursor[stop])
+        super()._boot(state)
 
     #: Controller-thread work per processed sample (bookkeeping) and
     #: per epoch (organizer wakeup).  Sized so the controller stays
@@ -799,6 +806,7 @@ class KaffeVM(BaseVM):
     default_collector = "KaffeGC"
     vm_reserved_bytes = 2 * MB
     boot_instructions = 60_000_000
+    boot_footprint_bytes = 2 * MB
 
     def __init__(self, platform, mode="jit", **kwargs):
         if mode not in ("jit", "interp"):
@@ -810,48 +818,8 @@ class KaffeVM(BaseVM):
 
     def _setup_compilers(self, state):
         if self.mode == "jit":
-            state.jit = KaffeJIT(self.platform.name)
-
-    def _boot(self, state):
-        profile = profile_for(self.platform.name, "boot")
-        state.sched.execute(
-            Activity(
-                component=Component.APP,
-                instructions=self.boot_instructions,
-                behavior=MemoryBehavior(
-                    footprint_bytes=2 * MB,
-                    hot_bytes=profile.hot_bytes,
-                    locality=profile.locality,
-                    spatial_factor=profile.spatial,
-                ),
-                refs_per_instr=profile.refs_per_instr,
-                l1_miss_rate=profile.l1_miss_rate,
-                mix_factor=profile.mix,
-                cpi_scale=profile.cpi_scale,
-                tag="boot",
-            )
-        )
-
-    def _compile_first_calls(self, state, sl):
-        for method in sl.method_calls:
-            if method.compiled:
-                continue
-            if self.mode == "jit":
-                compile_from = state.sched.sim_now_s
-                state.sched.execute(state.jit.compile(method))
-                if self.obs.tracer.enabled:
-                    self.obs.tracer.add_sim_span(
-                        "jit-compile", "compiler", compile_from,
-                        state.sched.sim_now_s, method=method.name,
-                    )
-                self.obs.metrics.counter("compiler.jit_compiles").inc()
-            else:
-                # The interpreter executes bytecodes directly: no compile
-                # activity, but dreadful code quality from then on.
-                from repro.jvm.compiler.method import QUALITY_INTERPRETER
-
-                method.quality = QUALITY_INTERPRETER
-                method.tier = "interp"
+            state.jit = state.compiler = KaffeJIT(self.platform.name)
+        super()._setup_compilers(state)
 
 
 register_vm(

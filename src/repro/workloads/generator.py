@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.jvm.classloader import ClassSpec
-from repro.jvm.compiler.method import JavaMethod, MethodTable
+from repro.jvm.compiler.method import MethodTable
 
 #: Default number of slices a run is divided into.
 DEFAULT_SLICES = 160
@@ -39,8 +39,8 @@ class Slice:
     bytecodes: float
     alloc_bytes: int
     class_loads: List[ClassSpec] = field(default_factory=list)
-    method_calls: List[JavaMethod] = field(default_factory=list)
-    #: Rows of :attr:`method_calls` in the run's method table.
+    #: Rows of the methods first called in this slice, in the run's
+    #: method table (in table order).
     method_ids: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64))
     mutations: int = 0
@@ -161,11 +161,9 @@ class WorkloadRun:
         bounds = np.concatenate(
             ([0], np.cumsum(np.bincount(method_slices, minlength=n)))
         )
-        methods = self.method_table.methods
         for s, lo, hi in zip(slices, bounds[:-1].tolist(),
                              bounds[1:].tolist()):
             s.method_ids = by_slice[lo:hi]
-            s.method_calls = [methods[i] for i in s.method_ids.tolist()]
 
         # Tracked pointer mutations per slice.
         for s in slices:

@@ -1,5 +1,6 @@
 """Tests for the campaign executor: determinism, caching, isolation."""
 
+import gc
 import json
 import time
 from dataclasses import replace
@@ -8,6 +9,8 @@ import pytest
 
 from repro import ExperimentConfig
 from repro.campaign import CampaignRunner, run_campaign
+from repro.campaign.runner import _CellTimer
+from repro.errors import CellTimeoutError
 from repro.spec import ScenarioSpec
 
 # Small but non-trivial: 2 benchmarks x 2 collectors x 2 heaps = 8
@@ -155,6 +158,26 @@ class TestDegradation:
         assert not bad.ok
         assert bad.error_type == "CellTimeoutError"
         assert "budget" in bad.error
+
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnraisableExceptionWarning")
+    def test_timeout_inside_gc_callback_still_fails(self):
+        # The alarm lands inside a gc.callbacks hook, where Python
+        # reports its exception as unraisable and carries on: leaving
+        # the timer must still raise it.
+        def slow(phase, info):
+            if phase == "start":
+                deadline = time.perf_counter() + 0.1
+                while time.perf_counter() < deadline:
+                    pass
+
+        gc.callbacks.append(slow)
+        try:
+            with pytest.raises(CellTimeoutError, match="budget"):
+                with _CellTimer(0.01):
+                    gc.collect()
+        finally:
+            gc.callbacks.remove(slow)
 
     def test_failed_cells_never_cached(self, tmp_path):
         cells = [ExperimentConfig(benchmark="no_such_benchmark")]

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, OutOfMemoryError, SpaceExhausted
 from repro.extensions.thermal_policy import ThermalAwareVM
 from repro.hardware.platform import make_platform
 from repro.jvm.vm import JikesRVM
+from repro.obs import Observability
+from repro.obs.tracer import SIM_CLOCK
 
 from tests.conftest import make_tiny_spec
 
@@ -15,6 +17,32 @@ def hot_platform():
     platform = make_platform("p6", fan_enabled=False)
     platform.thermal.temperature_c = 96.0
     return platform
+
+
+def kept_hot(platform):
+    """*platform*, made to reset to 70 C with its fan off (``run()``
+    resets the platform to ambient)."""
+    original_reset = platform.reset
+
+    def reset_keep_hot():
+        original_reset()
+        platform.thermal.fan_enabled = False
+        platform.thermal.temperature_c = 70.0
+
+    platform.reset = reset_keep_hot
+    return platform
+
+
+def patch_collect(monkeypatch, wrap):
+    """Replace each run's ``collector.collect`` by ``wrap(collect)``."""
+    make = ThermalAwareVM._make_collector
+
+    def making(self, rng):
+        collector = make(self, rng)
+        collector.collect = wrap(collector.collect)
+        return collector
+
+    monkeypatch.setattr(ThermalAwareVM, "_make_collector", making)
 
 
 class TestConstruction:
@@ -33,18 +61,8 @@ class TestPolicy:
         assert vm.policy_stats.checks > 0
 
     def test_hot_platform_triggers(self):
-        platform = hot_platform()
-        # reset() in run() restores ambient; pre-heat via a hook.
-        vm = ThermalAwareVM(platform, heap_mb=24, seed=3,
+        vm = ThermalAwareVM(kept_hot(hot_platform()), heap_mb=24, seed=3,
                             n_slices=40, policy_threshold_c=60.0)
-        original_reset = platform.reset
-
-        def reset_keep_hot():
-            original_reset()
-            platform.thermal.fan_enabled = False
-            platform.thermal.temperature_c = 70.0
-
-        platform.reset = reset_keep_hot
         vm.run(make_tiny_spec())
         assert vm.policy_stats.triggers > 0
         assert all(
@@ -56,16 +74,49 @@ class TestPolicy:
         plain = JikesRVM(make_platform("p6"), heap_mb=24, seed=3,
                          n_slices=40).run(spec)
 
-        platform = hot_platform()
-        vm = ThermalAwareVM(platform, heap_mb=24, seed=3,
+        vm = ThermalAwareVM(kept_hot(hot_platform()), heap_mb=24, seed=3,
                             n_slices=40, policy_threshold_c=55.0)
-        original_reset = platform.reset
-
-        def reset_keep_hot():
-            original_reset()
-            platform.thermal.fan_enabled = False
-            platform.thermal.temperature_c = 70.0
-
-        platform.reset = reset_keep_hot
         hot = vm.run(spec)
         assert hot.gc_stats.collections > plain.gc_stats.collections
+
+
+class TestCoolingCollections:
+    """A cooling collection takes the VM's one GC path."""
+
+    def test_each_cooling_cycle_is_observed(self, monkeypatch):
+        cycles = []
+
+        def wrap(collect):
+            def counting(roots, now):
+                reports = collect(roots, now)
+                cycles.append(len(reports))
+                return reports
+            return counting
+
+        patch_collect(monkeypatch, wrap)
+        obs = Observability.create(trace=True, metrics=True)
+        vm = ThermalAwareVM(kept_hot(hot_platform()), heap_mb=24, seed=3,
+                            n_slices=40, policy_threshold_c=55.0, obs=obs)
+        vm.run(make_tiny_spec())
+        assert vm.policy_stats.triggers > 0
+        spans = [span for span in obs.tracer.spans_on(SIM_CLOCK, "gc")
+                 if span.name == "gc-cycle"]
+        observed = sum(n > 0 for n in cycles)
+        assert len(spans) == observed
+        assert obs.metrics.counter("gc.cycles").value == observed
+
+    def test_cooling_collection_out_of_memory(self, monkeypatch):
+        def wrap(collect):
+            def exhausted(roots, now):
+                raise SpaceExhausted("mature space full")
+            return exhausted
+
+        patch_collect(monkeypatch, wrap)
+        # No garbage needed: the first check, before any allocation,
+        # collects.
+        vm = ThermalAwareVM(kept_hot(hot_platform()), heap_mb=24, seed=3,
+                            n_slices=40, policy_threshold_c=55.0,
+                            min_garbage_bytes=0)
+        with pytest.raises(OutOfMemoryError):
+            vm.run(make_tiny_spec())
+        assert vm.policy_stats.triggers == 1

@@ -41,7 +41,7 @@ from repro.jvm import objects
 from repro.jvm.components import Component
 from repro.jvm.gc.generational import GenCopy, GenMS
 from repro.jvm.scheduler import InstrumentedScheduler
-from repro.jvm.vm import JikesRVM
+from repro.jvm.vm import BaseVM, JikesRVM, KaffeVM
 from repro.obs import Observability
 from repro.obs.tracer import SIM_CLOCK
 from repro.units import KB, MB
@@ -131,10 +131,10 @@ def _thermal_aware():
     return run, platform.port
 
 
-def _governed(governor=None, obs=None):
+def _governed(governor=None, obs=None, vm_class=JikesRVM):
     platform = make_platform("p6")
     governor = governor or MemoryBoundGovernor()
-    vm = governed_vm(JikesRVM, platform, governor, heap_mb=24, seed=6,
+    vm = governed_vm(vm_class, platform, governor, heap_mb=24, seed=6,
                      n_slices=40, obs=obs)
     run = vm.run(make_tiny_spec(
         app_overrides={"l1_miss_rate": 0.09, "locality": 0.5}))
@@ -142,16 +142,30 @@ def _governed(governor=None, obs=None):
     return run, platform.port
 
 
-def _throttled():
+def _throttled(vm_class=JikesRVM):
     """Fan off, started 0.01 C below the P6 trip point and with the
     release point moved up to 0.01 C below it as well: the throttle
     latch flips both ways all through the run, so batches are cut at a
     flip and their rest re-costed under the new duty cycle."""
     platform = make_platform("p6", fan_enabled=False)
     platform.thermal.spec = replace(platform.thermal.spec, resume_c=98.99)
-    vm = JikesRVM(platform, heap_mb=24, seed=99, n_slices=40,
+    vm = vm_class(platform, heap_mb=24, seed=99, n_slices=40,
                   initial_temperature_c=98.99)
     return vm.run("_213_javac", input_scale=0.1), platform.port
+
+
+def _kaffe(obs=None):
+    return _experiment(obs=obs, benchmark="_202_jess", vm="kaffe",
+                       platform="pxa255", heap_mb=16, seed=7,
+                       input_scale=0.1)
+
+
+def _kaffe_interp():
+    platform = make_platform("pxa255")
+    vm = KaffeVM(platform, mode="interp", heap_mb=16, seed=7, n_slices=40)
+    run = vm.run("_202_jess", input_scale=0.1)
+    assert run.jit_compiles == 0
+    return run, platform.port
 
 
 def _trace_replay():
@@ -218,12 +232,12 @@ CASES = {
     "jikes-p6-GenMS": lambda: _jikes("GenMS"),
     "jikes-p6-GenCopy-reference": lambda: _experiment(
         benchmark="_213_javac", heap_mb=32, input_scale=0.5),
-    "kaffe-pxa255": lambda: _experiment(
-        benchmark="_202_jess", vm="kaffe", platform="pxa255",
-        heap_mb=16, seed=7, input_scale=0.1),
+    "kaffe-pxa255": _kaffe,
+    "kaffe-pxa255-interp": _kaffe_interp,
     "AdaptiveHeapVM": _adaptive_heap,
     "ThermalAwareVM": _thermal_aware,
     "GovernedScheduler": _governed,
+    "GovernedScheduler-kaffe": lambda: _governed(vm_class=KaffeVM),
     "TraceReplay-GenMS": _trace_replay,
     "jikes-p6-GenCopy-nursery32k": lambda: _small_nursery(GenCopy),
     "jikes-p6-GenMS-nursery32k": lambda: _small_nursery(GenMS),
@@ -236,6 +250,7 @@ CASES = {
     "jikes-p6-_213_javac-fanless-repetitions3": lambda: _matrix(
         "_213_javac", "jikes", "p6", fan_enabled=False, repetitions=3),
     "jikes-p6-throttled": _throttled,
+    "kaffe-p6-throttled": lambda: _throttled(KaffeVM),
 }
 
 
@@ -272,22 +287,42 @@ def _drive(fan_enabled=True, temperature_c=None):
             "throttle_episodes": sched.throttle_episodes}
 
 
+def _sim_spans(obs, track, name):
+    """The *name* spans on the simulated-clock *track* of *obs*."""
+    spans = [(span.start_s, span.dur_s, sorted(span.args.items()))
+             for span in obs.tracer.spans_on(SIM_CLOCK, track)
+             if span.name == name]
+    return {"n": len(spans), "spans": _sha256(spans)}
+
+
 def _gc_cycle_spans(obs=None):
     """The GC pause spans of the traced ``jikes-p6-GenCopy`` run (run
     here unless *obs* recorded it)."""
     if obs is None:
         obs = Observability.create(trace=True, metrics=True)
         _jikes("GenCopy", obs=obs)
-    spans = [(span.start_s, span.dur_s, sorted(span.args.items()))
-             for span in obs.tracer.spans_on(SIM_CLOCK, "gc")
-             if span.name == "gc-cycle"]
-    return {"n": len(spans), "spans": _sha256(spans)}
+    return _sim_spans(obs, "gc", "gc-cycle")
+
+
+def _kaffe_compiler_spans(obs=None):
+    """The JIT compile and GC pause spans, and the JIT compile count, of
+    the traced ``kaffe-pxa255`` run (run here unless *obs* recorded
+    it)."""
+    if obs is None:
+        obs = Observability.create(trace=True, metrics=True)
+        _kaffe(obs=obs)
+    return {
+        "jit-compile": _sim_spans(obs, "compiler", "jit-compile"),
+        "gc-cycle": _sim_spans(obs, "gc", "gc-cycle"),
+        "jit_compiles": obs.metrics.counter("compiler.jit_compiles").value,
+    }
 
 
 #: Pins that are not run digests, keyed like :data:`CASES`.
 OOM_CASE = "jikes-p6-GenCopy-12MB-oom"
 DECISIONS_CASE = "GovernedScheduler-decisions"
 GC_SPANS_CASE = "jikes-p6-GenCopy-gc-cycle-spans"
+KAFFE_SPANS_CASE = "kaffe-pxa255-compiler-spans"
 DRIVES = {
     "scheduler-drive": {},
     # Starts 0.01 C below the P6 trip point: the latch flips mid-batch.
@@ -344,10 +379,11 @@ def test_scheduler_drive_matches_golden(case):
 
 def test_golden_covers_every_case():
     assert sorted(_golden()) == sorted(
-        [*CASES, OOM_CASE, DECISIONS_CASE, GC_SPANS_CASE, *DRIVES])
+        [*CASES, OOM_CASE, DECISIONS_CASE, GC_SPANS_CASE, KAFFE_SPANS_CASE,
+         *DRIVES])
 
 
-def test_throttled_case_cuts_slice_streams(monkeypatch):
+def _assert_throttled_cuts_slice_streams(vm_class, monkeypatch):
     # The latch flips inside the slices' row streams: a stream batch is
     # committed short and its rest re-costed under the new duty cycle.
     scheds, cuts = [], []
@@ -359,17 +395,26 @@ def test_throttled_case_cuts_slice_streams(monkeypatch):
             cuts.append(tags[consumed - 1])
         return consumed
 
-    make = JikesRVM._make_scheduler
+    make = BaseVM._make_scheduler
 
     def keeping(self):
         scheds.append(make(self))
         return scheds[-1]
 
     monkeypatch.setattr(InstrumentedScheduler, "_commit_batch", counting)
-    monkeypatch.setattr(JikesRVM, "_make_scheduler", keeping)
-    assert digests(*_throttled()) == _golden()["jikes-p6-throttled"]
+    monkeypatch.setattr(BaseVM, "_make_scheduler", keeping)
+    case = f"{vm_class.name}-p6-throttled"
+    assert digests(*_throttled(vm_class)) == _golden()[case]
     assert scheds[0].throttle_episodes >= 1
     assert len(cuts) >= 1
+
+
+def test_throttled_case_cuts_slice_streams(monkeypatch):
+    _assert_throttled_cuts_slice_streams(JikesRVM, monkeypatch)
+
+
+def test_throttled_kaffe_case_cuts_slice_streams(monkeypatch):
+    _assert_throttled_cuts_slice_streams(KaffeVM, monkeypatch)
 
 
 def test_traced_run_is_byte_identical():
@@ -387,6 +432,19 @@ def test_traced_run_is_byte_identical():
     assert _gc_cycle_spans(obs) == _golden()[GC_SPANS_CASE]
 
 
+def test_traced_kaffe_run_is_byte_identical():
+    # Kaffe's compiles and collections reach the scheduler inside the
+    # slices' streams; their spans come from the stream's cursor.
+    obs = Observability.create(trace=True, metrics=True)
+    run, port = _kaffe(obs=obs)
+    assert digests(run, port) == _golden()["kaffe-pxa255"]
+    pin = _kaffe_compiler_spans(obs)
+    assert pin == _golden()[KAFFE_SPANS_CASE]
+    assert pin["jit-compile"]["n"] == pin["jit_compiles"] == (
+        run.jit_compiles) > 0
+    assert pin["gc-cycle"]["n"] > 0
+
+
 def test_traced_governed_run_is_byte_identical():
     # Under the governor a batch is cut at every change of operating
     # point; tracing must observe those commits and write nothing back.
@@ -402,6 +460,7 @@ if __name__ == "__main__":
     pins[OOM_CASE] = _out_of_memory()
     pins[DECISIONS_CASE] = _governor_decisions()
     pins[GC_SPANS_CASE] = _gc_cycle_spans()
+    pins[KAFFE_SPANS_CASE] = _kaffe_compiler_spans()
     pins.update({case: _drive(**DRIVES[case]) for case in DRIVES})
     GOLDEN.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(pins)} pins to {GOLDEN}")

@@ -91,63 +91,6 @@ class TestKaffeStyle:
         sched.execute(act(Component.JIT))  # enter + exit
         assert sched.port_writes == 3
 
-    def test_nesting_restores_caller(self, p6):
-        sched = InstrumentedScheduler(p6, style="kaffe")
-        sched.enter(Component.JIT)
-        sched.enter(Component.CL)
-        sched.exit()
-        assert sched.current_component == int(Component.JIT)
-        assert p6.port.read(sched.now_cycle) == int(Component.JIT)
-
-    def test_stack_underflow_rejected(self, p6):
-        sched = InstrumentedScheduler(p6, style="kaffe")
-        with pytest.raises(ConfigurationError):
-            sched.exit()
-
-    def test_exit_rewrites_port_even_when_id_already_latched(self, p6):
-        # Regression: nested CL-inside-JIT where the inner entry is
-        # elided (CL already latched).  Kaffe's exit stub still executes
-        # its OUT when unwinding to the outer CL frame — eliding it
-        # undercounted exit-path perturbation.
-        sched = InstrumentedScheduler(p6, style="kaffe")
-        sched.enter(Component.JIT)          # write 1
-        sched.enter(Component.CL)           # write 2
-        sched.enter(Component.CL)           # elided: CL already latched
-        sched.exit()                        # write 3 (restores CL - forced)
-        sched.exit()                        # write 4 (restores JIT)
-        sched.exit()                        # write 5 (restores APP)
-        assert sched.port_writes == 5
-
-    def test_exit_rewrite_is_charged_like_any_port_write(self, p6):
-        sched = InstrumentedScheduler(p6, style="kaffe")
-        # Advance off cycle 0 first: a write at cycle 0 collapses into
-        # the port's power-on latch entry rather than appending.
-        sched.execute(act(Component.APP))
-        pert_before = p6.port.total_perturbation_cycles()
-        writes_before = sched.port_writes
-        sched.enter(Component.JIT)
-        sched.enter(Component.CL)
-        sched.enter(Component.CL)
-        for _ in range(3):
-            sched.exit()
-        pert_segs = [s for s in sched.timeline if s.tag == "port-write"]
-        assert sched.port_writes - writes_before == 5
-        assert len(pert_segs) == sched.port_writes
-        assert p6.port.total_perturbation_cycles() - pert_before == (
-            5 * p6.port.write_cost_cycles
-        )
-
-    def test_jikes_style_exit_rewrite_not_forced(self, p6):
-        # The unconditional exit rewrite is a Kaffe stub behavior; the
-        # Jikes scheduler writes only on actual component switches.
-        sched = InstrumentedScheduler(p6, style="jikes")
-        sched.enter(Component.JIT)
-        sched.enter(Component.CL)
-        sched.enter(Component.CL)
-        for _ in range(3):
-            sched.exit()
-        assert sched.port_writes == 4
-
 
 class TestTimeline:
     def test_gap_free(self, p6):
@@ -261,11 +204,12 @@ class TestBatchedEngine:
         ]
         return classes, work
 
-    def _run_compiles(self, platform_name, rows, thermal=None):
+    def _run_compiles(self, platform_name, rows, thermal=None,
+                      style="jikes"):
         """Baseline-compile a table in three runs split by application
         work, the middle one inside a mixed stream: as precomputed rows
         and activities through ``execute_rows`` (``rows``) or one
-        ``execute`` each."""
+        ``execute`` each, on a scheduler of instrumentation *style*."""
         # The PXA255 never gets near its own trip point.
         platform = make_platform(
             platform_name, fan_enabled=thermal != "trip",
@@ -286,7 +230,8 @@ class TestBatchedEngine:
             platform.thermal.throttled = platform.cpu.throttled = True
         elif thermal == "dvfs":
             platform.cpu.set_dvfs(0.75)
-        sched = InstrumentedScheduler(platform, max_chunk_s=0.01)
+        sched = InstrumentedScheduler(platform, style=style,
+                                      max_chunk_s=0.01)
         table = self._methods()
         base = BaselineCompiler(platform.name)
         costs = sched.exec_model.cost_rows(base.activity_rows(table))
@@ -327,15 +272,20 @@ class TestBatchedEngine:
                         sched.execute(activity)
         return sched, table
 
-    @pytest.mark.parametrize("platform_name", ["p6", "pxa255"])
-    @pytest.mark.parametrize("thermal", [None, "trip", "release",
-                                         "release-at-port", "dvfs"])
+    @pytest.mark.parametrize("platform_name,thermal,style", [
+        pytest.param(platform_name, thermal, style,
+                     id=f"{thermal}-{platform_name}"
+                     + ("-kaffe" if style == "kaffe" else ""))
+        for style in ("jikes", "kaffe")
+        for platform_name in ("p6", "pxa255")
+        for thermal in (None, "trip", "release", "release-at-port", "dvfs")
+    ])
     def test_execute_rows_equals_execute_loop(self, platform_name,
-                                              thermal):
+                                              thermal, style):
         loop, loop_table = self._run_compiles(platform_name, False,
-                                              thermal)
+                                              thermal, style)
         rows, rows_table = self._run_compiles(platform_name, True,
-                                              thermal)
+                                              thermal, style)
         # The throttle latch flips inside the first run of compiles, so
         # a batch is flushed and its rest re-costed mid-run.
         assert rows.platform.cpu.throttled == (thermal == "trip")
@@ -377,15 +327,32 @@ class TestBatchedEngine:
         mixed = rows.exec_model.cost_rows(rows_of(work[:3]))
         assert rows.execute_rows(mixed, work[3:]) == expected
 
-    def test_kaffe_style_rows_loop_over_execute(self, p6):
-        table = self._methods(8)
+    def test_kaffe_style_rows_bracket_each_component_row(
+            self, p6, monkeypatch):
+        # Each non-APP row is entered and exited, as an execute() call
+        # would run it, but inside the stream: a port write latching its
+        # component before it and one latching APP after it.  Twenty
+        # compiles of one component would join a Jikes stream whole.
+        def execute(self, activity):
+            raise AssertionError("a stream row ran through execute()")
+
+        monkeypatch.setattr(InstrumentedScheduler, "execute", execute)
+        table = self._methods(20)
         base = BaselineCompiler(p6.name)
         sched = InstrumentedScheduler(p6, style="kaffe")
-        sched.execute_rows(
+        cursor = sched.execute_rows(
             sched.exec_model.cost_rows(base.activity_rows(table)),
-            [act(Component.GC)])
-        # Each compile is entered and exited like an execute() call.
+            [act(Component.APP), act(Component.GC)])
         assert sched.port_writes == 2 * (len(table) + 1)
+        app, base_id, gc = (int(c) for c in (Component.APP, Component.BASE,
+                                             Component.GC))
+        assert [value for _, value in p6.port.history()] == (
+            [base_id, app] * len(table) + [gc, app])
+        # A row's cursor runs from before its entry write to after its
+        # exit write.
+        tags = sched.finish().tags
+        assert tags[0] == tags[-1] == "port-write"
+        assert len(cursor) == len(table) + 3
 
     def test_batched_timeline_validates(self, p6):
         sched = InstrumentedScheduler(p6, max_chunk_s=0.004)

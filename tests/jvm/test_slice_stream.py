@@ -1,4 +1,4 @@
-"""One emission pass per Jikes slice: the slice's class loads,
+"""One emission pass per slice, on both VMs: the slice's class loads,
 first-call compiles, application stretches and GC phases reach the
 scheduler as one row stream, never as one ``execute`` call each."""
 
@@ -10,9 +10,13 @@ from repro.jvm.components import Component
 from repro.jvm.scheduler import InstrumentedScheduler
 
 
-def test_jikes_slices_emit_one_stream_each(monkeypatch):
+def _simulate_counting(monkeypatch, **config):
+    """Simulate *config*; return the run, the ``(component, tag)`` of
+    every ``execute`` call, the component of every
+    ``ExecutionModel.cost`` call, and per ``execute_rows`` call the rows
+    it committed, its commits and the commits cut short."""
     executed = []
-    class_costs = []
+    costed = []
     streams = []
     current = [None]   # the stream being committed
 
@@ -21,7 +25,7 @@ def test_jikes_slices_emit_one_stream_each(monkeypatch):
         return original_execute(self, activity)
 
     def cost(self, activity):
-        class_costs.append(activity.component == Component.CL)
+        costed.append(int(activity.component))
         return original_cost(self, activity)
 
     def execute_rows(self, *parts):
@@ -51,11 +55,22 @@ def test_jikes_slices_emit_one_stream_each(monkeypatch):
                         execute_rows)
     monkeypatch.setattr(InstrumentedScheduler, "_commit_batch",
                         commit_batch)
-    sim = Experiment(ExperimentConfig(
-        benchmark="_213_javac", vm="jikes", platform="p6", heap_mb=24,
-        input_scale=0.1, seed=3, n_slices=40,
-    )).simulate()
-    run = sim.run
+    sim = Experiment(ExperimentConfig(**config)).simulate()
+    return sim.run, executed, costed, streams
+
+
+def _assert_batches_bounded(streams):
+    for stream in streams:
+        assert stream["commits"] <= (
+            math.ceil(stream["rows"] / InstrumentedScheduler.RUN_ROWS)
+            + stream["cuts"])
+
+
+def test_jikes_slices_emit_one_stream_each(monkeypatch):
+    run, executed, costed, streams = _simulate_counting(
+        monkeypatch, benchmark="_213_javac", vm="jikes", platform="p6",
+        heap_mb=24, input_scale=0.1, seed=3, n_slices=40,
+    )
     assert run.classloader.loads > 0 and run.gc_stats.collections > 0
     # Only the boot, the optimizing compiler and the AOS controller
     # thread run one activity at a time.
@@ -63,9 +78,20 @@ def test_jikes_slices_emit_one_stream_each(monkeypatch):
             if tag != "boot"} == {int(Component.OPT),
                                   int(Component.SCHEDULER)}
     assert sum(tag == "boot" for _, tag in executed) == 1
-    assert not any(class_costs)
+    assert int(Component.CL) not in costed
     assert len(streams) == 40
-    for stream in streams:
-        assert stream["commits"] <= (
-            math.ceil(stream["rows"] / InstrumentedScheduler.RUN_ROWS)
-            + stream["cuts"])
+    _assert_batches_bounded(streams)
+
+
+def test_kaffe_slices_emit_one_stream_each(monkeypatch):
+    run, executed, costed, streams = _simulate_counting(
+        monkeypatch, benchmark="_213_javac", vm="kaffe", platform="pxa255",
+        heap_mb=16, input_scale=0.1, seed=3, n_slices=40,
+    )
+    assert run.classloader.loads > 0 and run.gc_stats.collections > 0
+    assert run.jit_compiles == len(run.workload.method_table)
+    # Only the boot runs on its own.
+    assert [tag for _, tag in executed] == ["boot"]
+    assert not {int(Component.CL), int(Component.JIT)} & set(costed)
+    assert len(streams) == 40
+    _assert_batches_bounded(streams)

@@ -45,8 +45,8 @@ class TestStructure:
 
     def test_every_method_invoked_exactly_once(self):
         run = make_run()
-        called = [m for s in run.slices for m in s.method_calls]
-        assert len(called) == len(run.method_table)
+        called = np.concatenate([s.method_ids for s in run.slices])
+        assert sorted(called.tolist()) == list(range(len(run.method_table)))
 
     def test_first_touches_concentrated_early(self):
         run = make_run(n_slices=100)
