@@ -91,7 +91,7 @@ class _CellTimer:
 
     def _timeout(self):
         return CellTimeoutError(
-            f"cell exceeded its {self.timeout_s:.1f} s budget")
+            f"cell exceeded its {self.timeout_s:g} s budget")
 
     def __enter__(self):
         if self.timeout_s and (

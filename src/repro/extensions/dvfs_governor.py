@@ -63,14 +63,9 @@ class MemoryBoundGovernor:
         self._recent = []
         self.decisions = []
 
-    def observe(self, segment):
-        """Feed one retired segment; return the chosen freq scale."""
-        return self.observe_row(
-            segment.instructions, segment.cycles, segment.end_cycle
-        )
-
     def observe_row(self, instructions, cycles, end_cycle):
-        """:meth:`observe` for a segment given as its counts."""
+        """Feed one retired segment, given as its counts; return the
+        chosen freq scale."""
         ipc = self._push(self._recent, instructions, cycles)
         scale = self._scale_for(ipc)
         self.decisions.append(
@@ -144,16 +139,9 @@ class GovernedScheduler(InstrumentedScheduler):
                          obs=obs)
         self.governor = governor
 
-    def _append(self, seg):
-        super()._append(seg)
-        if seg.cycles > 0 and seg.tag != "port-write":
-            scale = self.governor.observe(seg)
-            if scale != self.platform.cpu.dvfs.freq_scale:
-                self.platform.cpu.set_dvfs(scale)
-
     def _commit_batch(self, batch, components, tags):
-        # Port writes are not observed (see _append): they neither feed
-        # the governor's window nor cut the batch.
+        # Port-write rows are not observed: they neither feed the
+        # governor's window nor cut the batch.
         instructions = batch.instructions.tolist()
         cycles = batch.cycles.tolist()
         observed = [i for i, tag in enumerate(tags[:len(batch)])

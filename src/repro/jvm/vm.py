@@ -306,7 +306,7 @@ class BaseVM:
             )
         )
         profile = profile_for(self.platform.name, "boot")
-        state.sched.execute(
+        state.sched.execute_rows([
             Activity(
                 component=Component.APP,
                 instructions=self.boot_instructions,
@@ -322,7 +322,7 @@ class BaseVM:
                 cpi_scale=profile.cpi_scale,
                 tag="boot",
             )
-        )
+        ])
 
     def _post_slice(self, state, sl):
         """Subclass hook after each slice (Jikes runs the AOS here)."""
@@ -736,53 +736,56 @@ class JikesRVM(BaseVM):
     def _post_slice(self, state, sl):
         """The adaptive optimization system's epoch: sample, decide,
         drain the compile queue on the optimizing-compiler thread, and
-        account the controller thread's own work."""
+        account the controller thread's own work, as one stream.  Each
+        compile's span runs from the cursor before its row to the cursor
+        after it."""
         elapsed = state.app_seconds - state.aos_mark_s
         state.aos_mark_s = state.app_seconds
         n_samples = state.aos.take_samples(elapsed)
         state.aos.consider_recompilation()
-        tracer = self.obs.tracer
+        compiled, activities = [], []
         job = state.aos.next_job()
         while job is not None:
             if job.level.quality > job.method.quality:
-                compile_from = state.sched.sim_now_s
-                state.sched.execute(
-                    state.opt.compile(job.method, job.level)
-                )
-                if tracer.enabled:
-                    tracer.add_sim_span(
-                        "opt-compile", "compiler", compile_from,
-                        state.sched.sim_now_s,
-                        method=job.method.name, level=job.level.name,
-                    )
-                self.obs.metrics.counter("compiler.opt_compiles").inc()
+                compiled.append(job)
+                activities.append(state.opt.compile(job.method, job.level))
             job = state.aos.next_job()
-        self._run_controller_thread(state, n_samples)
+        activities.append(self._controller_activity(n_samples))
+        cursor = state.sched.execute_rows(activities)
+        if compiled:
+            self.obs.metrics.counter("compiler.opt_compiles").inc(
+                len(compiled))
+        tracer = self.obs.tracer
+        if tracer.enabled:
+            for k, job in enumerate(compiled):
+                tracer.add_sim_span(
+                    "opt-compile", "compiler", cursor[k], cursor[k + 1],
+                    method=job.method.name, level=job.level.name,
+                )
 
-    def _run_controller_thread(self, state, n_samples):
-        """The AOS controller thread: wakes each epoch, processes the
-        sample buffer, and runs the cost/benefit organizer."""
+    def _controller_activity(self, n_samples):
+        """The AOS controller thread's work in an epoch: it wakes,
+        processes the sample buffer, and runs the cost/benefit
+        organizer."""
         profile = profile_for(self.platform.name, "boot")
         instr = (
             self.CONTROLLER_FIXED_INSTR
             + n_samples * self.CONTROLLER_INSTR_PER_SAMPLE
         )
-        state.sched.execute(
-            Activity(
-                component=Component.SCHEDULER,
-                instructions=instr,
-                behavior=MemoryBehavior(
-                    footprint_bytes=512 * 1024,
-                    hot_bytes=profile.hot_bytes,
-                    locality=profile.locality,
-                    spatial_factor=profile.spatial,
-                ),
-                refs_per_instr=profile.refs_per_instr,
-                l1_miss_rate=profile.l1_miss_rate,
-                mix_factor=profile.mix,
-                cpi_scale=profile.cpi_scale,
-                tag="aos-controller",
-            )
+        return Activity(
+            component=Component.SCHEDULER,
+            instructions=instr,
+            behavior=MemoryBehavior(
+                footprint_bytes=512 * 1024,
+                hot_bytes=profile.hot_bytes,
+                locality=profile.locality,
+                spatial_factor=profile.spatial,
+            ),
+            refs_per_instr=profile.refs_per_instr,
+            l1_miss_rate=profile.l1_miss_rate,
+            mix_factor=profile.mix,
+            cpi_scale=profile.cpi_scale,
+            tag="aos-controller",
         )
 
 

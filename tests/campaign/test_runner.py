@@ -157,7 +157,7 @@ class TestDegradation:
         (bad,) = result.cells
         assert not bad.ok
         assert bad.error_type == "CellTimeoutError"
-        assert "budget" in bad.error
+        assert "0.001 s budget" in bad.error
 
     @pytest.mark.filterwarnings(
         "ignore::pytest.PytestUnraisableExceptionWarning")

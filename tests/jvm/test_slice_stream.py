@@ -1,6 +1,7 @@
 """One emission pass per slice, on both VMs: the slice's class loads,
 first-call compiles, application stretches and GC phases reach the
-scheduler as one row stream, never as one ``execute`` call each."""
+scheduler as one row stream, and every row of a run reaches the timeline
+through ``_commit_batch``."""
 
 import math
 
@@ -13,11 +14,13 @@ from repro.jvm.scheduler import InstrumentedScheduler
 def _simulate_counting(monkeypatch, **config):
     """Simulate *config*; return the run, the ``(component, tag)`` of
     every ``execute`` call, the component of every
-    ``ExecutionModel.cost`` call, and per ``execute_rows`` call the rows
-    it committed, its commits and the commits cut short."""
+    ``ExecutionModel.cost`` call, per ``execute_rows`` call the rows it
+    committed, its commits and the commits cut short, and the rows every
+    ``_commit_batch`` call consumed."""
     executed = []
     costed = []
     streams = []
+    consumed_rows = [0]
     current = [None]   # the stream being committed
 
     def execute(self, activity):
@@ -38,6 +41,7 @@ def _simulate_counting(monkeypatch, **config):
 
     def commit_batch(self, batch, components, tags):
         consumed = original_commit(self, batch, components, tags)
+        consumed_rows[0] += consumed
         stream = current[0]
         if stream is not None:
             stream["rows"] += consumed
@@ -56,7 +60,7 @@ def _simulate_counting(monkeypatch, **config):
     monkeypatch.setattr(InstrumentedScheduler, "_commit_batch",
                         commit_batch)
     sim = Experiment(ExperimentConfig(**config)).simulate()
-    return sim.run, executed, costed, streams
+    return sim.run, executed, costed, streams, consumed_rows[0]
 
 
 def _assert_batches_bounded(streams):
@@ -67,31 +71,31 @@ def _assert_batches_bounded(streams):
 
 
 def test_jikes_slices_emit_one_stream_each(monkeypatch):
-    run, executed, costed, streams = _simulate_counting(
+    run, executed, costed, streams, consumed = _simulate_counting(
         monkeypatch, benchmark="_213_javac", vm="jikes", platform="p6",
         heap_mb=24, input_scale=0.1, seed=3, n_slices=40,
     )
     assert run.classloader.loads > 0 and run.gc_stats.collections > 0
-    # Only the boot, the optimizing compiler and the AOS controller
-    # thread run one activity at a time.
-    assert {component for component, tag in executed
-            if tag != "boot"} == {int(Component.OPT),
-                                  int(Component.SCHEDULER)}
-    assert sum(tag == "boot" for _, tag in executed) == 1
+    assert run.opt_compiles > 0
+    # The boot, then per slice its stream and its AOS epoch (the
+    # optimizing compiles and the controller thread).
+    assert executed == []
+    assert len(streams) == 1 + 2 * 40
     assert int(Component.CL) not in costed
-    assert len(streams) == 40
+    assert consumed == len(run.timeline)
     _assert_batches_bounded(streams)
 
 
 def test_kaffe_slices_emit_one_stream_each(monkeypatch):
-    run, executed, costed, streams = _simulate_counting(
+    run, executed, costed, streams, consumed = _simulate_counting(
         monkeypatch, benchmark="_213_javac", vm="kaffe", platform="pxa255",
         heap_mb=16, input_scale=0.1, seed=3, n_slices=40,
     )
     assert run.classloader.loads > 0 and run.gc_stats.collections > 0
     assert run.jit_compiles == len(run.workload.method_table)
-    # Only the boot runs on its own.
-    assert [tag for _, tag in executed] == ["boot"]
+    # The boot, then one stream per slice.
+    assert executed == []
+    assert len(streams) == 1 + 40
     assert not {int(Component.CL), int(Component.JIT)} & set(costed)
-    assert len(streams) == 40
+    assert consumed == len(run.timeline)
     _assert_batches_bounded(streams)
