@@ -69,6 +69,7 @@ class AdaptiveHeapVM(JikesRVM):
 
     def _post_slice(self, state, sl):
         super()._post_slice(state, sl)
+        self._commit_stream(state)
         seconds = state.sched.timeline.component_seconds()
         gc_s = seconds.get(int(Component.GC), 0.0)
         total_s = sum(seconds.values())

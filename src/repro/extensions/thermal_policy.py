@@ -21,7 +21,7 @@ it fired and what it bought (see
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.jvm.vm import JikesRVM, _SliceStream
+from repro.jvm.vm import JikesRVM
 
 
 @dataclass
@@ -60,6 +60,8 @@ class ThermalAwareVM(JikesRVM):
     def _maybe_cool(self, state):
         stats = self.policy_stats
         stats.checks += 1
+        # The die temperature once the queued work has run.
+        self._commit_stream(state)
         thermal = self.platform.thermal
         if thermal.temperature_c < self.policy_threshold_c:
             return
@@ -71,9 +73,7 @@ class ThermalAwareVM(JikesRVM):
             return
         stats.triggers += 1
         stats.trigger_temps_c.append(thermal.temperature_c)
-        # The cooling collection runs as a stream of its own, before
-        # the slice's, through the VM's one GC path (no cohort is
-        # waiting for room, so it requests 0 bytes).
-        state.stream = stream = _SliceStream()
+        # The cooling collection heads the slice's stream, through the
+        # VM's one GC path (no cohort is waiting for room, so it
+        # requests 0 bytes).
         self._collect(state, 0)
-        self._commit_stream(state, stream)

@@ -22,13 +22,14 @@ component as an explicit "perturbation" row, making the methodology's own
 overhead a measurable quantity.  A port whose writes cost nothing gets no
 row: the write latches where the row before it ends.
 
-Everything a VM runs (the boot, a slice's stream, an adaptive-optimization
-epoch, an idle interval) reaches the timeline, the counters and the
-thermal model in one place, :meth:`InstrumentedScheduler._commit_batch`:
-a batch of rows at a time.  That is where execution meets the thermal
-model: each committed row advances die temperature, and the CPU's
-throttle latch is refreshed so that a thermal emergency (Figure 1) halves
-the duty cycle of everything that follows.
+A VM commits its queued work as row streams (the boot; each slice's work,
+headed by the previous slice's adaptive-optimization epoch), which, like
+idle intervals, reach the timeline, the counters and the thermal model in
+one place, :meth:`InstrumentedScheduler._commit_batch`: a batch at a time.
+That is where execution meets the thermal model: each committed row
+advances die temperature, and the CPU's throttle latch is refreshed so
+that a thermal emergency (Figure 1) halves the duty cycle of everything
+that follows.
 """
 
 from bisect import bisect_left

@@ -17,7 +17,7 @@ execution, allocation, and the collections allocation forces — flows
 through the instrumented scheduler into a ground-truth timeline that the
 measurement infrastructure then samples.  Both VMs share one slice loop:
 a slice's class loads, first-call compiles, application stretches and
-GC phases reach the scheduler as one row stream.
+GC phases join one queue of work that commits as one row stream.
 """
 
 import bisect
@@ -233,6 +233,7 @@ class BaseVM:
         self._setup_compilers(state)
         boot_from = sched.sim_now_s
         self._boot(state)
+        self._commit_stream(state)
         if tracer.enabled:
             tracer.add_sim_span("boot", "vm", boot_from,
                                 sched.sim_now_s, vm=self.name)
@@ -242,6 +243,7 @@ class BaseVM:
             rep_from = sched.sim_now_s
             for sl in workload.slices:
                 self._run_slice(state, sl)
+            self._commit_stream(state)
             if tracer.enabled and repetitions > 1:
                 tracer.add_sim_span(f"repetition {rep}", "vm",
                                     rep_from, sched.sim_now_s)
@@ -306,7 +308,7 @@ class BaseVM:
             )
         )
         profile = profile_for(self.platform.name, "boot")
-        state.sched.execute_rows([
+        state.stream.add([
             Activity(
                 component=Component.APP,
                 instructions=self.boot_instructions,
@@ -325,25 +327,24 @@ class BaseVM:
         ])
 
     def _post_slice(self, state, sl):
-        """Subclass hook after each slice (Jikes runs the AOS here)."""
+        """Subclass hook after each slice's commit (Jikes runs the AOS
+        here); what it queues commits with the next slice's stream."""
 
     # -- slice execution -------------------------------------------------
 
     def _run_slice(self, state, sl):
         """One emission pass: the slice's class loads, first-call
-        compiles, application stretches and GC phases are queued in
-        order and committed as one row stream before
-        :meth:`_post_slice`."""
-        state.stream = stream = _SliceStream()
+        compiles, application stretches and GC phases join the queue in
+        order and commit with it before :meth:`_post_slice`."""
         loads = state.classloader.load_all(sl.class_loads)
         if loads:
             done = state.classes_loaded
-            stream.add_costed(state.class_costs[done:done + loads])
+            state.stream.add(state.class_costs[done:done + loads])
             state.classes_loaded = done + loads
         self._compile_first_calls(state, sl)
         state.roots.expire(state.now)
         self._run_app_phase(state, sl)
-        self._commit_stream(state, stream)
+        self._commit_stream(state)
         self._post_slice(state, sl)
 
     def _compile_first_calls(self, state, sl):
@@ -361,12 +362,12 @@ class BaseVM:
             table.columns.set_quality(rows, QUALITY_INTERPRETER, "interp")
             return
         compiler.compile_rows(table, rows)
-        first = state.stream.add_costed(state.compile_costs[rows])
+        first = state.stream.add(state.compile_costs[rows])
         if compiler.traced:
-            state.stream.compiles.append((first, rows))
+            state.stream.compiles.append((first, compiler, rows, None))
 
-    def _commit_stream(self, state, stream):
-        """Run the slice's stream.
+    def _commit_stream(self, state):
+        """Commit the queued work, if any, and start a new queue.
 
         ``state.app_seconds`` gains, per stretch, the cursor after its
         rows minus the cursor before its port write; each GC pause spans
@@ -374,27 +375,33 @@ class BaseVM:
         what reading ``sched.sim_now_s`` around an ``execute`` of each
         would give.
         """
-        cursor = state.sched.execute_rows(*stream.costed, stream.activities)
+        stream = state.stream
+        if not stream.parts:
+            return
+        state.stream = _SliceStream()
+        cursor = state.sched.execute_rows(*stream.parts)
         for row in stream.stretches:
             state.app_seconds += cursor[row + 1] - cursor[row]
-        for first, rows in stream.compiles:
-            self._observe_compiles(state, rows, cursor, first)
+        for compiles in stream.compiles:
+            self._observe_compiles(state, cursor, *compiles)
         for first, stop, reports in stream.collections:
             self._observe_gc(reports, cursor[first], cursor[stop])
 
-    def _observe_compiles(self, state, rows, cursor, first):
-        """Record the compiles of method table rows *rows*, stream rows
-        from *first* on (a span each, and a count)."""
-        compiler = state.compiler
+    def _observe_compiles(self, state, cursor, first, compiler, rows,
+                          levels):
+        """Record *compiler*'s compiles of method table rows *rows*,
+        stream rows from *first* on: a count, and a span each, with its
+        optimization level if *levels* names one."""
         self.obs.metrics.counter(
             f"compiler.{compiler.tier}_compiles").inc(len(rows))
         tracer = self.obs.tracer
         if tracer.enabled:
             methods = state.workload.method_table.methods
-            for k, row in enumerate(rows.tolist(), first):
+            for k, row in enumerate(rows, first):
+                level = {} if levels is None else {"level": levels[k - first]}
                 tracer.add_sim_span(
                     compiler.tag, "compiler", cursor[k], cursor[k + 1],
-                    method=methods[row].name,
+                    method=methods[row].name, **level,
                 )
 
     def _run_app_phase(self, state, sl):
@@ -639,31 +646,23 @@ class _SliceCohorts:
 
 @dataclass
 class _SliceStream:
-    """A slice's work, queued in execution order: costed rows (class
-    loads, first-call compiles), then activities still to be costed
-    (application stretches and GC phases), with the row of each
-    stretch, the rows of each collection cycle and the first row and
-    method table rows of each traced run of compiles."""
+    """The VM's uncommitted work, in execution order: parts that are
+    :class:`~repro.hardware.activity.CostedRows` or activity lists, with
+    the row of each application stretch, the rows of each collection
+    cycle and, per traced run of compiles, its first row, compiler,
+    method table rows and optimization levels."""
 
-    costed: list = field(default_factory=list)
-    n_costed: int = 0
-    activities: list = field(default_factory=list)
+    parts: list = field(default_factory=list)
+    n_rows: int = 0
     stretches: list = field(default_factory=list)
     collections: list = field(default_factory=list)
     compiles: list = field(default_factory=list)
 
-    def add_costed(self, costed):
-        """Queue precosted rows, which come before every activity;
-        return the row of the first."""
-        first = self.n_costed
-        self.costed.append(costed)
-        self.n_costed += len(costed)
-        return first
-
-    def add(self, activities):
-        """Queue *activities*; return the row of the first."""
-        first = self.n_costed + len(self.activities)
-        self.activities.extend(activities)
+    def add(self, part):
+        """Queue *part*; return the row of its first."""
+        first = self.n_rows
+        self.parts.append(part)
+        self.n_rows += len(part)
         return first
 
 
@@ -691,7 +690,7 @@ class _RunState:
     base: Optional[object] = None
     class_costs: Optional[object] = None
     classes_loaded: int = 0
-    stream: Optional[_SliceStream] = None
+    stream: _SliceStream = field(default_factory=_SliceStream)
     opt: Optional[object] = None
     jit: Optional[object] = None
     aos: Optional[object] = None
@@ -734,34 +733,27 @@ class JikesRVM(BaseVM):
     CONTROLLER_FIXED_INSTR = 40_000
 
     def _post_slice(self, state, sl):
-        """The adaptive optimization system's epoch: sample, decide,
-        drain the compile queue on the optimizing-compiler thread, and
-        account the controller thread's own work, as one stream.  Each
-        compile's span runs from the cursor before its row to the cursor
-        after it."""
+        """The adaptive optimization system's epoch: sample, decide and
+        drain the compile queue on the optimizing-compiler thread now,
+        and queue the compiles and the controller thread's own work,
+        which commit at the head of the next slice's stream or at the
+        end of the repetition."""
         elapsed = state.app_seconds - state.aos_mark_s
         state.aos_mark_s = state.app_seconds
         n_samples = state.aos.take_samples(elapsed)
         state.aos.consider_recompilation()
-        compiled, activities = [], []
+        rows, levels, activities = [], [], []
         job = state.aos.next_job()
         while job is not None:
             if job.level.quality > job.method.quality:
-                compiled.append(job)
+                rows.append(job.method.row)
+                levels.append(job.level.name)
                 activities.append(state.opt.compile(job.method, job.level))
             job = state.aos.next_job()
         activities.append(self._controller_activity(n_samples))
-        cursor = state.sched.execute_rows(activities)
-        if compiled:
-            self.obs.metrics.counter("compiler.opt_compiles").inc(
-                len(compiled))
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            for k, job in enumerate(compiled):
-                tracer.add_sim_span(
-                    "opt-compile", "compiler", cursor[k], cursor[k + 1],
-                    method=job.method.name, level=job.level.name,
-                )
+        first = state.stream.add(activities)
+        if rows:
+            state.stream.compiles.append((first, state.opt, rows, levels))
 
     def _controller_activity(self, n_samples):
         """The AOS controller thread's work in an epoch: it wakes,

@@ -69,6 +69,27 @@ class TestPolicy:
             t >= 60.0 for t in vm.policy_stats.trigger_temps_c
         )
 
+    def test_checks_once_the_queued_epoch_has_run(self, monkeypatch):
+        # Each check reads the die temperature after the previous
+        # slice's AOS epoch commits: after it, only a cooling collection
+        # is queued.
+        seen = []
+        check = ThermalAwareVM._maybe_cool
+
+        def recording(self, state):
+            queued = len(state.stream.parts)
+            check(self, state)
+            stream = state.stream
+            seen.append((queued, len(stream.parts) - len(stream.collections)))
+
+        monkeypatch.setattr(ThermalAwareVM, "_maybe_cool", recording)
+        vm = ThermalAwareVM(kept_hot(hot_platform()), heap_mb=24, seed=3,
+                            n_slices=40, policy_threshold_c=55.0)
+        vm.run(make_tiny_spec())
+        assert vm.policy_stats.triggers > 0
+        assert len(seen) == 40 and all(queued for queued, _ in seen[1:])
+        assert all(left == 0 for _, left in seen)
+
     def test_policy_adds_collections(self):
         spec = make_tiny_spec()
         plain = JikesRVM(make_platform("p6"), heap_mb=24, seed=3,

@@ -1,7 +1,8 @@
 """One emission pass per slice, on both VMs: the slice's class loads,
 first-call compiles, application stretches and GC phases reach the
-scheduler as one row stream, and every row of a run reaches the timeline
-through ``_commit_batch``."""
+scheduler as one row stream, a Jikes AOS epoch commits at the head of the
+next slice's stream or at the end of its repetition, and every row of a
+run reaches the timeline through ``_commit_batch``."""
 
 import math
 
@@ -77,13 +78,31 @@ def test_jikes_slices_emit_one_stream_each(monkeypatch):
     )
     assert run.classloader.loads > 0 and run.gc_stats.collections > 0
     assert run.opt_compiles > 0
-    # The boot, then per slice its stream and its AOS epoch (the
-    # optimizing compiles and the controller thread).
+    # The boot, one stream per slice (headed by the previous slice's
+    # AOS epoch), and the last epoch at the end of the repetition.
     assert executed == []
-    assert len(streams) == 1 + 2 * 40
+    assert len(streams) == 1 + 40 + 1
     assert int(Component.CL) not in costed
     assert consumed == len(run.timeline)
     _assert_batches_bounded(streams)
+
+
+def test_jikes_epoch_commits_before_the_idle_between_repetitions(
+        monkeypatch):
+    run, executed, costed, streams, consumed = _simulate_counting(
+        monkeypatch, benchmark="_213_javac", vm="jikes", platform="p6",
+        heap_mb=24, input_scale=0.1, seed=3, n_slices=40, repetitions=2,
+    )
+    assert executed == []
+    assert len(streams) == 1 + 2 * (40 + 1)
+    assert consumed == len(run.timeline)
+    _assert_batches_bounded(streams)
+    # Repetition 0's last epoch (its 40th controller row) commits before
+    # the idle interval that separates the repetitions.
+    tags = run.timeline.tags
+    first_idle = tags.index("idle")
+    assert tags[:first_idle].count("aos-controller") == 40
+    assert tags.count("aos-controller") == 2 * 40
 
 
 def test_kaffe_slices_emit_one_stream_each(monkeypatch):
