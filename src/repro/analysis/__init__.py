@@ -5,8 +5,8 @@ Each module corresponds to a family of results:
 * :mod:`repro.analysis.energy` — energy decompositions (Figures 6, 9, 11),
 * :mod:`repro.analysis.edp` — energy-delay-product sweeps (Figures 7, 10)
   and the Section VI-B comparisons,
-* :mod:`repro.analysis.power_stats` — average/peak component power and the
-  Section VI-C microarchitectural table (Figure 8),
+* :mod:`repro.analysis.power_stats` — average/peak component power
+  (Figure 8),
 * :mod:`repro.analysis.thermal` — the Figure 1 thermal-emergency
   experiment,
 * :mod:`repro.analysis.pauses` — GC pause statistics and minimum

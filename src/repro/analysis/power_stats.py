@@ -1,5 +1,4 @@
-"""Average/peak component power and microarchitectural statistics
-(Figure 8 and Section VI-C)."""
+"""Average/peak component power (Figure 8)."""
 
 from dataclasses import dataclass
 
@@ -77,14 +76,3 @@ def collector_power_summary(benchmarks, collectors, heap_mb=64,
             "benchmarks": n,
         }
     return summary
-
-
-def microarch_stats(benchmark, collector="GenCopy", heap_mb=64,
-                    vm="jikes", platform="p6", **kwargs):
-    """Section VI-C style per-component IPC / L2 miss statistics, from
-    the HPM perf trace."""
-    result = run_experiment(
-        benchmark, vm=vm, platform=platform, collector=collector,
-        heap_mb=heap_mb, **kwargs
-    )
-    return result.profiles()

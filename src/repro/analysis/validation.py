@@ -70,18 +70,3 @@ def attribution_error(run_result, platform, rng=None,
         true_energy_j={int(k): v for k, v in true.items()},
         measured_energy_j=measured,
     )
-
-
-def error_vs_period(run_result, platform, periods_s):
-    """Attribution error as a function of sampling period.
-
-    ``platform`` must be the platform whose port recorded the run (the
-    same instance is reused; only the DAQ differs per period).
-    """
-    out = {}
-    for period in periods_s:
-        report = attribution_error(
-            run_result, platform, sample_period_s=period
-        )
-        out[period] = report.total_misattribution_fraction()
-    return out

@@ -67,9 +67,6 @@ class ClassLoader:
         self.loads = 0
         self.loaded_bytes = 0
 
-    def is_loaded(self, name):
-        return name in self._loaded
-
     @property
     def loaded_count(self):
         return len(self._loaded)

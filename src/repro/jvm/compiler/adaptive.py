@@ -159,7 +159,3 @@ class AdaptiveOptimizationSystem:
         self.method_table.columns.queued[row] = False
         self._dirty[row] = True
         return job
-
-    @property
-    def pending_jobs(self):
-        return len(self.queue)

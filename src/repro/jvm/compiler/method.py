@@ -239,9 +239,6 @@ class MethodTable:
         """The *n* highest-weight methods."""
         return sorted(self.methods, key=lambda m: -m.weight)[:n]
 
-    def total_bytecode_bytes(self):
-        return int(self.columns.bytecode_bytes.sum())
-
 
 def _normalized(weights):
     """*weights* (a list) over their left-to-right sum."""

@@ -202,11 +202,6 @@ class ServiceClient:
     def metrics(self):
         return self._json("/v1/metrics")
 
-    def metrics_text(self):
-        """The Prometheus text exposition of ``/v1/metrics``."""
-        _, body, _ = self._request("/v1/metrics", accept="text/plain")
-        return body.decode("utf-8")
-
     def job_trace(self, job_id):
         """The merged Chrome trace events for one job."""
         return self._json(f"/v1/jobs/{job_id}/trace")

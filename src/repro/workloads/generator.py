@@ -177,12 +177,6 @@ class WorkloadRun:
     def slices(self):
         return self._slices
 
-    def draw_cohort(self, now):
-        """Sample one allocation cohort: ``(size_bytes, death_clock)``."""
-        size = self.spec.draw_cohort_size(self.rng)
-        death = now + self.spec.draw_lifetime(self.rng)
-        return size, death
-
     def draw_cohort_batch(self, now, alloc_bytes):
         """Vectorized cohort draw covering at least ``alloc_bytes``.
 
@@ -235,6 +229,3 @@ class WorkloadRun:
             return candidates[max(range(len(candidates)),
                                   key=deaths.__getitem__)]
         return candidates[int(self.rng.integers(0, len(candidates)))]
-
-    def total_class_file_bytes(self):
-        return sum(c.file_bytes for c in self.classes)
