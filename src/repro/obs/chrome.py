@@ -31,9 +31,28 @@ CLOCK_PIDS = {WALL_CLOCK: 1, SIM_CLOCK: 2}
 CLOCK_LABELS = {WALL_CLOCK: "wall clock", SIM_CLOCK: "simulated clock"}
 
 
-def _us(seconds):
+def to_us(seconds):
     """Seconds -> microseconds, rounded to 3 decimals (ns precision)."""
     return round(seconds * 1e6, 3)
+
+
+def thread_rows(events):
+    """A ``tid_for(pid, track)`` that numbers each process's tracks
+    from 1 in order of first sighting, appending each new row's
+    ``thread_name`` metadata event to *events*."""
+    tids = {}   # (pid, track) -> tid
+
+    def tid_for(pid, track):
+        tid = tids.get((pid, track))
+        if tid is None:
+            tid = tids[pid, track] = sum(p == pid for p, _ in tids) + 1
+            events.append({
+                "name": "thread_name", "ph": "M", "ts": 0,
+                "pid": pid, "tid": tid, "args": {"name": track},
+            })
+        return tid
+
+    return tid_for
 
 
 def to_chrome_events(tracer, metrics=None):
@@ -43,7 +62,7 @@ def to_chrome_events(tracer, metrics=None):
     given, is embedded as one metadata event named ``repro_metrics``.
     """
     events = []
-    tids = {}  # (clock, track) -> tid
+    tid_for = thread_rows(events)
 
     for clock, pid in CLOCK_PIDS.items():
         events.append({
@@ -51,42 +70,30 @@ def to_chrome_events(tracer, metrics=None):
             "tid": 0, "args": {"name": CLOCK_LABELS[clock]},
         })
 
-    def tid_for(clock, track):
-        key = (clock, track)
-        tid = tids.get(key)
-        if tid is None:
-            tid = tids[key] = len(
-                [k for k in tids if k[0] == clock]
-            ) + 1
-            events.append({
-                "name": "thread_name", "ph": "M", "ts": 0,
-                "pid": CLOCK_PIDS[clock], "tid": tid,
-                "args": {"name": track},
-            })
-        return tid
-
     for span in tracer.spans:
+        pid = CLOCK_PIDS[span.clock]
         event = {
             "name": span.name,
             "cat": span.track,
             "ph": "X",
-            "ts": _us(span.start_s),
-            "dur": _us(span.dur_s),
-            "pid": CLOCK_PIDS[span.clock],
-            "tid": tid_for(span.clock, span.track),
+            "ts": to_us(span.start_s),
+            "dur": to_us(span.dur_s),
+            "pid": pid,
+            "tid": tid_for(pid, span.track),
         }
         if span.args:
             event["args"] = span.args
         events.append(event)
 
     for inst in tracer.instants:
+        pid = CLOCK_PIDS[inst.clock]
         event = {
             "name": inst.name,
             "cat": inst.track,
             "ph": "i",
-            "ts": _us(inst.at_s),
-            "pid": CLOCK_PIDS[inst.clock],
-            "tid": tid_for(inst.clock, inst.track),
+            "ts": to_us(inst.at_s),
+            "pid": pid,
+            "tid": tid_for(pid, inst.track),
             "s": "t",
         }
         if inst.args:

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from repro.obs.chrome import thread_rows, to_us
 from repro.store import atomic_write
 
 #: Schema tag on every spool document.
@@ -199,10 +200,6 @@ def read_spool(path):
 
 # -- merge to Chrome ---------------------------------------------------
 
-def _us(seconds):
-    return round(seconds * 1e6, 3)
-
-
 def merge_job_trace(job_id, service_spans, worker_spans,
                     trace_id=None):
     """Merge service- and worker-side records into Chrome events.
@@ -222,20 +219,7 @@ def merge_job_trace(job_id, service_spans, worker_spans,
     base = min(r["start_unix"] for r in records)
     events = []
     named_pids = {}   # pid -> role of first sighting
-    tids = {}         # (pid, track) -> tid
-
-    def tid_for(pid, track):
-        key = (pid, track)
-        tid = tids.get(key)
-        if tid is None:
-            tid = tids[key] = len(
-                [k for k in tids if k[0] == pid]
-            ) + 1
-            events.append({
-                "name": "thread_name", "ph": "M", "ts": 0,
-                "pid": pid, "tid": tid, "args": {"name": track},
-            })
-        return tid
+    tid_for = thread_rows(events)
 
     events.append({
         "name": "repro_job_trace", "ph": "M", "ts": 0, "pid": 0,
@@ -261,8 +245,8 @@ def merge_job_trace(job_id, service_spans, worker_spans,
             "name": record["name"],
             "cat": record.get("track", ""),
             "ph": "X",
-            "ts": _us(record["start_unix"] - base),
-            "dur": _us(record.get("dur_s", 0.0)),
+            "ts": to_us(record["start_unix"] - base),
+            "dur": to_us(record.get("dur_s", 0.0)),
             "pid": pid,
             "tid": tid_for(pid, record.get("track", "")),
         }
