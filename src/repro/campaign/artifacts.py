@@ -41,6 +41,11 @@ def default_artifact_dir():
     return Path.home() / ".cache" / "repro" / "artifacts"
 
 
+#: Where :func:`sim_key` memoizes a frozen config's key, in the
+#: config's own ``__dict__``.
+_MEMO = "_sim_key"
+
+
 def sim_key(config):
     """Stable content hash of a config's simulation identity.
 
@@ -49,17 +54,31 @@ def sim_key(config):
     plus the package version and artifact schema version.  Strict
     serialization, same as the cell cache key: a value outside the
     canonical JSON types raises instead of being type-erased.
-    """
-    from repro import __version__
-    from repro.spec import canonical_sim_dict, strict_canonical_json
 
-    payload = {
-        "sim": canonical_sim_dict(config),
-        "repro_version": __version__,
-        "artifact_version": ARTIFACT_VERSION,
-    }
-    canonical = strict_canonical_json(payload, what="simulation config")
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    A frozen dataclass config keeps its key in its own ``__dict__``
+    (pickled with it), so a campaign cell pays for one key however
+    often it is grouped and checked.  The memo goes by identity, never
+    by equality: ``heap_mb=64`` and ``heap_mb=64.0`` compare equal but
+    serialize, and so hash, differently.
+    """
+    params = getattr(type(config), "__dataclass_params__", None)
+    frozen = params is not None and params.frozen
+    memo = getattr(config, "__dict__", {}) if frozen else {}
+    key = memo.get(_MEMO)
+    if key is None:
+        from repro import __version__
+        from repro.spec import canonical_sim_dict, strict_canonical_json
+
+        payload = {
+            "sim": canonical_sim_dict(config),
+            "repro_version": __version__,
+            "artifact_version": ARTIFACT_VERSION,
+        }
+        canonical = strict_canonical_json(payload,
+                                          what="simulation config")
+        key = memo[_MEMO] = hashlib.sha256(
+            canonical.encode("utf-8")).hexdigest()
+    return key
 
 
 class ArtifactStore(StoreAdapter):

@@ -177,10 +177,13 @@ def _execute_group(configs, timeout_s, trace_paths=None,
     ``artifact_dir`` is given) and every cell measures through one
     :class:`~repro.core.simulation.MeasurementSession` over the shared
     :class:`~repro.core.simulation.SimulationArtifact` — this is how a
-    DAQ-period sweep pays for one execution instead of N, and how cells
+    DAQ-period sweep pays for one execution instead of N, how cells
     that differ only in HPM period or rotation share one run
     reconstruction, one perturbation report and one DAQ acquisition
-    (grid order keeps such cells adjacent).  Outcomes
+    (grid order keeps such cells adjacent), and how every cell with one
+    HPM period shares one HPM timer pass.  The group's sim-key is the
+    one :func:`~repro.campaign.artifacts.sim_key` memoized on each cell
+    when the runner grouped it.  Outcomes
     come back in *configs* order, one plain dict per cell, each marked
     with the group's ``sim_key`` and whether this cell ran the
     simulation (``simulated``) or found it on disk (``artifact_hit``).

@@ -59,7 +59,7 @@ def component_profiles(power_trace, perf_trace, vm_name, breakdown=None):
         breakdown = decompose(power_trace, vm_name)
     avg = power_trace.component_avg_power_w()
     peak = power_trace.component_peak_power_w()
-    secs = power_trace.component_seconds()
+    secs = breakdown.seconds
     ipc = perf_trace.component_ipc()
     miss = perf_trace.component_l2_miss_rate()
     profiles = {}

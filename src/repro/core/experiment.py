@@ -355,26 +355,30 @@ class Experiment:
                           sample_period_s=cfg.daq_period_s, obs=obs,
                           noise=noise)
                 power = daq.acquire(run.timeline, port=target.port)
-        with tracer.wall_span("hpm-sample"):
-            if cfg.hpm_rotation:
-                # A noisy replicate draws its multiplexing phase
-                # alignment from the replicate's own stream; without a
-                # noise model the sampler keeps its historical
-                # timeline-derived determinism.
-                mux_rng = (
-                    np.random.default_rng(base_seed + 6700417)
-                    if noise is not None else None
-                )
-                sampler = MultiplexedHPMSampler(
-                    target, rotation=cfg.hpm_rotation,
-                    period_s=hpm_period_s,
-                    obs=obs, rng=mux_rng, noise=noise,
-                )
-            else:
-                sampler = HPMSampler(
-                    target, period_s=hpm_period_s, obs=obs, noise=noise
-                )
-            perf = sampler.sample(run.timeline, port=target.port)
+        if cfg.hpm_rotation:
+            # A noisy replicate draws its multiplexing phase alignment
+            # from the replicate's own stream; without a noise model the
+            # sampler keeps its historical timeline-derived determinism.
+            mux_rng = (
+                np.random.default_rng(base_seed + 6700417)
+                if noise is not None else None
+            )
+            sampler = MultiplexedHPMSampler(
+                target, rotation=cfg.hpm_rotation, period_s=hpm_period_s,
+                obs=obs, rng=mux_rng, noise=noise,
+            )
+        else:
+            sampler = HPMSampler(
+                target, period_s=hpm_period_s, obs=obs, noise=noise
+            )
+        if session.holds_timer_pass(sampler):
+            if obs.metrics.enabled:
+                obs.metrics.counter("hpm.reused").inc()
+            with tracer.wall_span("hpm-sample", reused=True):
+                perf = session.sample_hpm(sampler)
+        else:
+            with tracer.wall_span("hpm-sample"):
+                perf = session.sample_hpm(sampler)
         if held is None:
             with tracer.wall_span("decompose"):
                 breakdown = decompose(power, cfg.vm)

@@ -296,19 +296,29 @@ class MeasurementSession:
     throwaway one when handed a bare result or artifact).  The session
     reconstructs the ground-truth :class:`RunResult` and the
     :class:`MeasurementTarget` once, computes the run's perturbation
-    report on first use, and holds the most recent noise-free DAQ
-    acquisition with its decomposition.
+    report on first use, and holds two kinds of noise-free
+    measurement: the most recent DAQ acquisition with its
+    decomposition, and the HPM timer pass of every HPM period it has
+    sampled.
 
     A DAQ acquisition reads only the timeline, the port, the platform
     name (all fixed by the session's simulation) plus the DAQ period and
     the measurement base seed, so those two values are its key: cells
     that differ only in HPM period or rotation reuse it.  One
     acquisition is held at a time; the measurement phase releases it
-    before it acquires anew.  Noisy acquisitions are never held: the
-    noise model's single stream feeds the DAQ clock jitter and then the
-    HPM interrupt latency, so reusing one would shift the HPM draws.
-    A held trace's arrays are read-only, since several results share
-    them.
+    before it acquires anew.  A noise-free HPM timer pass reads no seed
+    at all, so its key is the resolved HPM period alone: a single-pass
+    cell reuses the held :class:`~repro.measurement.traces.PerfTrace`
+    as it is, and a multiplexed cell extrapolates from it
+    (:meth:`sample_hpm`).  Timer passes are a few per-component
+    numbers each, so every period's is kept.
+
+    Noisy measurements never read or fill a hold: the noise model's
+    single stream feeds the DAQ clock jitter and then the HPM interrupt
+    latency, so reusing either would shift the draws after it.  A held
+    power trace's arrays are read-only, and nothing writes a
+    :class:`~repro.measurement.traces.PerfTrace` after sampling, since
+    several results share them.
     """
 
     def __init__(self, sim):
@@ -331,6 +341,8 @@ class MeasurementSession:
         #: as one tuple so an interrupted update never pairs a key with
         #: another key's trace.
         self._held = None
+        #: Resolved HPM period -> the noise-free timer pass's PerfTrace.
+        self._timer_passes = {}
 
     @property
     def perturbation(self):
@@ -360,6 +372,40 @@ class MeasurementSession:
     def release(self):
         """Drop the held acquisition."""
         self._held = None
+
+    def holds_timer_pass(self, sampler):
+        """Whether :meth:`sample_hpm` would serve *sampler* from a
+        held timer pass."""
+        return (_reads_no_seed(sampler)
+                and sampler.period_s in self._timer_passes)
+
+    def sample_hpm(self, sampler):
+        """*sampler*'s :class:`~repro.measurement.traces.PerfTrace` of
+        the session's run.
+
+        A sampler that reads no seed (no noise model and, multiplexed,
+        no injected rng) gets its timer pass from the hold, taking and
+        holding it on the first call for its period; a multiplexed one
+        then extrapolates from it.  Any other sampler samples afresh.
+        """
+        timeline, port = self.run.timeline, self.target.port
+        if not _reads_no_seed(sampler):
+            return sampler.sample(timeline, port=port)
+        base = getattr(sampler, "base_sampler", None)
+        timer_pass = self._timer_passes.get(sampler.period_s)
+        if timer_pass is None:
+            timer_pass = (base() if base else sampler).sample(
+                timeline, port=port)
+            self._timer_passes[sampler.period_s] = timer_pass
+        if base is None:
+            return timer_pass
+        return sampler.extrapolate(timer_pass, timeline)
+
+
+def _reads_no_seed(sampler):
+    """Whether an HPM sampler's trace depends only on the run, the port
+    and its period."""
+    return sampler.noise is None and getattr(sampler, "rng", None) is None
 
 
 def simulate(config, obs=None):

@@ -65,10 +65,13 @@ class InstrumentedScheduler:
     #: coupling and measurement see at most ~50 ms of uniform behavior.
     DEFAULT_CHUNK_S = 0.05
 
-    #: Most rows :meth:`execute_rows` commits in one batch.  Any split
-    #: commits the same rows.  Each batch has a fixed cost, and at 256
-    #: all but the first-call compile bursts early in a Jikes run
-    #: commit a slice's whole stream in one batch.
+    #: Most rows :meth:`execute_rows` commits in one batch, unless the
+    #: batch would end inside one row's run of chunks: that run, already
+    #: costed as one piece, commits whole.  Any split commits the same
+    #: rows.  Each batch has a fixed cost, and at 256 all but the
+    #: first-call compile bursts early in a Jikes run commit a slice's
+    #: whole stream in one batch; the bound keeps a long mixed stream's
+    #: batch arrays small.
     RUN_ROWS = 256
 
     def __init__(self, platform, style="jikes", max_chunk_s=None,
@@ -156,11 +159,12 @@ class InstrumentedScheduler:
                 builder.add_activities(part)
         return self._commit_stream(*builder.finish())
 
-    def _commit_stream(self, stream, stops, writes):
+    def _commit_stream(self, stream, stops, writes, runs):
         """Commit a :class:`_StreamBuilder`'s stream :attr:`RUN_ROWS`
-        rows at a time through :meth:`_commit_batch`, and write the port
-        as its writes commit; return the cursor before the stream and at
-        each of *stops*.
+        rows at a time through :meth:`_commit_batch`, stretching a batch
+        to the end of any chunk run in *runs* it would cut, and write
+        the port as its writes commit; return the cursor before the
+        stream and at each of *stops*.
 
         Each batch's wall time and power come from
         :meth:`~repro.hardware.activity.ExecutionModel.run_rows` under
@@ -177,9 +181,14 @@ class InstrumentedScheduler:
                        * PORT_WRITE_POWER_FACTOR)
         at = [row for row, _ in writes]
         done = 0           # writes made so far
+        run = 0            # the first chunk run not yet committed
         pos, m = 0, 0 if stream is None else len(stream)
         while pos < m:
             end = min(m, pos + self.RUN_ROWS)
+            while run < len(runs) and runs[run][1] <= pos:
+                run += 1
+            if run < len(runs) and runs[run][0] < end < runs[run][1]:
+                end = runs[run][1]
             rows = stream if end - pos == m else stream[pos:end]
             batch = self.exec_model.run_rows(rows, self._cycle)
             if port.write_cost_cycles:
@@ -419,6 +428,7 @@ class _StreamBuilder:
         self.pieces = []   # CostedRows, in order
         self.rows = []     # Python rows not yet made into a piece
         self.stops = []    # stream rows made up to each input row
+        self.runs = []     # (first, end) stream rows of each chunk run
         self.made = 0      # stream rows made so far
 
     def add_rows(self, costed):
@@ -499,6 +509,7 @@ class _StreamBuilder:
         tags = np.empty(n, dtype=object)
         tags[:] = activity.tag
         self._flush()
+        self.runs.append((self.made, self.made + n))
         self.pieces.append(CostedRows(
             np.full(n, int(activity.component), dtype=np.int64),
             np.rint(np.asarray(counts, dtype=np.float64)).astype(np.int64),
@@ -530,10 +541,11 @@ class _StreamBuilder:
         ))
 
     def finish(self):
-        """The stream, the stream rows made up to each input row, and
-        the stream row and component of each port write.  The
-        scheduler's latch and write count move on here; the port itself
-        is written as the stream commits."""
+        """The stream, the stream rows made up to each input row, the
+        stream row and component of each port write, and the stream
+        rows of each chunk run.  The scheduler's latch and write count
+        move on here; the port itself is written as the stream
+        commits."""
         self._flush()
         sched = self.sched
         sched._latched = self.latched
@@ -545,4 +557,4 @@ class _StreamBuilder:
             stream = pieces[0]
         else:
             stream = CostedRows.concat(pieces)
-        return stream, self.stops, self.writes
+        return stream, self.stops, self.writes, self.runs

@@ -139,22 +139,33 @@ class MultiplexedHPMSampler:
         # injects a per-replicate stream instead, so replicates see
         # independent alignment realizations.  ``noise`` is forwarded
         # to the underlying single-pass sampler.
-        self._rng = rng
+        self.rng = rng
         self.noise = noise
+
+    def base_sampler(self):
+        """The single-pass sampler whose timer pass :meth:`extrapolate`
+        reads.  It carries the observability handle, so a multiplexed
+        run emits the same sampler counters a single-pass run does."""
+        return HPMSampler(self.platform, period_s=self.period_s,
+                          obs=self.obs, noise=self.noise)
 
     def sample(self, timeline, port=None):
         """Sample *timeline*, rotating event groups between ticks."""
-        # The base sampler carries the observability handle so a
-        # multiplexed run emits the same sampler spans and counters a
-        # single-pass run does.
-        base = HPMSampler(self.platform, period_s=self.period_s,
-                          obs=self.obs, noise=self.noise)
-        full = base.sample(timeline, port)
-        # Re-derive per-tick deltas so each tick can be assigned to the
-        # group that was programmed during it.  We reuse the base
-        # sampler's attribution by re-sampling at a granularity of one
-        # rotation cycle per group — statistically equivalent to
-        # visibility of 1/len(rotation) of ticks per group.
+        return self.extrapolate(
+            self.base_sampler().sample(timeline, port), timeline
+        )
+
+    def extrapolate(self, full, timeline):
+        """Scale the base pass *full* over *timeline* to what rotating
+        the event groups observes.
+
+        The duty-cycle extrapolation does not re-sample: each
+        component's counts are spread across ticks, so observing 1/n of
+        ticks observes ~1/n of each component's activity plus
+        phase-alignment noise.  Without an injected ``rng`` the noise
+        is drawn from a stream seeded by the timeline's length, so one
+        recording always extrapolates the same way.
+        """
         n_groups = len(self.rotation)
         duty = {}
         for group in self.rotation:
@@ -167,14 +178,10 @@ class MultiplexedHPMSampler:
             "l2_misses": {},
         }
         rng = (
-            self._rng
-            if self._rng is not None
+            self.rng
+            if self.rng is not None
             else np.random.default_rng(len(timeline))
         )
-        # Visibility mask per tick: tick i observes rotation[i % n].
-        # Approximate per-component scaling: each component's deltas
-        # are spread across ticks, so observing 1/n of ticks observes
-        # ~1/n of each component's activity plus phase-alignment noise.
         for event, per_comp in (
             ("instructions", full.component_instructions),
             ("l2_accesses", full.component_l2_accesses),

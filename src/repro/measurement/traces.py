@@ -45,6 +45,11 @@ class PowerTrace:
     _totals: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    #: ``(average, peak)`` CPU power per component, reduced once per
+    #: trace for the same reason (see :meth:`_component_power`).
+    _power_stats: tuple = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         n = len(self.times_s)
@@ -132,17 +137,23 @@ class PowerTrace:
 
     def component_avg_power_w(self):
         """Average CPU power per component (mean over its samples)."""
-        return {
-            cid: float(self.cpu_power_w[idx].mean())
-            for cid, idx in self._groups()
-        }
+        return dict(self._component_power()[0])
 
     def component_peak_power_w(self):
         """Peak CPU power per component (max over its samples)."""
-        return {
-            cid: float(self.cpu_power_w[idx].max())
-            for cid, idx in self._groups()
-        }
+        return dict(self._component_power()[1])
+
+    def _component_power(self):
+        """Both per-component CPU power reductions, from one gather of
+        each component's samples, computed once per trace."""
+        if self._power_stats is None:
+            avg, peak = {}, {}
+            for cid, idx in self._groups():
+                values = self.cpu_power_w[idx]
+                avg[cid] = float(values.mean())
+                peak[cid] = float(values.max())
+            self._power_stats = (avg, peak)
+        return self._power_stats
 
     def avg_power_w(self):
         return float(self.cpu_power_w.mean())

@@ -72,7 +72,6 @@ from repro.serve.queue import BoundedJobQueue, QueueClosed, QueueFull
 from repro.serve.store import (
     DONE,
     FAILED,
-    QUEUED,
     RUNNING,
     TERMINAL_STATES,
     JobStore,

@@ -67,6 +67,39 @@ class TestSimKey:
             replace(BASE, hpm_rotation="xscale-pairs")
         ) == sim_key(BASE)
 
+    def test_memo_never_shares_a_key_between_equal_configs(self):
+        """``heap_mb=64`` and ``64.0`` compare (and hash) equal but
+        serialize differently, so their keys differ whichever is keyed
+        first."""
+        for heaps in ((64, 64.0), (64.0, 64)):
+            first, second = (replace(BASE, heap_mb=h) for h in heaps)
+            assert first == second
+            keys = [sim_key(first), sim_key(second)]
+            assert keys[0] != keys[1]
+            assert [sim_key(first), sim_key(second)] == keys
+            assert [sim_key(replace(first)), sim_key(replace(second))] == \
+                keys
+
+    def test_memo_serializes_once_per_config(self, monkeypatch):
+        import pickle
+
+        from repro import spec
+
+        calls = []
+        original = spec.canonical_sim_dict
+
+        def spy(config):
+            calls.append(config)
+            return original(config)
+
+        monkeypatch.setattr(spec, "canonical_sim_dict", spy)
+        config = replace(BASE)
+        key = sim_key(config)
+        assert sim_key(config) == key
+        # The memo travels with a pickled config (campaign workers).
+        assert sim_key(pickle.loads(pickle.dumps(config))) == key
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("field", sorted(SIM_CHANGES))
     def test_every_simulation_field_changes_key(self, field):
         changed = replace(BASE, **SIM_CHANGES[field])

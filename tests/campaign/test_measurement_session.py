@@ -3,10 +3,12 @@
 Every campaign cell measures through one
 :class:`~repro.core.simulation.MeasurementSession` per sim-key group:
 cells that differ only in HPM period or rotation share its run
-reconstruction, its perturbation report and its DAQ acquisition.  Each
-check here is referenced against the fused per-cell path
+reconstruction, its perturbation report and its DAQ acquisition, and
+cells with one HPM period share its timer pass.  Each check here is
+referenced against the fused per-cell path
 (:func:`~repro.campaign.runner._execute_cell`), which simulates and
-measures one config on its own.
+measures one config on its own, or against a session of the cell's
+own.
 """
 
 import json
@@ -24,11 +26,15 @@ from repro.analysis.uncertainty import (
 )
 from repro.campaign import run_campaign
 from repro.campaign.runner import _execute_cell
+from repro.core.decomposition import component_profiles
 from repro.core.experiment import Experiment
 from repro.core.simulation import MeasurementSession
 from repro.errors import ConfigurationError
 from repro.export import result_to_cell_dict
 from repro.measurement.daq import DAQ
+from repro.measurement.hpm_sampler import HPMSampler
+from repro.measurement.multiplexing import MultiplexedHPMSampler
+from repro.measurement.traces import PowerTrace
 from repro.spec import ScenarioSpec
 
 SCENARIOS = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
@@ -46,6 +52,19 @@ GRID = ScenarioSpec(
     daq_periods_s=DAQ_PERIODS,
     hpm_periods_s=(None, 2e-3),
     hpm_rotations=(None, "xscale-pairs"),
+)
+
+# The 27-cell DAQ x HPM x rotation matrix of a campaign sweep, at test
+# scale.
+SWEEP = ScenarioSpec(
+    benchmarks=("_202_jess",),
+    collectors=("SemiSpace",),
+    heap_mbs=(24,),
+    input_scales=(0.1,),
+    n_slices=40,
+    daq_periods_s=(40e-6, 200e-6, 1e-3),
+    hpm_periods_s=(None, 2e-3, 10e-3),
+    hpm_rotations=(None, "xscale-pairs", "round-robin"),
 )
 
 TRACE_ARRAYS = ("times_s", "cpu_power_w", "mem_power_w", "component",
@@ -96,6 +115,20 @@ def acquisitions(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def timer_passes(monkeypatch):
+    """The period of every ``HPMSampler.sample`` call, in order."""
+    calls = []
+    original = HPMSampler.sample
+
+    def spy(self, timeline, port=None):
+        calls.append(self.period_s)
+        return original(self, timeline, port=port)
+
+    monkeypatch.setattr(HPMSampler, "sample", spy)
+    return calls
+
+
 class TestCampaignMatchesFused:
     def test_serial_grid(self, grid_fused):
         result = run_campaign(GRID, workers=1)
@@ -112,6 +145,23 @@ class TestCampaignMatchesFused:
         assert len(result) == 8
         assert acquisitions == list(DAQ_PERIODS)
 
+    def test_one_sim_key_per_cell(self, tmp_path, monkeypatch):
+        from repro import spec
+
+        store = tmp_path / "artifacts"
+        run_campaign(GRID, workers=1, artifact_dir=store)
+        calls = []
+        original = spec.canonical_sim_dict
+
+        def spy(config):
+            calls.append(config)
+            return original(config)
+
+        monkeypatch.setattr(spec, "canonical_sim_dict", spy)
+        result = run_campaign(GRID, workers=1, artifact_dir=store)
+        assert result.summary.n_artifact_hits == 1
+        assert len(calls) == len(result) == 8
+
     def test_alternating_daq_key_evicts_and_matches(self, grid_fused,
                                                     acquisitions):
         cells = GRID.cells()
@@ -125,6 +175,90 @@ class TestCampaignMatchesFused:
         assert payload_bytes(result) == [
             grid_fused[c] for c in alternating
         ]
+
+
+class TestTimerPasses:
+    """A noise-free HPM timer pass is taken once per session and
+    resolved HPM period; everything seeded samples afresh."""
+
+    def test_one_pass_per_hpm_period(self, artifact, timer_passes):
+        result = run_campaign(SWEEP, workers=1)
+        assert len(result) == 27
+        assert timer_passes == [artifact.hpm_period_s, 2e-3, 10e-3]
+        # Each cell measured through a session of its own takes its own
+        # pass and gives the same bytes.
+        alone = [encode(result_to_cell_dict(Experiment(c).measure(artifact)))
+                 for c in SWEEP.cells()]
+        assert len(timer_passes) == 3 + 27
+        assert payload_bytes(result) == alone
+
+    @pytest.mark.parametrize("rotation", [None, "xscale-pairs"])
+    def test_noisy_measurement_never_uses_a_held_pass(self, artifact,
+                                                      timer_passes,
+                                                      rotation):
+        session = MeasurementSession(artifact)
+        experiment = Experiment(
+            replace(GRID.cells()[0], hpm_rotation=rotation))
+        held = experiment.measure(session, measurement_seed=5)
+        assert len(timer_passes) == 1
+        noisy = experiment.measure(session, noise=DEFAULT_NOISE,
+                                   measurement_seed=5)
+        assert len(timer_passes) == 2
+        # The noisy pass was not held: the next noise-free cell reuses
+        # the first one.
+        again = experiment.measure(session, measurement_seed=5)
+        assert len(timer_passes) == 2
+        assert again.perf == held.perf
+        alone = experiment.measure(artifact, noise=DEFAULT_NOISE,
+                                   measurement_seed=5)
+        assert encode(result_to_cell_dict(noisy)) == \
+            encode(result_to_cell_dict(alone))
+        assert noisy.perf != held.perf
+
+    def test_injected_rng_never_uses_a_held_pass(self, artifact,
+                                                 timer_passes):
+        session = MeasurementSession(artifact)
+        Experiment(GRID.cells()[0]).measure(session)
+        assert len(timer_passes) == 1
+        assert session.holds_timer_pass(MultiplexedHPMSampler(session.target))
+
+        def seeded():
+            return MultiplexedHPMSampler(
+                session.target, rng=np.random.default_rng(5))
+
+        assert not session.holds_timer_pass(seeded())
+        got = session.sample_hpm(seeded())
+        assert len(timer_passes) == 2
+        want = seeded().sample(session.run.timeline, port=session.target.port)
+        assert got == want
+        # Nor is the seeded sampler's pass held for the next one.
+        session.sample_hpm(seeded())
+        assert len(timer_passes) == 4
+
+    def test_bootstrap_report_unchanged_while_passes_are_held(
+            self, artifact, monkeypatch):
+        """Multiplexed replicates draw their phase alignment from their
+        own stream; a noise-free pass held under their period must not
+        reach them."""
+        config = replace(GRID.cells()[0], hpm_rotation="xscale-pairs")
+        want = encode(
+            bootstrap_uncertainty(config, artifact, replicates=2).as_dict()
+        )
+        engine = BootstrapEngine(config, replicates=2)
+        sessions = []
+
+        def through_held(session, index):
+            sessions.append(session)
+            seed = derive_replicate_seed(config.seed, index)
+            experiment = Experiment(config)
+            experiment.measure(session, measurement_seed=seed)
+            return experiment.measure(session, noise=engine.noise,
+                                      measurement_seed=seed)
+
+        monkeypatch.setattr(engine, "measure_replicate", through_held)
+        assert encode(engine.run(artifact).as_dict()) == want
+        session = sessions[0]
+        assert session.holds_timer_pass(HPMSampler(session.target))
 
 
 class TestSharedSimulationMatchesFused:
@@ -270,10 +404,13 @@ class TestTracedCampaign:
                 (tmp_path / f"cell-{index:04d}.json").read_text()
             )
             spans = [e for e in events if e.get("name") == "daq-acquire"]
+            hpm_spans = [e for e in events
+                         if e.get("name") == "hpm-sample"]
             counters = next(
                 e for e in events if e.get("name") == "repro_metrics"
             )["args"]["counters"]
             assert len(spans) == 1
+            assert len(hpm_spans) == 1
             # HPM axes nest inside each DAQ period: the first cell of
             # each period acquires, the other three reuse.
             if index % 4 == 0:
@@ -284,3 +421,38 @@ class TestTracedCampaign:
                 assert spans[0]["args"] == {"reused": True}
                 assert counters["daq.reused"] == 1
                 assert "daq.samples" not in counters
+            # The first DAQ period's plain cells take the two HPM
+            # periods' timer passes; every other cell reuses one.
+            if index in (0, 2):
+                assert "args" not in hpm_spans[0]
+                assert counters["hpm.samples"] > 0
+                assert "hpm.reused" not in counters
+            else:
+                assert hpm_spans[0]["args"] == {"reused": True}
+                assert counters["hpm.reused"] == 1
+                assert "hpm.samples" not in counters
+
+
+class TestPowerTraceStatistics:
+    def test_profiles_from_a_cached_trace_equal_a_fresh_recompute(
+            self, artifact):
+        result = Experiment(GRID.cells()[0]).measure(artifact)
+        power = result.power
+        first = result.profiles()
+        assert result.profiles() == first
+        fresh = PowerTrace(
+            times_s=power.times_s.copy(),
+            cpu_power_w=power.cpu_power_w.copy(),
+            mem_power_w=power.mem_power_w.copy(),
+            component=power.component.copy(),
+            sample_period_s=power.sample_period_s,
+            window_s=power.window_s.copy(),
+        )
+        assert component_profiles(fresh, result.perf, "jikes") == first
+        # Callers get copies: editing one leaves the cache intact.
+        power.component_avg_power_w().clear()
+        power.component_peak_power_w().clear()
+        assert power.component_avg_power_w() == \
+            fresh.component_avg_power_w()
+        assert power.component_peak_power_w() == \
+            fresh.component_peak_power_w()

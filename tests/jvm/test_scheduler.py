@@ -358,17 +358,21 @@ class TestBatchedEngine:
 
     def test_long_activity_is_costed_in_one_batch(self, monkeypatch):
         # 2e9 instructions in 20 us chunks: tens of thousands of
-        # segments, all of them costed in one call.
-        calls = {"run": 0, "run_batch": 0, "cost_batch": 0}
+        # segments, all of them costed in one call and, with the port
+        # write before them, committed in one batch.
+        calls = {"run": 0, "run_batch": 0, "cost_batch": 0, "run_rows": 0,
+                 "_commit_batch": 0}
         for name in calls:
-            method = getattr(ExecutionModel, name)
+            owner = (InstrumentedScheduler if name == "_commit_batch"
+                     else ExecutionModel)
+            method = getattr(owner, name)
 
             def counting(self, *args, _name=name, _method=method,
                          **kwargs):
                 calls[_name] += 1
                 return _method(self, *args, **kwargs)
 
-            monkeypatch.setattr(ExecutionModel, name, counting)
+            monkeypatch.setattr(owner, name, counting)
         platform = make_platform("p6")
         sched = InstrumentedScheduler(platform, max_chunk_s=2e-5)
         activity = act(Component.APP, instructions=2_000_000_000)
@@ -378,7 +382,8 @@ class TestBatchedEngine:
         )
         sched.execute(activity)
         assert len(sched.timeline) == 60_675  # one port write + chunks
-        assert calls == {"run": 0, "run_batch": 0, "cost_batch": 1}
+        assert calls == {"run": 0, "run_batch": 0, "cost_batch": 1,
+                         "run_rows": 1, "_commit_batch": 1}
 
     @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
     def test_execute_rows_equals_execute_loop(self, case):
