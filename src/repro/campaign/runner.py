@@ -201,7 +201,6 @@ def _execute_group(configs, timeout_s, trace_paths=None,
 
     store = ArtifactStore(artifact_dir) if artifact_dir else None
     outcomes = []
-    artifact = None
     session = None
     oom_error = None
     try:
@@ -227,15 +226,10 @@ def _execute_group(configs, timeout_s, trace_paths=None,
                     payload = _oom_payload(config, oom_error)
                 else:
                     experiment = Experiment(config, obs=obs)
-                    if artifact is None and store is not None:
-                        artifact = store.get_key(key)
-                        artifact_hit = artifact is not None
-                    if artifact is None:
-                        artifact = experiment.simulate().artifact()
-                        simulated = True
-                        if store is not None:
-                            store.put(config, artifact)
                     if session is None:
+                        artifact, artifact_hit = \
+                            experiment.load_or_simulate(store)
+                        simulated = not artifact_hit
                         session = MeasurementSession(artifact)
                     payload = result_to_cell_dict(
                         experiment.measure(session)

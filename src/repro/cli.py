@@ -312,14 +312,14 @@ def cmd_workload(args):
 
 def cmd_pauses(args):
     from repro.analysis.pauses import mmu_curve, pause_stats
-    from repro.spec import build_vm
+    from repro.core.simulation import simulate
 
     config = _single_cell_config(args, "pauses")
     if config is None:
         return 2
-    vm = build_vm(config,
-                  obs=Observability.create(trace=False, metrics=False))
-    run = vm.run(config.benchmark, input_scale=config.input_scale)
+    run = simulate(
+        config, obs=Observability.create(trace=False, metrics=False)
+    ).run
     stats = pause_stats(run.timeline)
     print(f"{config.benchmark} ({run.collector_name}, "
           f"{config.heap_mb} MB): {stats.describe()}")
@@ -508,19 +508,18 @@ def cmd_spec(args):
 
 def cmd_validate(args):
     from repro.analysis.validation import attribution_error
-    from repro.spec import build_platform, build_vm
+    from repro.core.simulation import simulate
 
     config = _single_cell_config(args, "validate")
     if config is None:
         return 2
-    platform = build_platform(config)
-    vm = build_vm(config, platform,
-                  obs=Observability.create(trace=False, metrics=False))
-    run = vm.run(config.benchmark, input_scale=config.input_scale)
+    sim = simulate(
+        config, obs=Observability.create(trace=False, metrics=False)
+    )
     rows = []
     for period_us in args.periods:
         report = attribution_error(
-            run, platform, sample_period_s=period_us * 1e-6
+            sim.run, sim.platform, sample_period_s=period_us * 1e-6
         )
         rows.append([
             f"{period_us:.0f}",
@@ -532,6 +531,18 @@ def cmd_validate(args):
         title="Attribution error vs DAQ sampling period:",
     ))
     return 0
+
+
+def _load_or_simulate(config, store):
+    """``(artifact, source, simulate wall seconds)`` for *config*:
+    ``source`` is ``"store"`` (0 s) or ``"simulated"``."""
+    import time
+
+    started = time.perf_counter()
+    artifact, hit = Experiment(config).load_or_simulate(store)
+    if hit:
+        return artifact, "store", 0.0
+    return artifact, "simulated", time.perf_counter() - started
 
 
 def cmd_overhead(args):
@@ -548,17 +559,7 @@ def cmd_overhead(args):
         return 2
 
     store = None if args.no_artifacts else ArtifactStore(args.artifact_dir)
-    artifact = store.get(config) if store is not None else None
-    if artifact is not None:
-        sim_wall_s = 0.0
-        source = "store"
-    else:
-        started = time_mod.perf_counter()
-        artifact = Experiment(config).simulate().artifact()
-        sim_wall_s = time_mod.perf_counter() - started
-        source = "simulated"
-        if store is not None:
-            store.put(config, artifact)
+    artifact, source, sim_wall_s = _load_or_simulate(config, store)
     # One session for every period: one run reconstruction and one
     # perturbation report; each period is its own DAQ acquisition.
     session = MeasurementSession(artifact)
@@ -691,19 +692,8 @@ def cmd_uncertainty(args):
         return 2
 
     store = None if args.no_artifacts else ArtifactStore(args.artifact_dir)
-    artifact = store.get(config) if store is not None else None
-    n_simulations = 0
-    if artifact is not None:
-        sim_wall_s = 0.0
-        source = "store"
-    else:
-        started = time_mod.perf_counter()
-        artifact = Experiment(config).simulate().artifact()
-        sim_wall_s = time_mod.perf_counter() - started
-        n_simulations = 1
-        source = "simulated"
-        if store is not None:
-            store.put(config, artifact)
+    artifact, source, sim_wall_s = _load_or_simulate(config, store)
+    n_simulations = int(source == "simulated")
 
     started = time_mod.perf_counter()
     report = engine.run(artifact)
@@ -997,7 +987,6 @@ def cmd_replay(args):
         IDENTICAL,
         UNREPLAYABLE,
         replay_store_entry,
-        store_keys,
     )
     from repro.serve.store import ResultStore
 
@@ -1015,7 +1004,7 @@ def cmd_replay(args):
             print(f"    ... ({hidden} more; raise --diff-limit)")
 
     if args.all:
-        keys = store_keys(store)
+        keys = store.keys()
         if not keys:
             print(f"repro replay: no stored results under "
                   f"{store.root}", file=sys.stderr)
@@ -1049,13 +1038,11 @@ def _resolve_replay_target(target, store):
     """A replay target is a result hash (full or unique prefix) or a
     spec file whose hash names the stored artifact; returns the full
     key, or None after printing an error."""
-    from repro.provenance import store_keys
-
     lowered = target.lower()
     if all(c in "0123456789abcdef" for c in lowered) and len(lowered) >= 8:
         if len(lowered) == 64:
             return lowered
-        matches = [k for k in store_keys(store)
+        matches = [k for k in store.keys()
                    if k.startswith(lowered)]
         if len(matches) == 1:
             return matches[0]

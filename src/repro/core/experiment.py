@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.decomposition import component_profiles, decompose
+from repro.core.decomposition import component_profiles
 from repro.core.metrics import edp
 from repro.core.simulation import (
     MeasurementSession,
@@ -28,7 +28,6 @@ from repro.core.simulation import (
 from repro.errors import ConfigurationError
 from repro.hardware.platform import validate_overrides
 from repro.jvm.components import Component
-from repro.measurement.daq import DAQ
 from repro.measurement.hpm_sampler import HPMSampler
 from repro.measurement.multiplexing import (
     MultiplexedHPMSampler,
@@ -188,13 +187,17 @@ class Experiment:
     ground truth (timeline + port latch history), :meth:`measure` runs
     the samplers and decomposition over a finished simulation — either
     the live :class:`~repro.core.simulation.SimulationResult` or a
-    deserialized :class:`~repro.core.simulation.SimulationArtifact`.
+    deserialized :class:`~repro.core.simulation.SimulationArtifact` —
+    through a :class:`~repro.core.simulation.MeasurementSession`, which
+    takes every acquisition and decides what may be reused.
+    :meth:`load_or_simulate` resolves the config's artifact through a
+    store.
     :meth:`run` is the fused convenience path (simulate then measure
     under one trace span), bit-identical to phase-at-a-time execution.
 
     ``obs`` is an optional :class:`~repro.obs.Observability` bundle;
     when given, the runner records wall-clock phase spans (setup, VM
-    execution, DAQ acquisition, HPM sampling, decomposition), the VM
+    execution, DAQ acquisition, decomposition, HPM sampling), the VM
     and scheduler record simulated-clock spans, and the measurement
     stages feed the metrics registry.  Instrumentation is write-only:
     a traced run produces byte-identical results to an untraced one.
@@ -230,6 +233,21 @@ class Experiment:
         if obs.metrics.enabled:
             obs.metrics.counter("experiment.simulations").inc()
         return sim
+
+    def load_or_simulate(self, store=None):
+        """``(artifact, hit)``: the config's
+        :class:`~repro.core.simulation.SimulationArtifact` from *store*
+        (an :class:`~repro.campaign.artifacts.ArtifactStore`, or
+        ``None``) when it holds one, else from :meth:`simulate`, written
+        back to *store*.  ``hit`` says which."""
+        if store is not None:
+            artifact = store.get(self.config)
+            if artifact is not None:
+                return artifact, True
+        artifact = self.simulate().artifact()
+        if store is not None:
+            store.put(self.config, artifact)
+        return artifact, False
 
     def measure(self, sim, noise=None, measurement_seed=None):
         """Run only the measurement phase over *sim* (a
@@ -302,7 +320,12 @@ class Experiment:
         one for a bare result or artifact), which resolves it to one
         run and one :class:`~repro.core.simulation.MeasurementTarget`
         (platform name, effective HPM period, component-ID port), so
-        the fused, split and campaign paths run the same code.
+        the fused, split and campaign paths run the same code.  This
+        method checks the source against the config and resolves the
+        config's HPM period, measurement seed, noise model and sampler;
+        the session takes the DAQ acquisition with its decomposition
+        and the HPM pass, and alone decides whether either is served
+        from what it holds.
         """
         cfg = self.config
         session = (
@@ -316,7 +339,6 @@ class Experiment:
                 f"cannot measure a {session.vm!r} simulation as a "
                 f"{cfg.vm!r} experiment"
             )
-        run = session.run
         target = session.target
         hpm_period_s = (
             target.hpm_period_s if cfg.hpm_period_s is None
@@ -335,26 +357,8 @@ class Experiment:
             noise = NoiseModel.for_seed(
                 noise_cfg, base_seed + NOISE_SEED_OFFSET
             )
-        tracer = obs.tracer
-        # What the DAQ reads besides the session's run and target.  A
-        # noisy acquisition is never served or held (see
-        # MeasurementSession).
-        daq_key = (cfg.daq_period_s, base_seed)
-        held = session.held(daq_key) if noise is None else None
-        if held is not None:
-            power, breakdown = held
-            if obs.metrics.enabled:
-                obs.metrics.counter("daq.reused").inc()
-            with tracer.wall_span("daq-acquire", reused=True):
-                pass
-        else:
-            session.release()
-            measurement_rng = np.random.default_rng(base_seed + 7919)
-            with tracer.wall_span("daq-acquire"):
-                daq = DAQ(target, measurement_rng,
-                          sample_period_s=cfg.daq_period_s, obs=obs,
-                          noise=noise)
-                power = daq.acquire(run.timeline, port=target.port)
+        power, breakdown = session.acquire(cfg.daq_period_s, base_seed,
+                                           noise=noise, obs=obs)
         if cfg.hpm_rotation:
             # A noisy replicate draws its multiplexing phase alignment
             # from the replicate's own stream; without a noise model the
@@ -371,22 +375,10 @@ class Experiment:
             sampler = HPMSampler(
                 target, period_s=hpm_period_s, obs=obs, noise=noise
             )
-        if session.holds_timer_pass(sampler):
-            if obs.metrics.enabled:
-                obs.metrics.counter("hpm.reused").inc()
-            with tracer.wall_span("hpm-sample", reused=True):
-                perf = session.sample_hpm(sampler)
-        else:
-            with tracer.wall_span("hpm-sample"):
-                perf = session.sample_hpm(sampler)
-        if held is None:
-            with tracer.wall_span("decompose"):
-                breakdown = decompose(power, cfg.vm)
-            if noise is None:
-                session.hold(daq_key, power, breakdown)
+        perf = session.sample_hpm(sampler)
         return ExperimentResult(
             config=cfg,
-            run=run,
+            run=session.run,
             power=power,
             perf=perf,
             breakdown=breakdown,

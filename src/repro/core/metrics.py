@@ -9,6 +9,7 @@
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import ConfigurationError
 from repro.jvm.components import Component
@@ -145,8 +146,10 @@ class EnergyBreakdown:
     seconds: dict
     jvm_components: tuple
 
-    @property
+    @cached_property
     def total_cpu_j(self):
+        """Total measured CPU energy, summed once per breakdown (its
+        dicts are never written after construction)."""
         return sum(self.cpu_energy_j.values())
 
     @property

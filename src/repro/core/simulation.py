@@ -35,9 +35,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.core.decomposition import decompose
 from repro.core.metrics import perturbation_report
 from repro.errors import ConfigurationError, MeasurementError
 from repro.jvm.vm import RunResult
+from repro.measurement.daq import DAQ
 from repro.obs import NULL_OBS
 from repro.timeline import ExecutionTimeline
 
@@ -296,22 +298,24 @@ class MeasurementSession:
     throwaway one when handed a bare result or artifact).  The session
     reconstructs the ground-truth :class:`RunResult` and the
     :class:`MeasurementTarget` once, computes the run's perturbation
-    report on first use, and holds two kinds of noise-free
-    measurement: the most recent DAQ acquisition with its
-    decomposition, and the HPM timer pass of every HPM period it has
-    sampled.
+    report on first use, and takes every DAQ acquisition
+    (:meth:`acquire`) and HPM pass (:meth:`sample_hpm`) of its run.  It
+    alone decides whether one is served from what it holds: the most
+    recent noise-free DAQ acquisition with its decomposition, and the
+    noise-free HPM timer pass of every HPM period it has sampled.
 
     A DAQ acquisition reads only the timeline, the port, the platform
     name (all fixed by the session's simulation) plus the DAQ period and
     the measurement base seed, so those two values are its key: cells
     that differ only in HPM period or rotation reuse it.  One
-    acquisition is held at a time; the measurement phase releases it
-    before it acquires anew.  A noise-free HPM timer pass reads no seed
-    at all, so its key is the resolved HPM period alone: a single-pass
-    cell reuses the held :class:`~repro.measurement.traces.PerfTrace`
-    as it is, and a multiplexed cell extrapolates from it
-    (:meth:`sample_hpm`).  Timer passes are a few per-component
-    numbers each, so every period's is kept.
+    acquisition is held at a time, and it is dropped before a new one
+    is taken.  A noise-free HPM timer pass reads no seed at all, so its
+    key is the resolved HPM period alone: a single-pass cell reuses the
+    held :class:`~repro.measurement.traces.PerfTrace` as it is, and a
+    multiplexed cell extrapolates from it.  Timer passes are a few
+    per-component numbers each, so every period's is kept.  A served
+    measurement records its ``daq-acquire`` or ``hpm-sample`` span
+    with ``reused=True`` and counts ``daq.reused`` or ``hpm.reused``.
 
     Noisy measurements never read or fill a hold: the noise model's
     single stream feeds the DAQ clock jitter and then the HPM interrupt
@@ -354,34 +358,43 @@ class MeasurementSession:
             )
         return self._perturbation
 
-    def held(self, key):
-        """The held ``(power, breakdown)`` acquired under *key*, or
-        ``None``."""
+    def acquire(self, daq_period_s, base_seed, noise=None, obs=None):
+        """The ``(power, breakdown)`` of a DAQ acquisition of the
+        session's run at *daq_period_s*, measured from *base_seed*.
+
+        A noise-free acquisition under the held key is served as it is.
+        Anything else drops the held pair, acquires from
+        ``default_rng(base_seed + 7919)`` and decomposes the trace; a
+        noise-free result is then held, its arrays read-only.
+        """
+        obs = obs if obs is not None else NULL_OBS
+        tracer = obs.tracer
+        key = (daq_period_s, base_seed)
         held = self._held
-        if held is not None and held[0] == key:
+        if noise is None and held is not None and held[0] == key:
+            if obs.metrics.enabled:
+                obs.metrics.counter("daq.reused").inc()
+            with tracer.wall_span("daq-acquire", reused=True):
+                pass
             return held[1], held[2]
-        return None
-
-    def hold(self, key, power, breakdown):
-        """Hold a noise-free acquisition for later cells with *key*."""
-        for name in ("times_s", "cpu_power_w", "mem_power_w",
-                     "component", "window_s"):
-            getattr(power, name).flags.writeable = False
-        self._held = (key, power, breakdown)
-
-    def release(self):
-        """Drop the held acquisition."""
         self._held = None
-
-    def holds_timer_pass(self, sampler):
-        """Whether :meth:`sample_hpm` would serve *sampler* from a
-        held timer pass."""
-        return (_reads_no_seed(sampler)
-                and sampler.period_s in self._timer_passes)
+        with tracer.wall_span("daq-acquire"):
+            daq = DAQ(self.target, np.random.default_rng(base_seed + 7919),
+                      sample_period_s=daq_period_s, obs=obs, noise=noise)
+            power = daq.acquire(self.run.timeline, port=self.target.port)
+        with tracer.wall_span("decompose"):
+            breakdown = decompose(power, self.vm)
+        if noise is None:
+            for name in ("times_s", "cpu_power_w", "mem_power_w",
+                         "component", "window_s"):
+                getattr(power, name).flags.writeable = False
+            self._held = (key, power, breakdown)
+        return power, breakdown
 
     def sample_hpm(self, sampler):
         """*sampler*'s :class:`~repro.measurement.traces.PerfTrace` of
-        the session's run.
+        the session's run, under an ``hpm-sample`` span on the
+        sampler's own ``obs``.
 
         A sampler that reads no seed (no noise model and, multiplexed,
         no injected rng) gets its timer pass from the hold, taking and
@@ -389,17 +402,25 @@ class MeasurementSession:
         then extrapolates from it.  Any other sampler samples afresh.
         """
         timeline, port = self.run.timeline, self.target.port
+        obs = sampler.obs
         if not _reads_no_seed(sampler):
-            return sampler.sample(timeline, port=port)
-        base = getattr(sampler, "base_sampler", None)
+            with obs.tracer.wall_span("hpm-sample"):
+                return sampler.sample(timeline, port=port)
         timer_pass = self._timer_passes.get(sampler.period_s)
-        if timer_pass is None:
-            timer_pass = (base() if base else sampler).sample(
-                timeline, port=port)
-            self._timer_passes[sampler.period_s] = timer_pass
-        if base is None:
-            return timer_pass
-        return sampler.extrapolate(timer_pass, timeline)
+        span_args = {}
+        if timer_pass is not None:
+            span_args["reused"] = True
+            if obs.metrics.enabled:
+                obs.metrics.counter("hpm.reused").inc()
+        with obs.tracer.wall_span("hpm-sample", **span_args):
+            base = getattr(sampler, "base_sampler", None)
+            if timer_pass is None:
+                timer_pass = (base() if base else sampler).sample(
+                    timeline, port=port)
+                self._timer_passes[sampler.period_s] = timer_pass
+            if base is None:
+                return timer_pass
+            return sampler.extrapolate(timer_pass, timeline)
 
 
 def _reads_no_seed(sampler):

@@ -194,18 +194,23 @@ class MultiplexedHPMSampler:
                 # Always monitored: no extrapolation, no error.
                 scaled[event] = dict(per_comp)
                 continue
-            for cid, value in per_comp.items():
-                # Phase-alignment noise shrinks with the number of
-                # ticks the component occupied.
-                ticks = max(full.component_samples.get(cid, 1), 1)
-                observed_ticks = max(
-                    int(round(ticks * fraction)), 1
-                )
-                noise = rng.normal(
-                    0.0, 1.0 / np.sqrt(observed_ticks)
-                )
-                observed = value * fraction * max(1.0 + noise, 0.0)
-                scaled[event][cid] = observed / fraction
+            # Phase-alignment noise shrinks with the number of ticks
+            # each component occupied: one draw per component, in the
+            # trace's component order.  ``sigma * standard_normal(n)``
+            # gives ``normal(0.0, sigma)``'s numbers from the same draws
+            # without its broadcasting cost.
+            observed_ticks = [
+                max(int(round(
+                    max(full.component_samples.get(cid, 1), 1) * fraction
+                )), 1)
+                for cid in per_comp
+            ]
+            noise = (1.0 / np.sqrt(observed_ticks)) * \
+                rng.standard_normal(len(observed_ticks))
+            values = np.fromiter(per_comp.values(), dtype=np.float64,
+                                 count=len(per_comp))
+            observed = values * fraction * np.maximum(1.0 + noise, 0.0)
+            scaled[event] = dict(zip(per_comp, (observed / fraction).tolist()))
         return PerfTrace(
             sample_period_s=self.period_s,
             n_samples=full.n_samples,

@@ -395,12 +395,6 @@ def replay_store_entry(store, key, workers=1):
     return replay_result(data, key=key, workers=workers)
 
 
-def store_keys(store):
-    """Every result key under *store*, sorted (scan is recursive, so
-    sharded layouts enumerate the same way as flat ones)."""
-    return store.keys()
-
-
 __all__ = [
     "DRIFTED",
     "ENVELOPE_SUFFIX",
@@ -420,7 +414,6 @@ __all__ = [
     "remove_envelope",
     "replay_result",
     "replay_store_entry",
-    "store_keys",
     "sweep_orphan_envelopes",
     "write_envelope",
 ]

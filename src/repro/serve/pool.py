@@ -44,12 +44,6 @@ from repro.serve.lease import DEFAULT_LEASE_TTL_S, try_acquire
 #: How the service runs jobs; ``repro serve --worker-mode``.
 WORKER_MODES = ("thread", "process")
 
-#: Schema tag of the envelope that crosses the worker-process
-#: boundary: the spec dict plus the optional trace context.  Distinct
-#: from the spec's own ``schema`` field, so a legacy plain spec dict
-#: (older client, mixed-version fleet) is still recognized.
-ENVELOPE_SCHEMA = "repro-job-envelope-v1"
-
 #: Default bound on waiting for a peer's lease to resolve.
 DEFAULT_LEASE_WAIT_S = 600.0
 
@@ -312,26 +306,17 @@ class ThreadWorkerPool:
         pass
 
 
-def _process_job_main(payload, opts):
-    """Worker-process entry point: rebuild the spec and stores from
-    plain data, execute under the lease, fold everything into the
-    outcome dict (no exception crosses the process boundary).
-
-    *payload* is either a ``repro-job-envelope-v1`` dict (spec dict
-    plus optional trace context) or — for compatibility with anything
-    still submitting plain spec dicts — the spec dict itself.
-    """
+def _process_job_main(spec_dict, trace_dict, opts):
+    """Worker-process entry point: rebuild the spec, the optional trace
+    context and the stores from plain data, execute under the lease,
+    fold everything into the outcome dict (no exception crosses the
+    process boundary)."""
     try:
         from repro.campaign.cache import ResultCache
         from repro.serve.store import ResultStore
         from repro.spec import ScenarioSpec
 
-        trace_ctx = None
-        spec_dict = payload
-        if (isinstance(payload, dict)
-                and payload.get("schema") == ENVELOPE_SCHEMA):
-            spec_dict = payload["spec"]
-            trace_ctx = TraceContext.from_dict(payload.get("trace"))
+        trace_ctx = TraceContext.from_dict(trace_dict)
         spec = ScenarioSpec.from_dict(spec_dict, source="worker job")
         results = ResultStore(opts["result_dir"],
                               shards=opts["store_shards"])
@@ -407,16 +392,13 @@ class ProcessWorkerPool:
         if pool is None:
             return _failed("worker pool is not running",
                            "PoolShutdown")
-        payload = spec.to_dict()
-        if trace_ctx is not None:
-            # The trace context rides in an envelope *around* the spec
-            # dict — never inside it, so the spec hash (and therefore
-            # the result bytes) are identical traced or not.
-            payload = {"schema": ENVELOPE_SCHEMA, "spec": payload,
-                       "trace": trace_ctx.to_dict()}
+        # The trace context rides beside the spec dict — never inside
+        # it, so the spec hash (and therefore the result bytes) are
+        # identical traced or not.
+        trace_dict = trace_ctx.to_dict() if trace_ctx is not None else None
         try:
-            future = pool.submit(_process_job_main, payload,
-                                 self._opts)
+            future = pool.submit(_process_job_main, spec.to_dict(),
+                                 trace_dict, self._opts)
             return future.result()
         except BrokenProcessPool:
             # The job's worker died (OOM kill, segfault, operator).

@@ -220,13 +220,15 @@ class TestTimerPasses:
         session = MeasurementSession(artifact)
         Experiment(GRID.cells()[0]).measure(session)
         assert len(timer_passes) == 1
-        assert session.holds_timer_pass(MultiplexedHPMSampler(session.target))
+        # An unseeded multiplexed sampler extrapolates from the held pass.
+        session.sample_hpm(MultiplexedHPMSampler(session.target))
+        assert len(timer_passes) == 1
 
         def seeded():
             return MultiplexedHPMSampler(
                 session.target, rng=np.random.default_rng(5))
 
-        assert not session.holds_timer_pass(seeded())
+        # A seeded one takes a pass of its own.
         got = session.sample_hpm(seeded())
         assert len(timer_passes) == 2
         want = seeded().sample(session.run.timeline, port=session.target.port)
@@ -236,7 +238,7 @@ class TestTimerPasses:
         assert len(timer_passes) == 4
 
     def test_bootstrap_report_unchanged_while_passes_are_held(
-            self, artifact, monkeypatch):
+            self, artifact, monkeypatch, timer_passes):
         """Multiplexed replicates draw their phase alignment from their
         own stream; a noise-free pass held under their period must not
         reach them."""
@@ -257,8 +259,12 @@ class TestTimerPasses:
 
         monkeypatch.setattr(engine, "measure_replicate", through_held)
         assert encode(engine.run(artifact).as_dict()) == want
+        # The replicates' noise-free measurements left the default
+        # period's pass held.
         session = sessions[0]
-        assert session.holds_timer_pass(HPMSampler(session.target))
+        taken = len(timer_passes)
+        session.sample_hpm(HPMSampler(session.target))
+        assert len(timer_passes) == taken
 
 
 class TestSharedSimulationMatchesFused:

@@ -72,6 +72,29 @@ class TestEnergyBreakdown:
         assert fracs["GC"] == pytest.approx(0.25)
         assert fracs["App"] == pytest.approx(0.60)
 
+    def test_total_is_summed_once(self):
+        class CountingDict(dict):
+            sums = 0
+
+            def values(self):
+                CountingDict.sums += 1
+                return super().values()
+
+        b = breakdown()
+        b = EnergyBreakdown(
+            cpu_energy_j=CountingDict(b.cpu_energy_j),
+            mem_energy_j=b.mem_energy_j, seconds=b.seconds,
+            jvm_components=b.jvm_components,
+        )
+        for _ in range(3):
+            b.fraction(Component.GC)
+            b.jvm_fraction()
+            b.app_fraction()
+            b.mem_to_cpu_ratio()
+            b.as_fractions()
+        assert CountingDict.sums == 1
+        assert b.total_cpu_j == pytest.approx(100.0)
+
     def test_zero_energy_guards(self):
         b = EnergyBreakdown(
             cpu_energy_j={}, mem_energy_j={}, seconds={},

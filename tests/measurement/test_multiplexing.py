@@ -1,11 +1,13 @@
 """Tests for PMU counter multiplexing."""
 
+import numpy as np
 import pytest
 
 from repro.errors import MeasurementError
 from repro.jvm.components import Component
 from repro.measurement.hpm_sampler import HPMSampler
 from repro.measurement.multiplexing import (
+    ROTATIONS,
     MultiplexedHPMSampler,
 )
 
@@ -97,3 +99,77 @@ class TestEstimates:
         rates = mux.component_l2_miss_rate()
         for rate in rates.values():
             assert 0.0 <= rate <= 1.5  # scaling noise can overshoot
+
+
+def scalar_extrapolate(sampler, full, timeline, rng=None):
+    """Reference: the duty-cycle extrapolation with one scalar normal
+    draw per (event, component), in component order."""
+    n_groups = len(sampler.rotation)
+    duty = {}
+    for group in sampler.rotation:
+        for event in group:
+            duty[event] = duty.get(event, 0) + 1
+    scaled = {"instructions": {}, "l2_accesses": {}, "l2_misses": {}}
+    if rng is None:
+        rng = np.random.default_rng(len(timeline))
+    for event, per_comp in (
+        ("instructions", full.component_instructions),
+        ("l2_accesses", full.component_l2_accesses),
+        ("l2_misses", full.component_l2_misses),
+    ):
+        fraction = duty.get(event, 0) / n_groups
+        if fraction == 0:
+            continue
+        if fraction >= 1.0:
+            scaled[event] = dict(per_comp)
+            continue
+        for cid, value in per_comp.items():
+            ticks = max(full.component_samples.get(cid, 1), 1)
+            observed_ticks = max(int(round(ticks * fraction)), 1)
+            noise = rng.normal(0.0, 1.0 / np.sqrt(observed_ticks))
+            observed = value * fraction * max(1.0 + noise, 0.0)
+            scaled[event][cid] = observed / fraction
+    return scaled
+
+
+class TestVectorExtrapolation:
+    """One vector draw per event gives the scalar loop's numbers, bit
+    for bit, and leaves the stream where the loop leaves it."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self, jess_semispace_32):
+        from repro.hardware.platform import make_platform
+
+        timeline = jess_semispace_32.run.timeline
+        platform = make_platform("p6")
+        for seg in timeline:
+            platform.port.write(seg.start_cycle, seg.component)
+        return platform, timeline, HPMSampler(platform).sample(
+            timeline, platform.port)
+
+    @pytest.mark.parametrize("rotation", sorted(ROTATIONS))
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_matches_the_scalar_loop(self, recorded, rotation, seed):
+        platform, timeline, full = recorded
+
+        def rng():
+            return None if seed is None else np.random.default_rng(seed)
+
+        vector_rng, scalar_rng = rng(), rng()
+        got = MultiplexedHPMSampler(
+            platform, rotation=ROTATIONS[rotation], rng=vector_rng,
+        ).extrapolate(full, timeline)
+        want = scalar_extrapolate(
+            MultiplexedHPMSampler(platform, rotation=ROTATIONS[rotation]),
+            full, timeline, rng=scalar_rng)
+        for event, attr in (("instructions", "component_instructions"),
+                            ("l2_accesses", "component_l2_accesses"),
+                            ("l2_misses", "component_l2_misses")):
+            values = getattr(got, attr)
+            assert list(values) == list(want[event])
+            assert [v.hex() for v in values.values()] == \
+                [v.hex() for v in want[event].values()]
+            assert all(type(v) is float for v in values.values())
+        if seed is not None:
+            assert vector_rng.bit_generator.state == \
+                scalar_rng.bit_generator.state

@@ -4,6 +4,8 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main
 
 DAQ_SWEEP = (Path(__file__).resolve().parents[1] / "examples" / "scenarios"
@@ -242,3 +244,63 @@ class TestCacheArtifactStore:
         ]) == 0
         out = capsys.readouterr().out
         assert "artifact store" in out
+
+
+class TestSpecRunFields:
+    """``pauses`` and ``validate`` run the spec's own run fields (here
+    two cold repetitions), as ``simulate(config)`` does."""
+
+    SPEC = """
+[axes]
+benchmarks = ["_202_jess"]
+collectors = ["SemiSpace"]
+heap_mbs = [32]
+input_scales = [0.1]
+
+[run]
+warmup = false
+repetitions = 2
+n_slices = 40
+"""
+
+    @pytest.fixture(scope="class")
+    def spec_and_sim(self, tmp_path_factory):
+        from repro.core.simulation import simulate
+        from repro.spec import ScenarioSpec
+
+        path = tmp_path_factory.mktemp("spec") / "two-reps.toml"
+        path.write_text(self.SPEC)
+        config = ScenarioSpec.from_file(path).experiment_config()
+        assert config.repetitions == 2 and not config.warmup
+        return path, config, simulate(config)
+
+    def test_pauses_reads_the_repetitions(self, spec_and_sim, capsys):
+        from repro.analysis.pauses import pause_stats
+
+        path, config, sim = spec_and_sim
+        assert main(["pauses", "--spec", str(path)]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        stats = pause_stats(sim.run.timeline)
+        assert first == (f"_202_jess ({sim.run.collector_name}, 32 MB): "
+                         f"{stats.describe()}")
+
+    def test_validate_reads_the_repetitions(self, spec_and_sim, capsys,
+                                            monkeypatch):
+        from repro.analysis import validation
+
+        path, config, sim = spec_and_sim
+        reports = []
+        original = validation.attribution_error
+
+        def spy(run, platform, **kwargs):
+            reports.append(original(run, platform, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(validation, "attribution_error", spy)
+        assert main(["validate", "--spec", str(path),
+                     "--periods", "40", "1000"]) == 0
+        want = [original(sim.run, sim.platform,
+                         sample_period_s=period_us * 1e-6)
+                for period_us in (40.0, 1000.0)]
+        assert [(r.true_energy_j, r.measured_energy_j) for r in reports] \
+            == [(r.true_energy_j, r.measured_energy_j) for r in want]

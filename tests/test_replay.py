@@ -12,7 +12,6 @@ from repro.provenance import (
     diff_payloads,
     replay_result,
     replay_store_entry,
-    store_keys,
 )
 from repro.serve.pool import build_result_payload, encode_result
 from repro.serve.store import ResultStore
@@ -108,8 +107,8 @@ class TestStoreReplay:
         sharded = ResultStore(tmp_path / "sharded", shards=4)
         sharded.put_bytes("cd" * 32, b"{}")
         sharded.put_bytes("ef" * 32, b"{}")
-        assert store_keys(flat) == ["ab" * 32]
-        assert store_keys(sharded) == sorted(["cd" * 32, "ef" * 32])
+        assert flat.keys() == ["ab" * 32]
+        assert sharded.keys() == sorted(["cd" * 32, "ef" * 32])
 
 
 class TestDiff:
