@@ -97,34 +97,6 @@ class BenchRecord:
         return self.fractions.get(Component(component), 0.0)
 
 
-def summarize(result):
-    """Fold an ExperimentResult into a :class:`BenchRecord`."""
-    cfg = result.config
-    profiles = result.profiles()
-    return BenchRecord(
-        benchmark=cfg.benchmark,
-        vm=cfg.vm,
-        platform=cfg.platform,
-        collector=result.run.collector_name,
-        heap_mb=cfg.heap_mb,
-        duration_s=result.duration_s,
-        cpu_j=result.cpu_energy_j,
-        mem_j=result.mem_energy_j,
-        edp=result.edp,
-        fractions={
-            comp: result.breakdown.fraction(comp)
-            for comp in Component
-        },
-        jvm_fraction=result.breakdown.jvm_fraction(),
-        mem_ratio=result.breakdown.mem_to_cpu_ratio(),
-        avg_power={c: p.avg_power_w for c, p in profiles.items()},
-        peak_power={c: p.peak_power_w for c, p in profiles.items()},
-        ipc={c: p.ipc for c, p in profiles.items()},
-        l2_miss={c: p.l2_miss_rate for c, p in profiles.items()},
-        gc_collections=result.run.gc_stats.collections,
-    )
-
-
 def record_from_payload(payload):
     """Rebuild a :class:`BenchRecord` from a campaign cell payload."""
     cfg = payload["config"]

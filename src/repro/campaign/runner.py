@@ -509,7 +509,8 @@ class CampaignRunner:
                                        workers=self.workers):
             pending = []
             for i, config in enumerate(cells):
-                cached = self.cache.get(config) if self.cache else None
+                cached = (self.cache.get(config)
+                          if self.cache is not None else None)
                 if cached is not None:
                     metrics.counter("campaign.cache_hits").inc()
                     results[i] = CellResult(

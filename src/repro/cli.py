@@ -519,7 +519,7 @@ def cmd_validate(args):
     rows = []
     for period_us in args.periods:
         report = attribution_error(
-            sim.run, sim.platform, sample_period_s=period_us * 1e-6
+            sim.run, sim.platform, sample_period_s=period_us / 1e6
         )
         rows.append([
             f"{period_us:.0f}",
@@ -570,7 +570,7 @@ def cmd_overhead(args):
     records = []
     measure_wall_total = 0.0
     for period_us in args.periods:
-        period_s = period_us * 1e-6
+        period_s = period_us / 1e6
         point = replace(config, daq_period_s=period_s)
         started = time_mod.perf_counter()
         result = Experiment(point).measure(session)

@@ -2,7 +2,7 @@
 
 The PR 2 tracer records spans against a *private* ``perf_counter``
 epoch, which is exactly right inside one process and exactly wrong
-across the ``ProcessWorkerPool`` boundary: a job's queue wait happens
+across the worker-process boundary: a job's queue wait happens
 in the service process, its lease acquisition and engine execution in
 a worker process, and neither side can see the other's epoch.  This
 module closes that gap with one shared time base and three pieces:
@@ -10,15 +10,19 @@ module closes that gap with one shared time base and three pieces:
 * **Span records** — plain dicts timestamped in *unix seconds*
   (``time.time``), so spans recorded by different processes — even on
   different service instances sharing one result store — land on one
-  comparable timeline without clock negotiation.  Each record carries
-  the recording process's ``pid`` and a ``role`` (``"service"`` /
-  ``"worker"``), which the merger turns into per-pid process rows.
+  comparable timeline without clock negotiation.  The service stamps
+  its records with ``time.time``; a worker records on an ordinary
+  :class:`~repro.obs.tracer.Tracer` and re-bases its wall spans by
+  the tracer's ``epoch_unix`` (:func:`wall_span_records`).  Each
+  record carries the recording process's ``pid`` and a ``role``
+  (``"service"`` / ``"worker"``), which the merger turns into per-pid
+  process rows.
 * **:class:`TraceContext`** — the job id, a per-execution trace id,
-  and the parent span id, propagated across the process boundary
-  inside the job envelope (:mod:`repro.serve.pool`).  The context
-  never touches the :class:`~repro.spec.ScenarioSpec` itself, so the
-  spec hash — and therefore the result bytes — are unchanged by
-  tracing.
+  and the parent span id, handed to the job runner beside the spec
+  (:mod:`repro.serve.pool`), across the process boundary in process
+  mode.  The context never touches the
+  :class:`~repro.spec.ScenarioSpec` itself, so the spec hash — and
+  therefore the result bytes — are unchanged by tracing.
 * **Spool files** — workers write their span records to
   ``<key>.spans`` *beside* the result entry in the
   :class:`~repro.serve.store.ResultStore` (same placement rule as the
@@ -28,20 +32,19 @@ module closes that gap with one shared time base and three pieces:
   instance — executed it.
 
 Everything here is write-only observation: recording spans reads
-``time.time`` and nothing else, and the disabled path (no
+clocks and nothing else, and the disabled path (no
 :class:`TraceContext`) records nothing and writes no files.
 """
 
 import json
 import os
-import time
 import uuid
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from repro.obs.chrome import thread_rows, to_us
+from repro.obs.tracer import WALL_CLOCK
 from repro.store import atomic_write
 
 #: Schema tag on every spool document.
@@ -114,61 +117,21 @@ def span_record(name, track, start_unix, dur_s, *, role, pid=None,
     return record
 
 
-class SpanRecorder:
-    """Collects span records for one job execution in one process.
+def wall_span_records(tracer):
+    """A :class:`~repro.obs.tracer.Tracer`'s *wall* spans as worker
+    records.
 
-    The recorder is deliberately dumb — a list plus ``time.time`` —
-    because it must be constructible inside a short-lived worker
-    process with nothing but a :class:`TraceContext`.
+    The tracer's wall spans are relative to its private perf epoch;
+    its ``epoch_unix`` (captured at construction) re-bases them onto
+    the shared unix timeline.  Sim-clock spans are skipped — the
+    distributed job timeline is wall time only.
     """
-
-    def __init__(self, ctx, role=ROLE_WORKER):
-        self.ctx = ctx
-        self.role = role
-        self.records = []
-        #: Set by the job path once this process actually runs the
-        #: campaign.  Guards the spool write: a lease-coalesced waiter
-        #: records spans too (its lease wait), but only the executor
-        #: may write ``<key>.spans`` — a waiter's atomic rename would
-        #: destroy the executor's engine/store spans for the same
-        #: content-addressed key.
-        self.executed = False
-
-    def add(self, name, track, start_unix, dur_s, **args):
-        self.records.append(span_record(
-            name, track, start_unix, dur_s, role=self.role, **args
-        ))
-
-    @contextmanager
-    def span(self, name, track, **args):
-        """Record one span around a block (recorded even on raise)."""
-        start = time.time()
-        try:
-            yield self
-        except BaseException as exc:
-            args = dict(args, error=type(exc).__name__)
-            raise
-        finally:
-            self.add(name, track, start, time.time() - start, **args)
-
-    def extend_from_tracer(self, tracer):
-        """Fold a :class:`~repro.obs.tracer.Tracer`'s *wall* spans in.
-
-        The tracer's wall spans are relative to its private perf
-        epoch; its ``epoch_unix`` (captured at construction) re-bases
-        them onto the shared unix timeline.  Sim-clock spans are
-        skipped — the distributed job timeline is wall time only.
-        """
-        from repro.obs.tracer import WALL_CLOCK
-
-        epoch = getattr(tracer, "epoch_unix", None)
-        if epoch is None:
-            return
-        for span in tracer.spans:
-            if span.clock != WALL_CLOCK:
-                continue
-            self.add(span.name, span.track, epoch + span.start_s,
-                     span.dur_s, **(span.args or {}))
+    return [
+        span_record(span.name, span.track,
+                    tracer.epoch_unix + span.start_s, span.dur_s,
+                    role=ROLE_WORKER, **(span.args or {}))
+        for span in tracer.spans if span.clock == WALL_CLOCK
+    ]
 
 
 # -- spool files -------------------------------------------------------

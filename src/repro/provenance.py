@@ -323,7 +323,7 @@ class ReplayReport:
         return line
 
 
-def replay_result(stored_bytes, key="", workers=1, runner_factory=None):
+def replay_result(stored_bytes, key="", workers=1):
     """Re-execute a stored result document and byte-diff the replay.
 
     *stored_bytes* are the exact bytes the store serves.  The embedded
@@ -360,10 +360,10 @@ def replay_result(stored_bytes, key="", workers=1, runner_factory=None):
     except ReproError as exc:
         return report(UNREPLAYABLE, f"embedded spec no longer valid: "
                                     f"{exc}")
-    if runner_factory is None:
-        from repro.campaign.runner import CampaignRunner as runner_factory
+    from repro.campaign.runner import CampaignRunner
+
     try:
-        result = runner_factory(workers=workers).run(spec)
+        result = CampaignRunner(workers=workers).run(spec)
     except ReproError as exc:
         return report(UNREPLAYABLE, f"replay run failed: {exc}")
     failed = result.failed_cells()

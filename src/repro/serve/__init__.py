@@ -16,11 +16,15 @@ genuinely new specs enter the bounded submission queue (a full queue
 answers ``429`` with ``Retry-After`` instead of buffering without
 bound).  Execution reuses :class:`~repro.campaign.runner.CampaignRunner`
 and the on-disk cell cache, so the service inherits per-cell caching,
-timeouts, and retry.  Jobs run on a pluggable worker pool
-(:mod:`repro.serve.pool`): in-process threads, or a process pool for
-CPU-bound fleets — with file leases (:mod:`repro.serve.lease`) making
+timeouts, and retry.  Every job runs through one frozen, picklable
+:class:`~repro.serve.pool.JobRunner` on one
+:class:`~repro.serve.pool.WorkerPool` (:mod:`repro.serve.pool`): on
+the service's worker threads, or on a process pool for CPU-bound
+fleets — with file leases (:mod:`repro.serve.lease`) making
 single-flight hold across processes and across N service instances
-sharing one result store.  See docs/SERVICE.md.
+sharing one result store.  A traced job records its worker-side spans
+on the one tracer its campaign already receives.  See
+docs/SERVICE.md.
 """
 
 from repro.serve.client import (
@@ -35,13 +39,7 @@ from repro.serve.lease import (
     LeaseTimeout,
     try_acquire,
 )
-from repro.serve.pool import (
-    WORKER_MODES,
-    ProcessWorkerPool,
-    ThreadWorkerPool,
-    execute_spec_job,
-    make_worker_pool,
-)
+from repro.serve.pool import WORKER_MODES, JobRunner, WorkerPool
 from repro.serve.queue import BoundedJobQueue, QueueClosed, QueueFull
 from repro.serve.server import (
     DEFAULT_PORT,
@@ -59,10 +57,10 @@ __all__ = [
     "DEFAULT_LEASE_TTL_S",
     "DEFAULT_PORT",
     "ExperimentService",
+    "JobRunner",
     "JobStore",
     "Lease",
     "LeaseTimeout",
-    "ProcessWorkerPool",
     "QueueClosed",
     "QueueFull",
     "ResultStore",
@@ -71,14 +69,12 @@ __all__ = [
     "ServiceDraining",
     "ServiceError",
     "ServiceServer",
-    "ThreadWorkerPool",
     "WORKER_MODES",
+    "WorkerPool",
     "build_result_payload",
     "default_result_dir",
     "default_server_url",
     "encode_result",
-    "execute_spec_job",
-    "make_worker_pool",
     "serve_forever",
     "try_acquire",
 ]

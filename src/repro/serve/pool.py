@@ -1,21 +1,22 @@
-"""Worker pools: how the experiment service executes a job.
+"""Job execution: one picklable job runner and one worker pool.
 
-The service's worker *threads* pull jobs off the bounded queue; a
-worker pool decides where the campaign actually runs:
+A :class:`JobRunner` holds a service's job settings as plain values
+(result store root and shards, cell-cache root, cell workers, timeout,
+retries, lease TTL and wait) and runs one spec to a stored result.  It
+builds its stores from those values on every call, so the same frozen
+object runs a job on the service's worker thread or, pickled as it is,
+in a worker process.  :class:`WorkerPool` decides where it runs:
 
-* :class:`ThreadWorkerPool` — in the service process (the original
-  behavior).  Fine for I/O-light deployments and for tests, but every
-  concurrent job contends on one GIL, so CPU-bound cells serialize.
-* :class:`ProcessWorkerPool` — on a persistent
-  ``ProcessPoolExecutor``, one OS process per job worker.  Specs cross
-  the boundary as plain dicts (:meth:`ScenarioSpec.to_dict` round-trips
-  through :meth:`ScenarioSpec.from_dict` with an identical
-  ``spec_hash``), and the worker writes the result bytes into the
-  shared :class:`~repro.serve.store.ResultStore` itself — only a small
-  outcome summary is pickled back, never the payload.
+* ``"thread"`` — on the calling worker thread, with the service's
+  observability bundle reaching the campaign.  Fine for I/O-light
+  deployments and for tests, but every concurrent job contends on one
+  GIL, so CPU-bound cells serialize.
+* ``"process"`` — on a persistent ``ProcessPoolExecutor``, one OS
+  process per job worker.  The worker writes the result bytes into
+  the shared :class:`~repro.serve.store.ResultStore` itself; only a
+  small outcome dict is pickled back, never the payload.
 
-Both modes execute through one function, :func:`execute_spec_job`,
-which wraps the campaign in the cross-process single-flight protocol
+Every job runs the cross-process single-flight protocol
 (:mod:`repro.serve.lease`):
 
 1. result already in the store → serve it, run nothing (``via:
@@ -27,19 +28,30 @@ which wraps the campaign in the cross-process single-flight protocol
 3. lease held (possibly taken over from a dead peer): run the
    campaign, write the canonical bytes, release.
 
-Outcomes are plain dicts (never exceptions) so the same shape crosses
-the process boundary and the in-thread path identically.
+Outcomes are plain dicts, and cell-cache traffic rides on them
+(``cache_hits``/``cache_misses``) for the service to fold into its
+aggregate hit rate — the same shape in both modes.
 """
 
 import os
+import threading
 import time
 import traceback
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, replace
+from typing import Optional
 
+from repro.campaign.cache import ResultCache
 from repro.campaign.runner import CampaignRunner
-from repro.obs.distributed import SpanRecorder, TraceContext, write_spool
+from repro.errors import ConfigurationError
+from repro.obs import NULL_OBS
+from repro.obs.distributed import wall_span_records, write_spool
 from repro.obs.logging import get_logger
+from repro.obs.tracer import NullTracer, Tracer
 from repro.provenance import build_envelope
 from repro.serve.lease import DEFAULT_LEASE_TTL_S, try_acquire
+from repro.serve.store import ResultStore
 
 #: How the service runs jobs; ``repro serve --worker-mode``.
 WORKER_MODES = ("thread", "process")
@@ -80,11 +92,12 @@ def encode_result(payload):
 
 
 def _done(executed, via, took_over=False, n_cells=0, n_executed=0,
-          n_cached=0):
+          n_cached=0, cache_hits=0, cache_misses=0):
     return {
         "ok": True, "executed": executed, "via": via,
         "took_over": took_over, "n_cells": n_cells,
         "n_executed": n_executed, "n_cached": n_cached,
+        "cache_hits": cache_hits, "cache_misses": cache_misses,
     }
 
 
@@ -94,138 +107,121 @@ def _failed(error, error_type, **extra):
     return out
 
 
-def _traced_runner_obs(obs, tracer):
-    """The runner's obs bundle when per-job tracing is on: the local
-    harvesting tracer plus whatever metrics/log the caller already
-    aggregates — so tracing adds spans without changing what the
-    service's metrics see."""
-    from repro.obs import Observability
+@dataclass(frozen=True)
+class JobRunner:
+    """Runs one spec to a stored result under the single-flight lease.
 
-    if obs is None:
-        return Observability(tracer=tracer)
-    return Observability(tracer=tracer, metrics=obs.metrics,
-                         log=obs.log)
-
-
-def execute_spec_job(spec, results, cell_cache=None, cell_workers=1,
-                     timeout_s=None, retries=1,
-                     lease_ttl_s=DEFAULT_LEASE_TTL_S,
-                     lease_wait_s=DEFAULT_LEASE_WAIT_S,
-                     runner_factory=None, obs=None, trace_ctx=None):
-    """Run *spec* to a stored result under the single-flight lease.
-
-    Returns an outcome dict:
-
-    * ``{"ok": True, "executed": True, ...}`` — this call ran the
-      campaign and wrote the result (``took_over`` marks a stale-lease
-      takeover from a dead peer);
-    * ``{"ok": True, "executed": False, "via": "store"|"lease", ...}``
-      — the result already existed, or a live peer produced it while
-      we waited;
-    * ``{"ok": False, "error", "error_type", ...}`` — failed cells,
-      a raised error, or a lease that never resolved within
-      *lease_wait_s*.
-
-    With a :class:`~repro.obs.distributed.TraceContext` the executing
-    process also records worker-side spans — lease acquisition, the
-    campaign (with per-cell spans harvested from a local tracer), and
-    the store write — and spools them beside the result entry for the
-    service to merge into the per-job trace.  Tracing never touches
-    the result bytes: the payload is built from the campaign result
-    alone, and the spool is a separate file.
+    Plain values only, so it pickles to a worker process as it is.
     """
-    job_id = spec.spec_hash()
-    recorder = (SpanRecorder(trace_ctx) if trace_ctx is not None
-                else None)
-    log = get_logger().bind(job=job_id[:12], worker_pid=os.getpid())
-    try:
-        return _run_under_lease(
-            spec, job_id, results, cell_cache, cell_workers,
-            timeout_s, retries, lease_ttl_s, lease_wait_s,
-            runner_factory, obs, recorder, log,
-        )
-    finally:
-        # Only the process that actually ran the campaign writes the
-        # spool: a lease-coalesced waiter holds spans too (its lease
-        # wait), and replacing the executor's spool for the same
-        # content-addressed key would destroy the engine/store spans.
-        if (recorder is not None and recorder.executed
-                and recorder.records):
+
+    result_dir: str
+    store_shards: int = 1
+    #: The campaign cell cache's root; ``None`` runs without one.
+    cache_dir: Optional[str] = None
+    cell_workers: int = 1
+    timeout_s: Optional[float] = None
+    retries: int = 1
+    lease_ttl_s: float = DEFAULT_LEASE_TTL_S
+    lease_wait_s: float = DEFAULT_LEASE_WAIT_S
+
+    def run(self, spec, trace_ctx=None, obs=None):
+        """Run *spec*; returns an outcome dict:
+
+        * ``{"ok": True, "executed": True, ...}`` — this call ran the
+          campaign and wrote the result (``took_over`` marks a
+          stale-lease takeover from a dead peer);
+        * ``{"ok": True, "executed": False, "via": "store"|"lease",
+          ...}`` — the result already existed, or a live peer produced
+          it while we waited;
+        * ``{"ok": False, "error", "error_type", ...}`` — failed cells,
+          a raised error, or a lease that never resolved within
+          :attr:`lease_wait_s`.
+
+        With a :class:`~repro.obs.distributed.TraceContext` the job
+        records its lease, campaign and store-write spans on one
+        :class:`~repro.obs.tracer.Tracer` — the one its campaign runner
+        receives — and the executing process spools that tracer's wall
+        spans beside the result entry for the service to merge into
+        the per-job trace.  Tracing never touches the result bytes: the
+        payload is built from the campaign result alone, and the spool
+        is a separate file.
+        """
+        job_id = spec.spec_hash()
+        results = ResultStore(self.result_dir, shards=self.store_shards)
+        log = get_logger().bind(job=job_id[:12], worker_pid=os.getpid())
+        if job_id in results:
+            log.debug("serve.job_via_store")
+            return _done(False, "store")
+        tracer = Tracer() if trace_ctx is not None else NullTracer()
+        lease_start = tracer.now_wall()
+        deadline = time.monotonic() + self.lease_wait_s
+        lease = None
+        while lease is None:
+            if job_id in results:
+                log.debug("serve.job_via_lease")
+                return _done(False, "lease")
+            lease = try_acquire(results.lease_path_for(job_id),
+                                ttl_s=self.lease_ttl_s)
+            if lease is None:
+                if time.monotonic() >= deadline:
+                    log.warning("serve.lease_timeout",
+                                waited_s=round(self.lease_wait_s, 3))
+                    return _failed(
+                        f"gave up after {self.lease_wait_s:.0f} s "
+                        f"waiting for the peer holding the lease on "
+                        f"{job_id[:12]} to finish or go stale",
+                        "LeaseTimeout",
+                    )
+                time.sleep(_LEASE_POLL_S)
+        tracer.add_wall_span("lease acquire", "lease", lease_start,
+                             tracer.now_wall() - lease_start,
+                             took_over=lease.took_over)
+        if lease.took_over:
+            log.warning("serve.lease_takeover")
+        try:
+            # A peer may have finished in the takeover window between
+            # our last store check and the acquisition.
+            if job_id in results:
+                log.debug("serve.job_via_lease",
+                          took_over=lease.took_over)
+                return _done(False, "lease", took_over=lease.took_over)
             try:
-                write_spool(results.trace_spool_for(job_id),
-                            trace_ctx, recorder.records)
-            except OSError as exc:
-                # Losing the trace must never fail the job.
-                log.warning("serve.spool_write_failed", error=str(exc))
+                return self._execute(spec, job_id, results,
+                                     lease.took_over, tracer, obs, log)
+            finally:
+                # Only the executor spools (even on failure: a failed
+                # run leaves no result, so no peer spool exists to
+                # clobber).  A lease-coalesced waiter must not: its
+                # atomic rename would replace the executor's spans for
+                # the same content-addressed key.
+                if trace_ctx is not None:
+                    try:
+                        write_spool(results.trace_spool_for(job_id),
+                                    trace_ctx, wall_span_records(tracer))
+                    except OSError as exc:
+                        # Losing the trace must never fail the job.
+                        log.warning("serve.spool_write_failed",
+                                    error=str(exc))
+        except BaseException as exc:  # noqa: BLE001 - folded, not raised
+            log.warning("serve.job_error", error=str(exc),
+                        error_type=type(exc).__name__)
+            return _failed(str(exc), type(exc).__name__,
+                           traceback=traceback.format_exc())
+        finally:
+            lease.release()
 
-
-def _run_under_lease(spec, job_id, results, cell_cache, cell_workers,
-                     timeout_s, retries, lease_ttl_s, lease_wait_s,
-                     runner_factory, obs, recorder, log):
-    if job_id in results:
-        log.debug("serve.job_via_store")
-        return _done(False, "store")
-    lease_start = time.time()
-    deadline = time.monotonic() + lease_wait_s
-    lease = None
-    while lease is None:
-        if job_id in results:
-            if recorder is not None:
-                recorder.add("lease wait", "lease", lease_start,
-                             time.time() - lease_start, via="lease")
-            log.debug("serve.job_via_lease")
-            return _done(False, "lease")
-        lease = try_acquire(results.lease_path_for(job_id),
-                            ttl_s=lease_ttl_s)
-        if lease is None:
-            if time.monotonic() >= deadline:
-                if recorder is not None:
-                    recorder.add("lease wait", "lease", lease_start,
-                                 time.time() - lease_start,
-                                 error="LeaseTimeout")
-                log.warning("serve.lease_timeout",
-                            waited_s=round(lease_wait_s, 3))
-                return _failed(
-                    f"gave up after {lease_wait_s:.0f} s waiting for "
-                    f"the peer holding the lease on {job_id[:12]} "
-                    "to finish or go stale",
-                    "LeaseTimeout",
-                )
-            time.sleep(_LEASE_POLL_S)
-    if recorder is not None:
-        recorder.add("lease acquire", "lease", lease_start,
-                     time.time() - lease_start,
-                     took_over=lease.took_over)
-    if lease.took_over:
-        log.warning("serve.lease_takeover")
-    try:
-        # A peer may have finished in the takeover window between our
-        # last store check and the acquisition.
-        if job_id in results:
-            log.debug("serve.job_via_lease", took_over=lease.took_over)
-            return _done(False, "lease", took_over=lease.took_over)
-        make_runner = (
-            runner_factory if runner_factory is not None
-            else CampaignRunner
-        )
-        if recorder is not None:
-            # From here on this process is the executor; its spool may
-            # be written (even on failure — a failed run leaves no
-            # result, so no peer spool exists to clobber).
-            recorder.executed = True
-        kwargs = dict(workers=cell_workers, cache=cell_cache,
-                      timeout_s=timeout_s, retries=retries)
-        local_tracer = None
-        if recorder is not None:
-            from repro.obs.tracer import Tracer
-
-            local_tracer = Tracer()
-            kwargs["obs"] = _traced_runner_obs(obs, local_tracer)
-        elif obs is not None:
-            kwargs["obs"] = obs
-        result = make_runner(**kwargs).run(spec)
-        if local_tracer is not None:
-            recorder.extend_from_tracer(local_tracer)
+    def _execute(self, spec, job_id, results, took_over, tracer, obs,
+                 log):
+        """Run the campaign and store its canonical bytes."""
+        cache = (ResultCache(self.cache_dir)
+                 if self.cache_dir is not None else None)
+        if tracer.enabled:
+            obs = replace(obs if obs is not None else NULL_OBS,
+                          tracer=tracer)
+        result = CampaignRunner(
+            workers=self.cell_workers, cache=cache,
+            timeout_s=self.timeout_s, retries=self.retries, obs=obs,
+        ).run(spec)
         failed = result.failed_cells()
         if failed:
             first = failed[0]
@@ -240,176 +236,74 @@ def _run_under_lease(spec, job_id, results, cell_cache, cell_workers,
             "result", job_id, spec_hash=job_id,
             spec_name=spec.name or None, n_cells=len(result),
         )
-        if recorder is not None:
-            with recorder.span("store write", "store",
-                               n_bytes=len(data)):
-                results.put_bytes(job_id, data, envelope=envelope)
-        else:
+        with tracer.wall_span("store write", "store", n_bytes=len(data)):
             results.put_bytes(job_id, data, envelope=envelope)
         log.info("serve.job_executed", n_cells=len(result),
-                 took_over=lease.took_over)
+                 took_over=took_over)
         return _done(
-            True, "run", took_over=lease.took_over,
-            n_cells=len(result),
+            True, "run", took_over=took_over, n_cells=len(result),
             n_executed=result.summary.n_executed,
             n_cached=result.summary.n_cached,
+            cache_hits=cache.hits if cache is not None else 0,
+            cache_misses=cache.misses if cache is not None else 0,
         )
-    except BaseException as exc:  # noqa: BLE001 - folded, not raised
-        log.warning("serve.job_error", error=str(exc),
-                    error_type=type(exc).__name__)
-        return _failed(str(exc), type(exc).__name__,
-                       traceback=traceback.format_exc())
-    finally:
-        lease.release()
 
 
-class ThreadWorkerPool:
-    """Jobs run inside the service process, on the worker thread.
+class WorkerPool:
+    """Where the service's worker threads run their jobs.
 
-    Shares the service's live :class:`ResultCache` object (hit/miss
-    counters aggregate across jobs) and resolves the runner through
-    *runner_factory* at call time, so tests can substitute a gated
-    fake runner.
+    In ``"process"`` mode the pool survives worker death: a
+    ``BrokenProcessPool`` fails only the in-flight job, and the
+    executor is rebuilt for the next one.  The dead worker's lease
+    goes stale and is taken over by whichever peer retries the spec.
     """
 
-    mode = "thread"
-
-    def __init__(self, results, cell_cache=None, cell_workers=1,
-                 timeout_s=None, retries=1,
-                 lease_ttl_s=DEFAULT_LEASE_TTL_S,
-                 lease_wait_s=DEFAULT_LEASE_WAIT_S,
-                 runner_factory=None, obs=None):
-        self.results = results
-        self.cell_cache = cell_cache
-        self.cell_workers = cell_workers
-        self.timeout_s = timeout_s
-        self.retries = retries
-        self.lease_ttl_s = lease_ttl_s
-        self.lease_wait_s = lease_wait_s
-        self.runner_factory = runner_factory
-        self.obs = obs
-
-    def start(self):
-        return self
-
-    def run_job(self, spec, trace_ctx=None):
-        return execute_spec_job(
-            spec, self.results, cell_cache=self.cell_cache,
-            cell_workers=self.cell_workers, timeout_s=self.timeout_s,
-            retries=self.retries, lease_ttl_s=self.lease_ttl_s,
-            lease_wait_s=self.lease_wait_s,
-            runner_factory=self.runner_factory, obs=self.obs,
-            trace_ctx=trace_ctx,
-        )
-
-    def shutdown(self):
-        pass
-
-
-def _process_job_main(spec_dict, trace_dict, opts):
-    """Worker-process entry point: rebuild the spec, the optional trace
-    context and the stores from plain data, execute under the lease,
-    fold everything into the outcome dict (no exception crosses the
-    process boundary)."""
-    try:
-        from repro.campaign.cache import ResultCache
-        from repro.serve.store import ResultStore
-        from repro.spec import ScenarioSpec
-
-        trace_ctx = TraceContext.from_dict(trace_dict)
-        spec = ScenarioSpec.from_dict(spec_dict, source="worker job")
-        results = ResultStore(opts["result_dir"],
-                              shards=opts["store_shards"])
-        cache = (ResultCache(opts["cache_dir"])
-                 if opts["cache_dir"] is not None else None)
-        outcome = execute_spec_job(
-            spec, results, cell_cache=cache,
-            cell_workers=opts["cell_workers"],
-            timeout_s=opts["timeout_s"], retries=opts["retries"],
-            lease_ttl_s=opts["lease_ttl_s"],
-            lease_wait_s=opts["lease_wait_s"],
-            trace_ctx=trace_ctx,
-        )
-        if cache is not None:
-            # The worker's cache counters die with the call; ship them
-            # back so the parent's aggregate hit rate stays truthful.
-            outcome["cache_hits"] = cache.hits
-            outcome["cache_misses"] = cache.misses
-        return outcome
-    except BaseException as exc:  # noqa: BLE001 - folded, not raised
-        return _failed(str(exc), type(exc).__name__,
-                       traceback=traceback.format_exc())
-
-
-class ProcessWorkerPool:
-    """Jobs run on a persistent process pool — one OS process per job
-    worker, so CPU-bound campaigns scale with cores instead of
-    serializing on the service's GIL.
-
-    The pool survives worker death: a ``BrokenProcessPool`` fails only
-    the in-flight job, and the executor is rebuilt for the next one.
-    The dead worker's lease goes stale and is taken over by whichever
-    peer retries the spec.
-    """
-
-    mode = "process"
-
-    def __init__(self, workers, result_dir, store_shards=1,
-                 cache_dir=None, cell_workers=1, timeout_s=None,
-                 retries=1, lease_ttl_s=DEFAULT_LEASE_TTL_S,
-                 lease_wait_s=DEFAULT_LEASE_WAIT_S):
+    def __init__(self, mode, runner, workers=1, obs=None):
+        if mode not in WORKER_MODES:
+            raise ConfigurationError(
+                f"unknown worker mode {mode!r}; expected one of "
+                f"{WORKER_MODES}"
+            )
+        self.mode = mode
+        self.runner = runner
         self.workers = int(workers)
-        self._opts = {
-            "result_dir": str(result_dir),
-            "store_shards": int(store_shards),
-            "cache_dir": str(cache_dir) if cache_dir is not None else None,
-            "cell_workers": int(cell_workers),
-            "timeout_s": timeout_s,
-            "retries": int(retries),
-            "lease_ttl_s": float(lease_ttl_s),
-            "lease_wait_s": float(lease_wait_s),
-        }
-        self._pool = None
-        import threading
-
+        #: Reaches the campaign in thread mode only; a worker process
+        #: reports through its outcome dict instead.
+        self.obs = obs
+        self._executor = None
         self._lock = threading.Lock()
 
     def start(self):
-        from concurrent.futures import ProcessPoolExecutor
-
-        with self._lock:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers
-                )
+        if self.mode == "process":
+            with self._lock:
+                if self._executor is None:
+                    self._executor = ProcessPoolExecutor(
+                        max_workers=self.workers
+                    )
         return self
 
     def run_job(self, spec, trace_ctx=None):
-        from concurrent.futures.process import BrokenProcessPool
-
+        """Run one job; returns the runner's outcome dict."""
+        if self.mode == "thread":
+            return self.runner.run(spec, trace_ctx, self.obs)
         with self._lock:
-            pool = self._pool
-        if pool is None:
-            return _failed("worker pool is not running",
-                           "PoolShutdown")
-        # The trace context rides beside the spec dict — never inside
-        # it, so the spec hash (and therefore the result bytes) are
-        # identical traced or not.
-        trace_dict = trace_ctx.to_dict() if trace_ctx is not None else None
+            executor = self._executor
+        if executor is None:
+            return _failed("worker pool is not running", "PoolShutdown")
         try:
-            future = pool.submit(_process_job_main, spec.to_dict(),
-                                 trace_dict, self._opts)
-            return future.result()
+            # The trace context rides beside the spec — never inside
+            # it, so the spec hash (and the result bytes) are identical
+            # traced or not.
+            return executor.submit(self.runner.run, spec,
+                                   trace_ctx).result()
         except BrokenProcessPool:
             # The job's worker died (OOM kill, segfault, operator).
-            # Replace the executor so subsequent jobs still run; the
-            # dead worker's lease expires on its own TTL.
-            from concurrent.futures import ProcessPoolExecutor
-
+            # Replace the executor so later jobs still run; the dead
+            # worker's lease expires on its own TTL.
             with self._lock:
-                if self._pool is pool:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    self._pool = ProcessPoolExecutor(
+                if self._executor is executor:
+                    executor.shutdown(wait=False, cancel_futures=True)
+                    self._executor = ProcessPoolExecutor(
                         max_workers=self.workers
                     )
             return _failed("worker process died mid-job",
@@ -417,34 +311,6 @@ class ProcessWorkerPool:
 
     def shutdown(self):
         with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-
-def make_worker_pool(mode, *, results, job_workers, cell_cache=None,
-                     cell_workers=1, timeout_s=None, retries=1,
-                     lease_ttl_s=DEFAULT_LEASE_TTL_S,
-                     lease_wait_s=DEFAULT_LEASE_WAIT_S,
-                     runner_factory=None, obs=None):
-    """Build the worker pool for *mode* (``"thread"``/``"process"``)."""
-    if mode not in WORKER_MODES:
-        raise ValueError(
-            f"unknown worker mode {mode!r}; expected one of "
-            f"{WORKER_MODES}"
-        )
-    if mode == "thread":
-        return ThreadWorkerPool(
-            results, cell_cache=cell_cache, cell_workers=cell_workers,
-            timeout_s=timeout_s, retries=retries,
-            lease_ttl_s=lease_ttl_s, lease_wait_s=lease_wait_s,
-            runner_factory=runner_factory, obs=obs,
-        )
-    return ProcessWorkerPool(
-        workers=job_workers, result_dir=results.root,
-        store_shards=results.shards,
-        cache_dir=cell_cache.root if cell_cache is not None else None,
-        cell_workers=cell_workers, timeout_s=timeout_s,
-        retries=retries, lease_ttl_s=lease_ttl_s,
-        lease_wait_s=lease_wait_s,
-    )
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)

@@ -26,10 +26,10 @@ points for repeated work:
 4. distinct specs sharing cells share them through the campaign cell
    cache.
 
-Execution is delegated to a worker pool (:mod:`repro.serve.pool`):
-``worker_mode="thread"`` runs campaigns on the worker threads
-themselves, ``worker_mode="process"`` on a persistent process pool
-that sidesteps the GIL for CPU-bound cells.
+Execution is delegated to one job runner on one worker pool
+(:mod:`repro.serve.pool`): ``worker_mode="thread"`` runs it on the
+worker threads themselves, ``worker_mode="process"`` on a persistent
+process pool that sidesteps the GIL for CPU-bound cells.
 
 The :class:`ExperimentService` is transport-free (tests drive it
 directly); :class:`ServiceServer` binds it to a socket;
@@ -46,7 +46,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro import __version__
 from repro.campaign.cache import ResultCache
-from repro.campaign.runner import CampaignRunner
 from repro.errors import ConfigurationError, SpecValidationError
 from repro.obs import Observability
 from repro.obs.distributed import (
@@ -63,10 +62,10 @@ from repro.obs.exposition import (
 from repro.serve.lease import DEFAULT_LEASE_TTL_S
 from repro.serve.pool import (
     DEFAULT_LEASE_WAIT_S,
-    WORKER_MODES,
+    JobRunner,
+    WorkerPool,
     build_result_payload,
     encode_result,
-    make_worker_pool,
 )
 from repro.serve.queue import BoundedJobQueue, QueueClosed, QueueFull
 from repro.serve.store import (
@@ -120,9 +119,9 @@ class ExperimentService:
     Transport-agnostic: :meth:`submit_spec` / :meth:`submit_body` are
     called by the HTTP layer and by tests directly.  One service owns
     one :class:`JobStore`, one :class:`ResultStore`, one bounded queue,
-    one shared campaign cell cache, ``job_workers`` dispatcher threads,
-    and one worker pool (thread- or process-backed, see
-    :mod:`repro.serve.pool`) that actually runs each job under the
+    the campaign cell cache's aggregate counters, ``job_workers``
+    dispatcher threads, and one :class:`~repro.serve.pool.WorkerPool`
+    whose :class:`~repro.serve.pool.JobRunner` runs each job under the
     cross-process single-flight lease.
     """
 
@@ -133,20 +132,14 @@ class ExperimentService:
                  lease_ttl_s=DEFAULT_LEASE_TTL_S,
                  lease_wait_s=DEFAULT_LEASE_WAIT_S,
                  job_trace=False):
-        if worker_mode not in WORKER_MODES:
-            raise ConfigurationError(
-                f"unknown worker mode {worker_mode!r}; expected one "
-                f"of {WORKER_MODES}"
-            )
         self.jobs = JobStore()
         self.results = ResultStore(result_dir, shards=store_shards)
         self.queue = BoundedJobQueue(queue_size)
+        # Only aggregates hit/miss counts: each job builds its own
+        # cache from the root and reports its traffic on the outcome.
         self.cell_cache = (
             ResultCache(cache_dir) if use_cell_cache else None
         )
-        self.cell_workers = int(cell_workers)
-        self.timeout_s = timeout_s
-        self.retries = int(retries)
         self.obs = obs if obs is not None else Observability.create(
             trace=False, metrics=True
         )
@@ -157,18 +150,17 @@ class ExperimentService:
         # no span is recorded, and no spool file is written — the job
         # path is byte-for-byte the pre-tracing behavior.
         self.job_trace = bool(job_trace)
-        # In thread mode the runner resolves through this factory at
-        # call time (module-global lookup), so tests can monkeypatch
-        # ``repro.serve.server.CampaignRunner`` with a gated fake.
-        self.pool = make_worker_pool(
-            worker_mode, results=self.results,
-            job_workers=self.job_workers, cell_cache=self.cell_cache,
-            cell_workers=self.cell_workers, timeout_s=self.timeout_s,
-            retries=self.retries, lease_ttl_s=lease_ttl_s,
-            lease_wait_s=lease_wait_s,
-            runner_factory=lambda **kw: CampaignRunner(**kw),
-            obs=self.obs,
+        runner = JobRunner(
+            result_dir=str(self.results.root),
+            store_shards=self.results.shards,
+            cache_dir=(str(self.cell_cache.root)
+                       if self.cell_cache is not None else None),
+            cell_workers=int(cell_workers), timeout_s=timeout_s,
+            retries=int(retries), lease_ttl_s=float(lease_ttl_s),
+            lease_wait_s=float(lease_wait_s),
         )
+        self.pool = WorkerPool(worker_mode, runner,
+                               workers=self.job_workers, obs=self.obs)
         self._threads = []
         self._draining = threading.Event()
         self._inflight = 0
@@ -195,7 +187,7 @@ class ExperimentService:
             worker_mode=self.worker_mode,
             queue_size=self.queue.maxsize,
             cell_cache=str(self.cell_cache.root)
-            if self.cell_cache else None,
+            if self.cell_cache is not None else None,
             result_dir=str(self.results.root),
             store_shards=self.results.shards,
         )
@@ -408,15 +400,8 @@ class ExperimentService:
                 if outcome.get("took_over"):
                     metrics.counter("serve.lease_takeovers").inc()
                 if self.cell_cache is not None:
-                    # Process-mode workers count cache traffic in
-                    # their own short-lived ResultCache; fold it into
-                    # the service's aggregate hit rate.
-                    self.cell_cache.hits += outcome.get(
-                        "cache_hits", 0
-                    )
-                    self.cell_cache.misses += outcome.get(
-                        "cache_misses", 0
-                    )
+                    self.cell_cache.hits += outcome["cache_hits"]
+                    self.cell_cache.misses += outcome["cache_misses"]
             metrics.histogram("serve.job_wall_s").observe(wall)
             self.jobs.update(
                 job, state=DONE, finished_s=time.time(), wall_s=wall,
@@ -490,7 +475,8 @@ class ExperimentService:
             "jobs_per_second": executed / uptime if uptime > 0 else 0.0,
             "dedup_rate": deduped / served if served else 0.0,
             "cell_cache_hit_rate": (
-                self.cell_cache.hit_rate if self.cell_cache else None
+                self.cell_cache.hit_rate
+                if self.cell_cache is not None else None
             ),
         }
         return data

@@ -1,4 +1,4 @@
-"""Distributed tracing: contexts, recorders, spools, Chrome merge."""
+"""Distributed tracing: contexts, records, spools, Chrome merge."""
 
 import json
 
@@ -8,12 +8,12 @@ from repro.obs.distributed import (
     ROLE_SERVICE,
     ROLE_WORKER,
     SPOOL_SCHEMA,
-    SpanRecorder,
     TraceContext,
     merge_job_trace,
     new_trace_id,
     read_spool,
     span_record,
+    wall_span_records,
     write_spool,
 )
 from repro.obs.tracer import Tracer
@@ -60,38 +60,18 @@ class TestSpanRecord:
                                          role=ROLE_SERVICE)
 
 
-class TestSpanRecorder:
-    def test_span_context_manager_records_on_raise(self):
-        recorder = SpanRecorder(TraceContext.for_job(JOB))
-        with pytest.raises(ValueError):
-            with recorder.span("boom", "phases"):
-                raise ValueError("no")
-        (record,) = recorder.records
-        assert record["name"] == "boom"
-        assert record["args"]["error"] == "ValueError"
-        assert record["role"] == ROLE_WORKER
-
-    def test_extend_from_tracer_rebases_wall_spans(self):
+class TestWallSpanRecords:
+    def test_rebases_wall_spans_onto_unix_time(self):
         tracer = Tracer()
         tracer.add_wall_span("engine", "phases", 1.0, 2.0, vm="jikes")
         tracer.add_sim_span("gc", "gc", 0.0, 1.0)  # sim: excluded
-        recorder = SpanRecorder(TraceContext.for_job(JOB))
-        recorder.extend_from_tracer(tracer)
-        (record,) = recorder.records
+        (record,) = wall_span_records(tracer)
         assert record["name"] == "engine"
         assert record["start_unix"] == pytest.approx(
             tracer.epoch_unix + 1.0)
         assert record["dur_s"] == pytest.approx(2.0)
         assert record["args"] == {"vm": "jikes"}
-
-    def test_extend_skips_tracer_without_epoch(self):
-        class EpochlessTracer:
-            spans = [object()]
-            epoch_unix = None
-
-        recorder = SpanRecorder(TraceContext.for_job(JOB))
-        recorder.extend_from_tracer(EpochlessTracer())
-        assert recorder.records == []
+        assert record["role"] == ROLE_WORKER
 
 
 class TestSpool:

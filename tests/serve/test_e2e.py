@@ -157,7 +157,7 @@ class TestAcceptance:
                 )
                 return CampaignResult(cells=results, summary=summary)
 
-        monkeypatch.setattr("repro.serve.server.CampaignRunner",
+        monkeypatch.setattr("repro.serve.pool.CampaignRunner",
                             GatedRunner)
         server = ServiceServer(
             host="127.0.0.1", port=0, queue_size=1, job_workers=1,

@@ -1,12 +1,15 @@
-"""Tests for the worker pools and cross-instance single-flight.
+"""Tests for the job runner, the worker pool and cross-instance
+single-flight.
 
 The in-process single-flight tests live in test_service.py; this file
-exercises what is new with the worker fleet: the lease protocol between
-*two service instances sharing one result store*, stale-lease takeover,
-and the process worker pool end-to-end.
+exercises the worker fleet: the lease protocol between *two service
+instances sharing one result store*, stale-lease takeover, the job
+runner on its own, and the process worker pool end-to-end — including
+a worker killed mid-job.
 """
 
 import os
+import pickle
 import threading
 import time
 
@@ -21,19 +24,14 @@ from repro.obs.distributed import (
     write_spool,
 )
 from repro.serve.lease import try_acquire
-from repro.serve.pool import (
-    execute_spec_job,
-    make_worker_pool,
-)
+from repro.serve.pool import JobRunner, WorkerPool
 from repro.serve.server import (
     ExperimentService,
     build_result_payload,
     encode_result,
 )
 from repro.serve.store import DONE, FAILED, ResultStore
-from repro.spec import ScenarioSpec
 from tests.serve.test_service import (
-    GatedRunner,
     gated,  # noqa: F401 - fixture reused across files
     tiny_spec,
     wait_state,
@@ -183,20 +181,21 @@ class TestCrossInstanceSingleFlight:
 
 
 class TestExecuteSpecJob:
+    """``JobRunner.run``: one spec executed as a job under the lease."""
+
     def test_store_hit_short_circuits(self, tmp_path):
         spec = tiny_spec()
-        results = ResultStore(tmp_path)
-        results.put_bytes(spec.spec_hash(), b"{}")
-        outcome = execute_spec_job(spec, results)
+        ResultStore(tmp_path).put_bytes(spec.spec_hash(), b"{}")
+        outcome = JobRunner(str(tmp_path)).run(spec)
         assert outcome == {
             "ok": True, "executed": False, "via": "store",
             "took_over": False, "n_cells": 0, "n_executed": 0,
-            "n_cached": 0,
+            "n_cached": 0, "cache_hits": 0, "cache_misses": 0,
         }
 
-    def test_runner_exception_folds_into_outcome(self, tmp_path):
+    def test_runner_exception_folds_into_outcome(self, tmp_path,
+                                                 monkeypatch):
         spec = tiny_spec()
-        results = ResultStore(tmp_path)
 
         class Boom:
             def __init__(self, **kwargs):
@@ -205,21 +204,20 @@ class TestExecuteSpecJob:
             def run(self, campaign):
                 raise RuntimeError("kaboom")
 
-        outcome = execute_spec_job(
-            spec, results, runner_factory=lambda **kw: Boom(**kw)
-        )
+        monkeypatch.setattr("repro.serve.pool.CampaignRunner", Boom)
+        outcome = JobRunner(str(tmp_path)).run(spec)
         assert outcome["ok"] is False
         assert outcome["error_type"] == "RuntimeError"
         assert "kaboom" in outcome["error"]
         assert "kaboom" in outcome["traceback"]
         # The lease was released despite the failure.
+        results = ResultStore(tmp_path)
         assert not results.lease_path_for(spec.spec_hash()).exists()
 
     def test_lease_waiter_does_not_clobber_executor_spool(
             self, tmp_path):
-        """A lease-coalesced waiter records a span of its own (the
-        lease wait) but must never replace the executor's spool for
-        the same content-addressed key."""
+        """A lease-coalesced waiter must never replace the executor's
+        spool for the same content-addressed key."""
         spec = tiny_spec()
         results = ResultStore(tmp_path)
         job_id = spec.spec_hash()
@@ -237,9 +235,8 @@ class TestExecuteSpecJob:
         )
         publish.start()
         try:
-            outcome = execute_spec_job(
-                spec, results, lease_wait_s=10.0,
-                trace_ctx=TraceContext.for_job(job_id),
+            outcome = JobRunner(str(tmp_path), lease_wait_s=10.0).run(
+                spec, trace_ctx=TraceContext.for_job(job_id),
             )
         finally:
             publish.join()
@@ -249,6 +246,33 @@ class TestExecuteSpecJob:
         # The executor's spans survived the waiter.
         assert spool.read_bytes() == executor_bytes
         assert [s["name"] for s in read_spool(spool)] == ["campaign"]
+
+    def test_traced_run_spools_lease_campaign_and_store_spans(
+            self, tmp_path, gated):  # noqa: F811
+        """The executor's lease, campaign and store-write spans come
+        off one tracer, re-based onto unix time in one spool."""
+        gated.gate.set()
+        spec = tiny_spec()
+        ctx = TraceContext.for_job(spec.spec_hash())
+        before = time.time()
+        outcome = JobRunner(str(tmp_path)).run(spec, trace_ctx=ctx)
+        after = time.time()
+        assert outcome["ok"] and outcome["executed"]
+        spans = read_spool(
+            ResultStore(tmp_path).trace_spool_for(spec.spec_hash()))
+        assert [s["name"] for s in spans] == [
+            "lease acquire", "store write"]
+        assert {s["role"] for s in spans} == {"worker"}
+        assert spans[0]["args"] == {"took_over": False}
+        for span in spans:
+            assert before <= span["start_unix"]
+            assert span["start_unix"] + span["dur_s"] <= after
+
+    def test_runner_pickles_as_it_is(self, tmp_path):
+        runner = JobRunner(str(tmp_path), store_shards=4,
+                           cache_dir=str(tmp_path / "cells"),
+                           timeout_s=5.0, lease_ttl_s=1.0)
+        assert pickle.loads(pickle.dumps(runner)) == runner
 
 
 class TestProcessMode:
@@ -274,7 +298,8 @@ class TestProcessMode:
 
     def test_spec_round_trips_process_boundary(self):
         spec = tiny_spec(heap_mb=48, seed=7)
-        clone = ScenarioSpec.from_dict(spec.to_dict(), source="test")
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec
         assert clone.spec_hash() == spec.spec_hash()
 
 
@@ -283,18 +308,106 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError):
             make_service(tmp_path, worker_mode="fibers")
 
-    def test_make_worker_pool_unknown_mode(self, tmp_path):
-        with pytest.raises(ValueError):
-            make_worker_pool("fibers", results=ResultStore(tmp_path),
-                            job_workers=1)
+    def test_worker_pool_unknown_mode(self, tmp_path):
+        with pytest.raises(ConfigurationError):
+            WorkerPool("fibers", JobRunner(str(tmp_path)))
 
-    def test_thread_pool_uses_runner_factory(self, tmp_path, gated):  # noqa: F811
+    def test_thread_pool_runs_the_patched_campaign_runner(
+            self, tmp_path, gated):  # noqa: F811
         gated.gate.set()
-        pool = make_worker_pool(
-            "thread", results=ResultStore(tmp_path), job_workers=1,
-            runner_factory=lambda **kw: GatedRunner(**kw),
-        ).start()
+        pool = WorkerPool("thread", JobRunner(str(tmp_path))).start()
         outcome = pool.run_job(tiny_spec())
         assert outcome["ok"] and outcome["executed"]
         assert outcome["via"] == "run"
         assert len(gated.started) == 1
+
+
+class TestWorkerDeath:
+    def test_killed_worker_leaves_lease_and_rerun_takes_it_over(
+            self, tmp_path):
+        """SIGKILL the lone process worker once it holds the job's
+        lease: that job fails with BrokenProcessPool and leaves the
+        lease behind; the rebuilt pool reruns the spec, takes the stale
+        lease over, and stores the bytes of a direct run."""
+        import signal
+
+        from repro.serve.lease import read_lease
+
+        spec = tiny_spec()
+        service = make_service(
+            tmp_path, worker_mode="process", job_workers=1,
+            lease_ttl_s=1.0,
+        ).start()
+        outcomes = []
+        run_job = service.pool.run_job
+
+        def recording_run_job(job_spec, trace_ctx=None):
+            outcomes.append(run_job(job_spec, trace_ctx=trace_ctx))
+            return outcomes[-1]
+
+        service.pool.run_job = recording_run_job
+        lease_path = service.results.lease_path_for(spec.spec_hash())
+        killed = []
+
+        def kill_lease_holder():
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline:
+                holder = read_lease(lease_path) or {}
+                if holder.get("pid", os.getpid()) != os.getpid():
+                    os.kill(holder["pid"], signal.SIGKILL)
+                    killed.append(holder["pid"])
+                    return
+                time.sleep(0.005)
+
+        killer = threading.Thread(target=kill_lease_holder, daemon=True)
+        killer.start()
+        try:
+            _, job = service.submit_spec(spec)
+            wait_state(service, job.id, FAILED, timeout=60.0)
+            killer.join(5.0)
+            assert killed
+            assert "[BrokenProcessPool]" in job.error
+            assert outcomes[0]["error_type"] == "BrokenProcessPool"
+            assert lease_path.exists()
+
+            service.submit_spec(spec)
+            wait_state(service, job.id, DONE, timeout=60.0)
+            assert outcomes[1]["ok"] and outcomes[1]["executed"]
+            assert outcomes[1]["took_over"] is True
+            counters = counters_of(service)
+            assert counters["serve.lease_takeovers"] == 1
+            assert counters["serve.jobs_executed"] == 1
+            served = service.results.get_bytes(job.id)
+            assert not lease_path.exists()
+        finally:
+            service.drain(30.0)
+        direct = CampaignRunner(workers=1).run(spec)
+        assert served == encode_result(
+            build_result_payload(spec, direct)
+        )
+
+
+class TestCellCacheCounters:
+    @pytest.mark.parametrize("worker_mode", ["thread", "process"])
+    def test_second_run_hits_the_cell_cache(self, tmp_path,
+                                            worker_mode):
+        """Both modes fold each job's cell-cache traffic into the
+        service's hit rate: one miss, then (result entry removed) one
+        hit."""
+        spec = tiny_spec()
+        service = make_service(
+            tmp_path, worker_mode=worker_mode, use_cell_cache=True,
+            cache_dir=tmp_path / "cells",
+        ).start()
+        try:
+            _, job = service.submit_spec(spec)
+            wait_state(service, job.id, DONE, timeout=60.0)
+            assert service.results.path_for(job.id).unlink() is None
+            service.submit_spec(spec)
+            wait_state(service, job.id, DONE, timeout=60.0)
+            snapshot = service.metrics_snapshot()
+        finally:
+            service.drain(30.0)
+        assert snapshot["counters"]["serve.jobs_executed"] == 2
+        assert snapshot["counters"]["serve.cells_from_cache"] == 1
+        assert snapshot["derived"]["cell_cache_hit_rate"] == 0.5

@@ -74,7 +74,7 @@ def gated(monkeypatch):
     GatedRunner.gate = threading.Event()
     GatedRunner.started = []
     GatedRunner.fail = False
-    monkeypatch.setattr("repro.serve.server.CampaignRunner",
+    monkeypatch.setattr("repro.serve.pool.CampaignRunner",
                         GatedRunner)
     return GatedRunner
 

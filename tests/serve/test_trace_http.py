@@ -1,16 +1,17 @@
 """End-to-end distributed tracing through the HTTP service.
 
 Traced servers (``job_trace=True``) must produce one merged
-Chrome/Perfetto trace per job — service-side queue/lease/store spans
-plus worker-side engine spans — while leaving the served result bytes
-byte-identical to an untraced run.  Untraced servers must behave
-exactly as before: no trace link, 404 on the trace route, no spool
-files.
+Chrome/Perfetto trace per job — service-side validate/queue spans plus
+the worker's lease, campaign and store-write spans — while leaving the
+served result bytes byte-identical to an untraced run.  Untraced
+servers must behave exactly as before: no trace link, 404 on the trace
+route, no spool files.
 """
 
 import pytest
 
 from repro.obs.distributed import TraceContext, span_record, write_spool
+from repro.obs.tracer import Tracer
 from repro.serve import ServiceClient, ServiceError
 from repro.serve.server import ServiceServer
 from tests.obs.test_exposition import parse_exposition
@@ -62,9 +63,9 @@ class TestTracedJob:
         # service-side lifecycle spans...
         assert "validate" in xs
         assert "queue wait" in xs
+        # ...plus the worker's spans, all from the one job tracer
         assert "lease acquire" in xs
         assert "store write" in xs
-        # ...plus worker-side engine/campaign spans from the tracer
         assert "campaign" in xs
         assert any("_202_jess" in name for name in xs)
 
@@ -137,12 +138,14 @@ class TestTracingDisabled:
     def test_tracing_hooks_run_only_when_tracing_is_on(
             self, tmp_path, monkeypatch, job_trace):
         """Tracing off costs nothing: a real job never builds a trace
-        context, records a span or writes a spool.  The traced run
-        proves the counters sit on the live call sites."""
+        context, records a service span, builds the worker's tracer or
+        writes a spool.  The traced run proves the counters sit on the
+        live call sites."""
         hooks = {
             "repro.serve.server.TraceContext.for_job":
                 TraceContext.for_job,
             "repro.serve.server.span_record": span_record,
+            "repro.serve.pool.Tracer": Tracer,
             "repro.serve.pool.write_spool": write_spool,
         }
         calls = dict.fromkeys(hooks, 0)

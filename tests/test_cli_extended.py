@@ -140,7 +140,7 @@ class TestOverheadCommand:
             artifact.timeline().component_cpu_energy_j().values()
         )
         for point, period_us in zip(frontier["points"], periods):
-            period_s = period_us * 1e-6
+            period_s = period_us / 1e6
             result = Experiment(
                 replace(config, daq_period_s=period_s)
             ).measure(artifact)
@@ -162,6 +162,42 @@ class TestOverheadCommand:
                 "perturbation_energy_pct": 100 * perturb.energy_fraction,
                 "perturbation_time_pct": 100 * perturb.time_fraction,
             }
+
+    def test_40us_point_equals_default_period_measurement(
+            self, tmp_path, capsys):
+        """``--periods 40`` is the DAQ's default 40e-6 s period, not a
+        float one ulp off it: the frontier point equals a measurement
+        of the same artifact at the default ``daq_period_s``."""
+        from repro.analysis.validation import attribution_error
+        from repro.campaign.artifacts import ArtifactStore
+        from repro.core.experiment import Experiment
+        from repro.jvm.components import Component
+        from repro.spec import ScenarioSpec
+
+        store = tmp_path / "artifacts"
+        frontier_path = tmp_path / "frontier.json"
+        assert main([
+            "overhead", "--heap", "24", "--input-scale", "0.2",
+            "--periods", "40", "--artifact-dir", str(store),
+            "--output", str(frontier_path),
+        ]) == 0
+        capsys.readouterr()
+        (point,) = json.loads(frontier_path.read_text())["points"]
+        config = ScenarioSpec.for_experiment(
+            "_202_jess", heap_mb=24, input_scale=0.2,
+        ).experiment_config()
+        artifact = ArtifactStore(store).get(config)
+        result = Experiment(config).measure(artifact)
+        report = attribution_error(
+            artifact.run_result(), artifact.measurement_target(),
+            sample_period_s=config.daq_period_s,
+        )
+        assert point["daq_samples"] == result.power.n_samples
+        assert point["cpu_energy_j"] == result.cpu_energy_j
+        assert point["misattributed_pct"] == (
+            100 * report.total_misattribution_fraction())
+        assert point["gc_error_pct"] == (
+            100 * report.relative_error(Component.GC))
 
     def test_no_artifacts_flag(self, capsys):
         assert main([
@@ -300,7 +336,7 @@ n_slices = 40
         assert main(["validate", "--spec", str(path),
                      "--periods", "40", "1000"]) == 0
         want = [original(sim.run, sim.platform,
-                         sample_period_s=period_us * 1e-6)
+                         sample_period_s=period_us / 1e6)
                 for period_us in (40.0, 1000.0)]
         assert [(r.true_energy_j, r.measured_energy_j) for r in reports] \
             == [(r.true_energy_j, r.measured_energy_j) for r in want]

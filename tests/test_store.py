@@ -155,6 +155,30 @@ class TestStoreProtocol:
         assert (removed, freed) == (0, 0)
         assert entry.exists()
 
+    def test_failed_rename_leaves_no_entry_and_no_tmp(self, driver,
+                                                      monkeypatch):
+        """A write whose final rename fails raises, stores nothing and
+        cleans its temp file up; the next read is a plain miss."""
+        import repro.store
+
+        class RenameFails:
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+            @staticmethod
+            def replace(src, dst):
+                raise OSError("injected rename failure")
+
+        monkeypatch.setattr(repro.store, "os", RenameFails())
+        with pytest.raises(OSError, match="injected rename failure"):
+            driver.put(1)
+        monkeypatch.undo()
+        assert driver.key(1) not in driver.store
+        assert not list(driver.store.root.rglob("*.tmp"))
+        assert not list(driver.store.root.rglob("*.prov"))
+        assert driver.read(1) is None
+        assert (driver.store.hits, driver.store.misses) == (0, 1)
+
     def test_prune_sweeps_aged_tmp_orphans(self, driver):
         entry = driver.put(1)
         orphan = entry.parent / "crashed-writer.tmp"
