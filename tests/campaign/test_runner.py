@@ -24,6 +24,14 @@ SMALL = ScenarioSpec(
 )
 
 
+#: A good cell, a cell that fails on every attempt, a good cell.
+POISONED = [
+    ExperimentConfig(benchmark="_202_jess", heap_mb=32, input_scale=0.1),
+    ExperimentConfig(benchmark="no_such_benchmark"),
+    ExperimentConfig(benchmark="_209_db", heap_mb=32, input_scale=0.1),
+]
+
+
 @pytest.fixture(scope="module")
 def serial_result():
     return run_campaign(SMALL, workers=1)
@@ -106,14 +114,7 @@ class TestCache:
 
 class TestDegradation:
     def test_poisoned_cell_does_not_abort_campaign(self):
-        cells = [
-            ExperimentConfig(benchmark="_202_jess", heap_mb=32,
-                             input_scale=0.1),
-            ExperimentConfig(benchmark="no_such_benchmark"),
-            ExperimentConfig(benchmark="_209_db", heap_mb=32,
-                             input_scale=0.1),
-        ]
-        result = run_campaign(cells, workers=1, retries=0)
+        result = run_campaign(POISONED, workers=1, retries=0)
         assert result.summary.n_ok == 2
         assert result.summary.n_failed == 1
         bad = result.failed_cells()[0]
@@ -124,17 +125,26 @@ class TestDegradation:
         assert result.cells[0].ok and result.cells[2].ok
 
     def test_poisoned_cell_parallel(self):
-        cells = [
-            ExperimentConfig(benchmark="_202_jess", heap_mb=32,
-                             input_scale=0.1),
-            ExperimentConfig(benchmark="no_such_benchmark"),
-            ExperimentConfig(benchmark="_209_db", heap_mb=32,
-                             input_scale=0.1),
-        ]
-        result = run_campaign(cells, workers=2, retries=1)
-        assert result.summary.n_ok == 2
-        bad = result.failed_cells()[0]
-        assert bad.attempts == 2  # original try + one retry
+        # The same retry budget holds in the calling thread and on the
+        # process pool.
+        for workers in (1, 2):
+            result = CampaignRunner(workers=workers, retries=1).run(
+                POISONED)
+            assert result.summary.n_ok == 2, workers
+            bad = result.failed_cells()[0]
+            assert bad.attempts == 2, workers  # first try + one retry
+
+    def test_progress_fires_once_per_cell_with_retries(self):
+        for workers in (1, 2):
+            seen = []
+            CampaignRunner(
+                workers=workers, retries=1,
+                progress=lambda i, total, cell: seen.append(
+                    (i, total, cell.ok, cell.attempts)),
+            ).run(POISONED)
+            assert sorted(seen) == [
+                (0, 3, True, 1), (1, 3, False, 2), (2, 3, True, 1),
+            ], workers
 
     def test_oom_is_a_successful_outcome(self):
         cells = [ExperimentConfig(benchmark="_213_javac", heap_mb=8,
