@@ -7,8 +7,8 @@ for results.  The cache is backed by the campaign runner
 process pool and memoizes every cell's summary both in memory and in
 the campaign's on-disk cache — so identical configurations are
 simulated once per machine, not once per pytest session.  Cached
-entries are slimmed to :class:`BenchRecord` summaries so the cache
-stays small.
+entries are slimmed to :class:`~repro.export.CellRecord` summaries so
+the cache stays small.
 
 Environment knobs:
 
@@ -24,11 +24,9 @@ stdout) so the regenerated tables survive pytest's capture.
 """
 
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.campaign import CampaignRunner
-from repro.jvm.components import Component
 from repro.spec import ScenarioSpec
 
 OUTPUT_DIR = Path(__file__).parent / "output"
@@ -66,77 +64,6 @@ CACHE_DIR = (
     ))
 )
 
-#: Short-name -> Component, for decoding cell payloads.
-_NAME_TO_COMPONENT = {c.short_name: c for c in Component}
-
-
-@dataclass
-class BenchRecord:
-    """Slim summary of one experiment."""
-
-    benchmark: str
-    vm: str
-    platform: str
-    collector: str
-    heap_mb: int
-    oom: bool = False
-    duration_s: float = 0.0
-    cpu_j: float = 0.0
-    mem_j: float = 0.0
-    edp: float = float("inf")
-    fractions: dict = field(default_factory=dict)   # Component -> frac
-    jvm_fraction: float = 0.0
-    mem_ratio: float = 0.0
-    avg_power: dict = field(default_factory=dict)   # Component -> W
-    peak_power: dict = field(default_factory=dict)
-    ipc: dict = field(default_factory=dict)
-    l2_miss: dict = field(default_factory=dict)
-    gc_collections: int = 0
-
-    def frac(self, component):
-        return self.fractions.get(Component(component), 0.0)
-
-
-def record_from_payload(payload):
-    """Rebuild a :class:`BenchRecord` from a campaign cell payload."""
-    cfg = payload["config"]
-    if payload.get("oom"):
-        return BenchRecord(
-            benchmark=cfg["benchmark"], vm=cfg["vm"],
-            platform=cfg["platform"],
-            collector=cfg["collector"] or "?",
-            heap_mb=cfg["heap_mb"], oom=True,
-        )
-    totals = payload["totals"]
-    breakdown = payload["breakdown"]
-    comps = {
-        _NAME_TO_COMPONENT[name]: stats
-        for name, stats in payload["components"].items()
-    }
-    return BenchRecord(
-        benchmark=cfg["benchmark"],
-        vm=cfg["vm"],
-        platform=cfg["platform"],
-        collector=cfg["collector"],
-        heap_mb=cfg["heap_mb"],
-        duration_s=totals["duration_s"],
-        cpu_j=totals["cpu_energy_j"],
-        mem_j=totals["mem_energy_j"],
-        edp=totals["edp_js"],
-        fractions={
-            _NAME_TO_COMPONENT[name]: frac
-            for name, frac in breakdown["fractions"].items()
-        },
-        jvm_fraction=breakdown["jvm_fraction"],
-        mem_ratio=breakdown["mem_to_cpu_ratio"],
-        avg_power={c: s["avg_power_w"] for c, s in comps.items()},
-        peak_power={c: s["peak_power_w"] for c, s in comps.items()},
-        ipc={c: s["ipc"] for c, s in comps.items()},
-        l2_miss={c: s["l2_miss_rate"] for c, s in comps.items()},
-        gc_collections=payload["gc"]["collections"],
-    )
-
-
 def cell(benchmark, vm="jikes", platform="p6", collector=None,
          heap_mb=64, input_scale=1.0, seed=SEED):
     """One figure-grid cell as an :class:`ExperimentConfig`.
@@ -165,7 +92,7 @@ class ExperimentCache:
         )
 
     def get_many(self, configs):
-        """BenchRecords for *configs* (an ExperimentConfig iterable),
+        """CellRecords for *configs* (an ExperimentConfig iterable),
         returned as ``{config: record}``; missing cells run as one
         campaign."""
         configs = list(configs)
@@ -173,17 +100,7 @@ class ExperimentCache:
             c for c in dict.fromkeys(configs) if c not in self._records
         ]
         if missing:
-            outcome = self._runner.run(missing)
-            for cell_result in outcome.cells:
-                if not cell_result.ok:
-                    raise RuntimeError(
-                        "campaign cell failed for "
-                        f"{cell_result.config}: "
-                        f"[{cell_result.error_type}] {cell_result.error}"
-                    )
-                self._records[cell_result.config] = record_from_payload(
-                    cell_result.payload
-                )
+            self._records.update(self._runner.run(missing).records())
         return {c: self._records[c] for c in configs}
 
     def get(self, benchmark, vm="jikes", platform="p6",

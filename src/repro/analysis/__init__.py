@@ -1,5 +1,9 @@
 """Offline analyses that regenerate the paper's figures and tables.
 
+The sweeps run their grid as one campaign on the campaign engine
+(:mod:`repro.analysis.sweep`) and hold :class:`~repro.export.CellRecord`
+summaries, as the figure harness does.
+
 Each module corresponds to a family of results:
 
 * :mod:`repro.analysis.energy` — energy decompositions (Figures 6, 9, 11),

@@ -9,8 +9,8 @@ ones.
 
 from dataclasses import dataclass, field
 
-from repro.core.experiment import run_experiment
-from repro.errors import ConfigurationError, OutOfMemoryError
+from repro.analysis.sweep import sweep_records
+from repro.errors import ConfigurationError
 
 #: The heap ladder used for the Jikes RVM sweeps (Section IV-A).
 JIKES_HEAPS_MB = (32, 48, 64, 80, 96, 112, 128)
@@ -21,7 +21,7 @@ PXA255_HEAPS_MB = (12, 16, 20, 24, 28, 32)
 
 @dataclass
 class EDPSweep:
-    """Grid of experiment results keyed by (benchmark, collector, heap)."""
+    """Grid of cell records keyed by (benchmark, collector, heap)."""
 
     results: dict = field(default_factory=dict)
 
@@ -85,31 +85,21 @@ class EDPSweep:
 
 
 def edp_sweep(benchmarks, collectors, heaps, vm="jikes", platform="p6",
-              input_scale=1.0, skip_oom=True, **kwargs):
-    """Run the full (benchmark x collector x heap) grid.
+              input_scale=1.0, **kwargs):
+    """Run the full (benchmark x collector x heap) grid as one campaign.
 
     Configurations whose live set genuinely does not fit (tiny heap,
-    semispace discipline) raise :class:`OutOfMemoryError`; with
-    ``skip_oom`` they are recorded as absent (EDP = infinity), matching
-    how papers leave unrunnable points off the plot.
+    semispace discipline) run out of memory; they are recorded as
+    absent (EDP = infinity), matching how papers leave unrunnable
+    points off the plot.  Each present point is a
+    :class:`~repro.export.CellRecord`.
     """
     sweep = EDPSweep()
-    for bench in benchmarks:
-        for collector in collectors:
-            for heap in heaps:
-                try:
-                    result = run_experiment(
-                        bench,
-                        vm=vm,
-                        platform=platform,
-                        collector=collector,
-                        heap_mb=heap,
-                        input_scale=input_scale,
-                        **kwargs,
-                    )
-                except OutOfMemoryError:
-                    if not skip_oom:
-                        raise
-                    continue
-                sweep.add(bench, collector, heap, result)
+    records = sweep_records(
+        benchmarks, collectors, heaps, vm=vm, platform=platform,
+        input_scale=input_scale, **kwargs,
+    )
+    for (bench, collector, heap), record in records.items():
+        if not record.oom:
+            sweep.add(bench, collector, heap, record)
     return sweep

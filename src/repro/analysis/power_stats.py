@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from repro.core.experiment import run_experiment
+from repro.analysis.sweep import fitting, sweep_records
 from repro.jvm.components import Component
 
 
@@ -25,29 +25,25 @@ def power_table(benchmarks, heap_mb, collector="GenCopy", vm="jikes",
                 platform="p6", components=(Component.APP, Component.GC,
                                            Component.CL), **kwargs):
     """Figure 8: average and peak power of App/GC/CL per benchmark."""
-    rows = []
-    for name in benchmarks:
-        result = run_experiment(
-            name, vm=vm, platform=platform, collector=collector,
-            heap_mb=heap_mb, **kwargs
+    records = fitting(sweep_records(
+        benchmarks, (collector,), (heap_mb,), vm=vm, platform=platform,
+        **kwargs,
+    ))
+    return [
+        PowerRow(
+            benchmark=name,
+            heap_mb=heap_mb,
+            avg_power_w={
+                c: record.avg_power[c] for c in components
+                if c in record.avg_power
+            },
+            peak_power_w={
+                c: record.peak_power[c] for c in components
+                if c in record.peak_power
+            },
         )
-        avg = result.power.component_avg_power_w()
-        peak = result.power.component_peak_power_w()
-        rows.append(
-            PowerRow(
-                benchmark=name,
-                heap_mb=heap_mb,
-                avg_power_w={
-                    c: avg.get(int(c), 0.0) for c in components
-                    if int(c) in avg
-                },
-                peak_power_w={
-                    c: peak.get(int(c), 0.0) for c in components
-                    if int(c) in peak
-                },
-            )
-        )
-    return rows
+        for (name, _, _), record in records.items()
+    ]
 
 
 def collector_power_summary(benchmarks, collectors, heap_mb=64,
@@ -55,20 +51,19 @@ def collector_power_summary(benchmarks, collectors, heap_mb=64,
     """Average GC power per collector across benchmarks (the paper's
     GenCopy 12.8 W / SemiSpace 12.3 W / GenMS 12.7 W / MarkSweep 11.7 W
     comparison), plus the matching average application power."""
+    records = fitting(sweep_records(
+        benchmarks, collectors, (heap_mb,), vm=vm, platform=platform,
+        **kwargs,
+    ))
     summary = {}
     for collector in collectors:
         gc_total, app_total, n = 0.0, 0.0, 0
-        for name in benchmarks:
-            result = run_experiment(
-                name, vm=vm, platform=platform, collector=collector,
-                heap_mb=heap_mb, **kwargs
-            )
-            avg = result.power.component_avg_power_w()
-            gc_power = avg.get(int(Component.GC))
-            if gc_power is None:
+        for (_, cell_collector, _), record in records.items():
+            gc_power = record.avg_power.get(Component.GC)
+            if cell_collector != collector or gc_power is None:
                 continue
             gc_total += gc_power
-            app_total += avg.get(int(Component.APP), 0.0)
+            app_total += record.avg_power.get(Component.APP, 0.0)
             n += 1
         summary[collector] = {
             "gc_avg_power_w": gc_total / n if n else 0.0,

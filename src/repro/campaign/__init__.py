@@ -31,7 +31,6 @@ from repro.campaign.runner import (
     CampaignRunner,
     CampaignSummary,
     CellResult,
-    run_campaign,
 )
 
 __all__ = [
@@ -44,6 +43,5 @@ __all__ = [
     "config_key",
     "derive_cell_seed",
     "expand_grid",
-    "run_campaign",
     "sim_key",
 ]

@@ -12,10 +12,11 @@ The runner takes the expanded cell list and drives it to completion:
   ``artifact_dir`` the recorded execution also persists across
   campaign runs through the content-addressed
   :class:`~repro.campaign.artifacts.ArtifactStore`;
-* groups run on a ``concurrent.futures.ProcessPoolExecutor`` (or
-  in-process when ``workers <= 1``), each cell under a per-cell
-  wall-clock budget enforced *inside* the worker with an interval
-  timer, with a bounded number of retries;
+* one loop keeps up to ``workers`` groups in flight on a
+  ``concurrent.futures.ProcessPoolExecutor`` (in the calling thread
+  when ``workers == 1``), each cell under a per-cell wall-clock budget
+  enforced *inside* the worker with an interval timer, with a bounded
+  number of retries;
 * a cell that still fails records a structured error entry and the
   campaign continues — one poisoned configuration cannot abort a
   thousand-cell matrix;
@@ -36,6 +37,7 @@ import traceback
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
@@ -72,6 +74,13 @@ def _oom_payload(config, error):
         },
         "error": error,
     }
+
+
+def _failure(exc, wall_s=0.0, **fields):
+    """The outcome dict of a cell that failed with *exc*."""
+    return {"ok": False, "error": str(exc),
+            "error_type": type(exc).__name__, "wall_s": wall_s,
+            **fields}
 
 
 class _CellTimer:
@@ -160,13 +169,8 @@ def _execute_cell(config, timeout_s, trace_path=None):
         return {"ok": True, "payload": _oom_payload(config, str(exc)),
                 "wall_s": time.perf_counter() - start}
     except BaseException as exc:  # noqa: BLE001 - reported, not hidden
-        return {
-            "ok": False,
-            "error": str(exc),
-            "error_type": type(exc).__name__,
-            "traceback": traceback.format_exc(),
-            "wall_s": time.perf_counter() - start,
-        }
+        return _failure(exc, time.perf_counter() - start,
+                        traceback=traceback.format_exc())
 
 
 def _execute_group(configs, timeout_s, trace_paths=None,
@@ -206,14 +210,8 @@ def _execute_group(configs, timeout_s, trace_paths=None,
     try:
         key = sim_key(configs[0])
     except BaseException as exc:  # noqa: BLE001 - fold into outcomes
-        error = {
-            "ok": False,
-            "error": str(exc),
-            "error_type": type(exc).__name__,
-            "traceback": traceback.format_exc(),
-            "wall_s": 0.0,
-        }
-        return [dict(error) for _ in configs]
+        tb = traceback.format_exc()
+        return [_failure(exc, traceback=tb) for _ in configs]
     for pos, config in enumerate(configs):
         trace_path = trace_paths[pos] if trace_paths else None
         obs = _cell_obs(trace_path)
@@ -253,14 +251,10 @@ def _execute_group(configs, timeout_s, trace_paths=None,
                 "artifact_hit": False,
             })
         except BaseException as exc:  # noqa: BLE001 - reported, not hidden
-            outcomes.append({
-                "ok": False,
-                "error": str(exc),
-                "error_type": type(exc).__name__,
-                "traceback": traceback.format_exc(),
-                "wall_s": time.perf_counter() - start,
-                "sim_key": key,
-            })
+            outcomes.append(_failure(
+                exc, time.perf_counter() - start,
+                traceback=traceback.format_exc(), sim_key=key,
+            ))
     return outcomes
 
 
@@ -411,9 +405,22 @@ class CampaignResult:
     def failed_cells(self):
         return [c for c in self.cells if not c.ok]
 
-    def payloads(self):
-        """Successful payloads keyed by their cell's config."""
-        return {c.config: c.payload for c in self.cells if c.ok}
+    def records(self):
+        """Every cell's :class:`~repro.export.CellRecord`, keyed by its
+        config; raises :class:`~repro.errors.CampaignError` naming the
+        first failed cell (out of memory is an outcome, not a failure:
+        its record has ``oom`` set)."""
+        from repro.export import record_from_payload
+
+        for cell in self.failed_cells()[:1]:
+            cfg = cell.config
+            raise CampaignError(
+                f"{cfg.benchmark} {cfg.vm}/{cfg.platform} "
+                f"{cfg.collector or 'default'} @ {cfg.heap_mb} MB "
+                f"failed: [{cell.error_type}] {cell.error}"
+            )
+        return {c.config: record_from_payload(c.payload)
+                for c in self.cells}
 
     def as_dict(self):
         """JSON-serializable campaign report."""
@@ -438,20 +445,43 @@ class CampaignResult:
         }
 
 
+class _InlineExecutor:
+    """The one-worker backend: each submitted call runs at once in the
+    calling thread (so a cell's ``SIGALRM`` budget works there) and
+    comes back as a finished future."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # noqa: BLE001 - a pool would fold it too
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
 class CampaignRunner:
-    """Executes campaigns: cache lookup, process pool, retry, metrics."""
+    """Executes campaigns: cache lookup, scheduling, retry, metrics.
+
+    The only code that runs more than one cell: ``repro campaign`` and
+    ``sweep``, the service, the :mod:`repro.analysis` sweeps and the
+    figure harness all hand it their grid.  With ``cache_dir``, cell
+    payloads are memoized in :attr:`cache`, a
+    :class:`~repro.campaign.cache.ResultCache` whose ``hits`` and
+    ``misses`` count this runner's lookups.
+    """
 
     def __init__(self, workers=1, cache_dir=None, timeout_s=None,
                  retries=1, progress=None, obs=None, trace_dir=None,
-                 cache=None, artifact_dir=None):
+                 artifact_dir=None):
         if workers < 1:
             raise CampaignError("workers must be >= 1")
         if retries < 0:
             raise CampaignError("retries cannot be negative")
         if timeout_s is not None and timeout_s <= 0:
             raise CampaignError("timeout_s must be positive")
-        if cache is not None and cache_dir is not None:
-            raise CampaignError("give either cache or cache_dir, not both")
         self.workers = int(workers)
         #: When set, simulation artifacts persist under this directory
         #: (content-addressed by sim-key) and are shared across
@@ -460,15 +490,9 @@ class CampaignRunner:
         self.artifact_dir = (
             str(artifact_dir) if artifact_dir is not None else None
         )
-        if cache is not None:
-            # A shared ResultCache instance — the experiment service
-            # runs many campaigns against one cache so hit/miss counts
-            # aggregate across jobs.
-            self.cache = cache
-        else:
-            self.cache = (
-                ResultCache(cache_dir) if cache_dir is not None else None
-            )
+        self.cache = (
+            ResultCache(cache_dir) if cache_dir is not None else None
+        )
         self.timeout_s = timeout_s
         self.retries = int(retries)
         self.progress = progress
@@ -524,10 +548,7 @@ class CampaignRunner:
                     pending.append(i)
 
             if pending:
-                if self.workers == 1:
-                    self._run_serial(cells, pending, results)
-                else:
-                    self._run_pool(cells, pending, results)
+                self._run_groups(cells, pending, results)
 
         wall = time.perf_counter() - start
         n_ok = sum(1 for r in results if r.ok)
@@ -597,110 +618,75 @@ class CampaignRunner:
             groups[key].append(i)
         return [groups[key] for key in order]
 
-    def _submit_group(self, cells, indices):
-        """The ``_execute_group`` argument tuple for *indices*."""
-        return (
-            [cells[i] for i in indices],
-            self.timeout_s,
-            [self._cell_trace_path(i) for i in indices],
-            self.artifact_dir,
-        )
+    def _executor(self):
+        if self.workers == 1:
+            return _InlineExecutor()
+        return ProcessPoolExecutor(max_workers=self.workers)
 
-    def _run_serial(self, cells, pending, results):
-        for indices in self._sim_groups(cells, pending):
-            outcomes = _execute_group(*self._submit_group(cells, indices))
-            for i, outcome in zip(indices, outcomes):
-                attempts = 1
-                while not outcome["ok"] and attempts <= self.retries:
-                    attempts += 1
-                    # Retries run as singleton groups: with an artifact
-                    # store the recorded execution is reused, without
-                    # one the cell re-simulates in isolation.
-                    outcome = _execute_group(
-                        *self._submit_group(cells, [i])
-                    )[0]
-                results[i] = self._finish_cell(cells[i], outcome, attempts)
-                self._report(i, len(cells), results[i])
+    def _run_groups(self, cells, pending, results):
+        """Drive every pending cell to its final outcome.
 
-    def _run_pool(self, cells, pending, results):
+        At most ``workers`` sim-key groups are in flight, so progress
+        is reported as each group finishes.  A failed cell with
+        attempts left is requeued as a group of its own (reusing the
+        artifact store's execution when there is one).  If the pool
+        dies, every cell in flight has failed an attempt and a fresh
+        pool takes over.
+        """
         attempts = {i: 0 for i in pending}
         queue = deque(self._sim_groups(cells, pending))
-        pool = ProcessPoolExecutor(max_workers=self.workers)
         futures = {}
+
+        def settle(i, outcome):
+            if not outcome["ok"] and attempts[i] <= self.retries:
+                queue.append([i])
+                return
+            results[i] = self._finish_cell(cells[i], outcome, attempts[i])
+            self._report(i, len(cells), results[i])
+
+        pool = self._executor()
         try:
             while queue or futures:
                 broken = False
-                while queue:
+                while queue and len(futures) < self.workers:
                     indices = queue.popleft()
-                    for i in indices:
-                        attempts[i] += 1
                     try:
                         fut = pool.submit(
-                            _execute_group,
-                            *self._submit_group(cells, indices),
+                            _execute_group, [cells[i] for i in indices],
+                            self.timeout_s,
+                            [self._cell_trace_path(i) for i in indices],
+                            self.artifact_dir,
                         )
                     except BrokenProcessPool:
                         queue.appendleft(indices)
-                        for i in indices:
-                            attempts[i] -= 1
                         broken = True
                         break
+                    for i in indices:
+                        attempts[i] += 1
                     futures[fut] = indices
                 if futures and not broken:
-                    done, _ = wait(
-                        futures, return_when=FIRST_COMPLETED
-                    )
+                    done, _ = wait(futures, return_when=FIRST_COMPLETED)
                     for fut in done:
                         indices = futures.pop(fut)
                         exc = fut.exception()
                         if isinstance(exc, BrokenProcessPool):
                             broken = True
-                            outcomes = [{
-                                "ok": False,
-                                "error": "worker process died",
-                                "error_type": "BrokenProcessPool",
-                                "wall_s": 0.0,
-                            } for _ in indices]
-                        elif exc is not None:
-                            outcomes = [{
-                                "ok": False,
-                                "error": str(exc),
-                                "error_type": type(exc).__name__,
-                                "wall_s": 0.0,
-                            } for _ in indices]
-                        else:
-                            outcomes = fut.result()
+                            exc = BrokenProcessPool("worker process died")
+                        outcomes = (
+                            fut.result() if exc is None
+                            else [_failure(exc) for _ in indices]
+                        )
                         for i, outcome in zip(indices, outcomes):
-                            if (not outcome["ok"]
-                                    and attempts[i] <= self.retries):
-                                queue.append([i])
-                                continue
-                            results[i] = self._finish_cell(
-                                cells[i], outcome, attempts[i]
-                            )
-                            self._report(i, len(cells), results[i])
+                            settle(i, outcome)
                 if broken:
-                    # The pool died: every outstanding future fails the
-                    # same way.  Requeue cells with attempts left, fail
-                    # the rest, and start a fresh pool.
-                    for fut, indices in list(futures.items()):
-                        requeue = []
+                    # Every outstanding future fails the same way.
+                    lost = BrokenProcessPool("worker pool broke")
+                    for indices in futures.values():
                         for i in indices:
-                            if attempts[i] <= self.retries:
-                                requeue.append(i)
-                            else:
-                                results[i] = CellResult(
-                                    config=cells[i], ok=False,
-                                    error="worker pool broke",
-                                    error_type="BrokenProcessPool",
-                                    attempts=attempts[i],
-                                )
-                                self._report(i, len(cells), results[i])
-                        if requeue:
-                            queue.append(requeue)
+                            settle(i, _failure(lost))
                     futures.clear()
                     pool.shutdown(wait=False, cancel_futures=True)
-                    pool = ProcessPoolExecutor(max_workers=self.workers)
+                    pool = self._executor()
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
 
@@ -752,14 +738,3 @@ class CampaignRunner:
     def _report(self, index, total, cell):
         if self.progress is not None:
             self.progress(index, total, cell)
-
-
-def run_campaign(campaign, workers=1, cache_dir=None, timeout_s=None,
-                 retries=1, progress=None, obs=None, trace_dir=None,
-                 artifact_dir=None):
-    """One-call convenience wrapper around :class:`CampaignRunner`."""
-    return CampaignRunner(
-        workers=workers, cache_dir=cache_dir, timeout_s=timeout_s,
-        retries=retries, progress=progress, obs=obs,
-        trace_dir=trace_dir, artifact_dir=artifact_dir,
-    ).run(campaign)

@@ -255,23 +255,21 @@ def cmd_sweep(args):
     benchmark = _resolve_benchmark(args, "sweep")
     if benchmark is None:
         return 2
-    spec = ScenarioSpec(
-        benchmarks=(benchmark,),
-        vms=(args.vm,),
-        platforms=(args.platform,),
-        collectors=tuple(args.collectors),
-        heap_mbs=tuple(args.heaps),
-        seeds=(args.seed,),
-        input_scales=(args.input_scale,),
-        dvfs_freq_scales=(args.dvfs,),
+    from repro.analysis.edp import edp_sweep
+
+    sweep = edp_sweep(
+        [benchmark], args.collectors, args.heaps, vm=args.vm,
+        platform=args.platform, input_scale=args.input_scale,
+        seed=args.seed, dvfs_freq_scale=args.dvfs,
     )
-    obs = Observability.create(trace=False, metrics=False)
-    series = {}
-    for config in spec.cells():
-        result = Experiment(config, obs=obs).run()
-        series.setdefault(config.collector, []).append(
-            (config.heap_mb, result.edp)
-        )
+    # Every requested heap gets a column; a cell that ran out of heap
+    # has an infinite EDP and prints as "-".
+    series = {
+        collector: [(heap, sweep.edp(benchmark, collector, heap))
+                    for heap in args.heaps]
+        for collector in args.collectors
+        if registry.collector_supported(args.vm, collector)
+    }
     print(f"EDP (joule-seconds) for {benchmark}:")
     print(render_series(series, x_label="heap MB", y_fmt="{:.0f}"))
     return 0

@@ -6,6 +6,8 @@ paper's figures as text — stacked energy-decomposition bars (Figures 6,
 tables (Figure 8).
 """
 
+import math
+
 from repro.errors import ConfigurationError
 
 
@@ -63,7 +65,8 @@ def render_stacked_bar(fractions, width=50):
 
 def render_series(series, x_label="x", y_fmt="{:.1f}"):
     """Render ``{name: [(x, y), ...]}`` as an aligned text matrix with
-    one column per x value and one row per series."""
+    one column per x value and one row per series; a missing or
+    non-finite y prints as ``-``."""
     xs = sorted({x for points in series.values() for x, _ in points})
     headers = [x_label] + [str(x) for x in xs]
     rows = []
@@ -72,7 +75,8 @@ def render_series(series, x_label="x", y_fmt="{:.1f}"):
         rows.append(
             [name]
             + [
-                y_fmt.format(by_x[x]) if x in by_x else "-"
+                y_fmt.format(by_x[x])
+                if math.isfinite(by_x.get(x, math.inf)) else "-"
                 for x in xs
             ]
         )

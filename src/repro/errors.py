@@ -46,6 +46,14 @@ class OutOfMemoryError(ReproError):
             f"heap={heap_bytes} bytes, live={live_bytes} bytes"
         )
 
+    @classmethod
+    def from_message(cls, message):
+        """Rebuild the error from its message, the form in which a
+        campaign cell's out-of-memory payload records it."""
+        import re
+
+        return cls(*(int(n) for n in re.findall(r"\d+", message)))
+
 
 class SpaceExhausted(ReproError):
     """Internal signal: an allocation space is full and a collection is

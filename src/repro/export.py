@@ -4,11 +4,15 @@ Long measurement campaigns want their raw data on disk: this module
 exports acquired traces to CSV (one row per sample) and experiment
 results to JSON summaries, and loads them back.  The JSON schema is a
 plain dictionary so downstream tooling (pandas, gnuplot pipelines,
-spreadsheets) needs nothing from this package.
+spreadsheets) needs nothing from this package.  A campaign cell's
+payload (:func:`result_to_cell_dict`) decodes into a :class:`CellRecord`
+(:func:`record_from_payload`), the one form in which the analyses and
+the figure harness read a grid.
 """
 
 import csv
 import json
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +165,75 @@ def result_to_cell_dict(result):
         "mem_to_cpu_ratio": result.breakdown.mem_to_cpu_ratio(),
     }
     return data
+
+
+#: Short-name -> Component, for decoding cell payloads.
+_NAME_TO_COMPONENT = {c.short_name: c for c in Component}
+
+
+@dataclass
+class CellRecord:
+    """One campaign cell's numbers, decoded from its payload."""
+
+    benchmark: str
+    vm: str
+    platform: str
+    collector: str
+    heap_mb: int
+    oom: bool = False
+    duration_s: float = 0.0
+    edp: float = float("inf")
+    fractions: dict = field(default_factory=dict)   # Component -> frac
+    jvm_fraction: float = 0.0
+    mem_ratio: float = 0.0
+    avg_power: dict = field(default_factory=dict)   # Component -> W
+    peak_power: dict = field(default_factory=dict)
+    ipc: dict = field(default_factory=dict)
+    l2_miss: dict = field(default_factory=dict)
+    error: str = ""     # the out-of-memory message, when ``oom``
+
+    def frac(self, component):
+        return self.fractions.get(Component(component), 0.0)
+
+
+def record_from_payload(payload):
+    """Rebuild a :class:`CellRecord` from a campaign cell payload.
+
+    An out-of-memory payload carries only its config and the error:
+    the record has ``oom`` set, the message and an infinite EDP."""
+    cfg = payload["config"]
+    if payload.get("oom"):
+        return CellRecord(
+            benchmark=cfg["benchmark"], vm=cfg["vm"],
+            platform=cfg["platform"],
+            collector=cfg["collector"] or "?",
+            heap_mb=cfg["heap_mb"], oom=True, error=payload["error"],
+        )
+    totals = payload["totals"]
+    breakdown = payload["breakdown"]
+    comps = {
+        _NAME_TO_COMPONENT[name]: stats
+        for name, stats in payload["components"].items()
+    }
+    return CellRecord(
+        benchmark=cfg["benchmark"],
+        vm=cfg["vm"],
+        platform=cfg["platform"],
+        collector=cfg["collector"],
+        heap_mb=cfg["heap_mb"],
+        duration_s=totals["duration_s"],
+        edp=totals["edp_js"],
+        fractions={
+            _NAME_TO_COMPONENT[name]: frac
+            for name, frac in breakdown["fractions"].items()
+        },
+        jvm_fraction=breakdown["jvm_fraction"],
+        mem_ratio=breakdown["mem_to_cpu_ratio"],
+        avg_power={c: s["avg_power_w"] for c, s in comps.items()},
+        peak_power={c: s["peak_power_w"] for c, s in comps.items()},
+        ipc={c: s["ipc"] for c, s in comps.items()},
+        l2_miss={c: s["l2_miss_rate"] for c, s in comps.items()},
+    )
 
 
 def result_to_json(result, path):

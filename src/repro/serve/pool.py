@@ -42,7 +42,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.campaign.cache import ResultCache
 from repro.campaign.runner import CampaignRunner
 from repro.errors import ConfigurationError
 from repro.obs import NULL_OBS
@@ -213,15 +212,15 @@ class JobRunner:
     def _execute(self, spec, job_id, results, took_over, tracer, obs,
                  log):
         """Run the campaign and store its canonical bytes."""
-        cache = (ResultCache(self.cache_dir)
-                 if self.cache_dir is not None else None)
         if tracer.enabled:
             obs = replace(obs if obs is not None else NULL_OBS,
                           tracer=tracer)
-        result = CampaignRunner(
-            workers=self.cell_workers, cache=cache,
+        runner = CampaignRunner(
+            workers=self.cell_workers, cache_dir=self.cache_dir,
             timeout_s=self.timeout_s, retries=self.retries, obs=obs,
-        ).run(spec)
+        )
+        result = runner.run(spec)
+        cache = runner.cache
         failed = result.failed_cells()
         if failed:
             first = failed[0]

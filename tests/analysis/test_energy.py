@@ -39,18 +39,13 @@ class TestSweep:
 
     def test_suite_average(self, small_sweep):
         avg = suite_average(small_sweep, Component.GC)
-        fracs = [
-            r.breakdown.fraction(Component.GC)
-            for r in small_sweep.values()
-        ]
+        fracs = [r.frac(Component.GC) for r in small_sweep.values()]
         assert avg == pytest.approx(sum(fracs) / 2)
 
     def test_max_jvm_fraction(self, small_sweep):
         name, frac = max_jvm_fraction(small_sweep)
         assert name in small_sweep
-        assert frac == max(
-            r.breakdown.jvm_fraction() for r in small_sweep.values()
-        )
+        assert frac == max(r.jvm_fraction for r in small_sweep.values())
 
     def test_memory_ratio_in_paper_band(self, small_sweep):
         ratio = memory_energy_ratio(small_sweep)

@@ -29,7 +29,7 @@ from repro.analysis.uncertainty import (
     bootstrap_uncertainty,
     derive_replicate_seed,
 )
-from repro.campaign.runner import run_campaign
+from repro.campaign.runner import CampaignRunner
 from repro.core.experiment import Experiment, ExperimentConfig
 from repro.errors import ConfigurationError
 from repro.export import format_with_ci, result_to_dict
@@ -280,9 +280,8 @@ class TestCampaignSharesOneSimulation:
             hpm_periods_s=(None, 0.002),
             hpm_rotations=(None, "xscale-pairs"),
         )
-        outcome = run_campaign(
-            campaign, artifact_dir=tmp_path / "artifacts"
-        )
+        runner = CampaignRunner(artifact_dir=tmp_path / "artifacts")
+        outcome = runner.run(campaign)
         summary = outcome.summary
         assert summary.n_cells == 4
         assert summary.n_ok == 4
@@ -293,8 +292,6 @@ class TestCampaignSharesOneSimulation:
         assert summary.n_sim_keys == 1
         # A fresh run against the same store never simulates at all —
         # the group is served by one artifact-store fetch.
-        again = run_campaign(
-            campaign, artifact_dir=tmp_path / "artifacts"
-        ).summary
+        again = runner.run(campaign).summary
         assert again.n_simulations == 0
         assert again.n_artifact_hits == 1

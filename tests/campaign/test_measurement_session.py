@@ -24,7 +24,7 @@ from repro.analysis.uncertainty import (
     bootstrap_uncertainty,
     derive_replicate_seed,
 )
-from repro.campaign import run_campaign
+from repro.campaign import CampaignRunner
 from repro.campaign.runner import _execute_cell
 from repro.core.decomposition import component_profiles
 from repro.core.experiment import Experiment
@@ -131,17 +131,17 @@ def timer_passes(monkeypatch):
 
 class TestCampaignMatchesFused:
     def test_serial_grid(self, grid_fused):
-        result = run_campaign(GRID, workers=1)
+        result = CampaignRunner(workers=1).run(GRID)
         assert result.summary.n_simulations == 1
         assert payload_bytes(result) == list(grid_fused.values())
 
     def test_two_workers(self, grid_fused):
-        result = run_campaign(GRID, workers=2)
+        result = CampaignRunner(workers=2).run(GRID)
         assert result.summary.n_simulations == 1
         assert payload_bytes(result) == list(grid_fused.values())
 
     def test_one_acquisition_per_daq_setting(self, acquisitions):
-        result = run_campaign(GRID, workers=1)
+        result = CampaignRunner(workers=1).run(GRID)
         assert len(result) == 8
         assert acquisitions == list(DAQ_PERIODS)
 
@@ -149,7 +149,7 @@ class TestCampaignMatchesFused:
         from repro import spec
 
         store = tmp_path / "artifacts"
-        run_campaign(GRID, workers=1, artifact_dir=store)
+        CampaignRunner(workers=1, artifact_dir=store).run(GRID)
         calls = []
         original = spec.canonical_sim_dict
 
@@ -158,7 +158,7 @@ class TestCampaignMatchesFused:
             return original(config)
 
         monkeypatch.setattr(spec, "canonical_sim_dict", spy)
-        result = run_campaign(GRID, workers=1, artifact_dir=store)
+        result = CampaignRunner(workers=1, artifact_dir=store).run(GRID)
         assert result.summary.n_artifact_hits == 1
         assert len(calls) == len(result) == 8
 
@@ -168,7 +168,7 @@ class TestCampaignMatchesFused:
         fine = [c for c in cells if c.daq_period_s == DAQ_PERIODS[0]]
         coarse = [c for c in cells if c.daq_period_s == DAQ_PERIODS[1]]
         alternating = [c for pair in zip(fine, coarse) for c in pair]
-        result = run_campaign(alternating, workers=1)
+        result = CampaignRunner(workers=1).run(alternating)
         assert result.summary.n_simulations == 1
         # Every neighbour has another DAQ key: nothing is reused.
         assert acquisitions == [c.daq_period_s for c in alternating]
@@ -182,7 +182,7 @@ class TestTimerPasses:
     resolved HPM period; everything seeded samples afresh."""
 
     def test_one_pass_per_hpm_period(self, artifact, timer_passes):
-        result = run_campaign(SWEEP, workers=1)
+        result = CampaignRunner(workers=1).run(SWEEP)
         assert len(result) == 27
         assert timer_passes == [artifact.hpm_period_s, 2e-3, 10e-3]
         # Each cell measured through a session of its own takes its own
@@ -281,8 +281,8 @@ class TestSharedSimulationMatchesFused:
             campaign = ScenarioSpec.from_file(SCENARIOS / f"{name}.toml")
             want = fused_bytes(campaign.cells())
         store = tmp_path / "artifacts"
-        first = run_campaign(campaign, workers=1, artifact_dir=store)
-        second = run_campaign(campaign, workers=1, artifact_dir=store)
+        first = CampaignRunner(workers=1, artifact_dir=store).run(campaign)
+        second = CampaignRunner(workers=1, artifact_dir=store).run(campaign)
         n_keys = first.summary.n_sim_keys
         assert first.summary.n_simulations == n_keys
         assert first.summary.n_artifact_hits == 0
@@ -402,7 +402,7 @@ class TestSession:
 class TestTracedCampaign:
     def test_reuse_recorded_and_payloads_unchanged(self, grid_fused,
                                                    tmp_path):
-        traced = run_campaign(GRID, workers=1, trace_dir=tmp_path)
+        traced = CampaignRunner(workers=1, trace_dir=tmp_path).run(GRID)
         assert payload_bytes(traced) == list(grid_fused.values())
         cells = GRID.cells()
         for index, config in enumerate(cells):

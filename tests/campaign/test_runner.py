@@ -2,13 +2,16 @@
 
 import gc
 import json
+import os
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro import ExperimentConfig
-from repro.campaign import CampaignRunner, run_campaign
+from repro.campaign import CampaignRunner
+from repro.campaign import runner as runner_module
 from repro.campaign.runner import _CellTimer
 from repro.errors import CellTimeoutError
 from repro.spec import ScenarioSpec
@@ -32,9 +35,22 @@ POISONED = [
 ]
 
 
+_EXECUTE_GROUP = runner_module._execute_group
+
+
+def _kill_worker_once(configs, timeout_s, trace_paths, artifact_dir):
+    """``_execute_group`` whose first call for ``_209_db`` kills its
+    worker process (the marker file sits beside the trace paths)."""
+    marker = Path(trace_paths[0]).parent / "killed"
+    if configs[0].benchmark == "_209_db" and not marker.exists():
+        marker.touch()
+        os._exit(1)
+    return _EXECUTE_GROUP(configs, timeout_s, trace_paths, artifact_dir)
+
+
 @pytest.fixture(scope="module")
 def serial_result():
-    return run_campaign(SMALL, workers=1)
+    return CampaignRunner(workers=1).run(SMALL)
 
 
 class TestSerial:
@@ -64,14 +80,14 @@ class TestSerial:
         assert "8 cells" in s.describe()
 
     def test_rerun_is_deterministic(self, serial_result):
-        again = run_campaign(SMALL, workers=1)
+        again = CampaignRunner(workers=1).run(SMALL)
         for a, b in zip(serial_result, again):
             assert a.payload == b.payload
 
 
 class TestParallel:
     def test_parallel_bit_identical_to_serial(self, serial_result):
-        parallel = run_campaign(SMALL, workers=2)
+        parallel = CampaignRunner(workers=2).run(SMALL)
         assert parallel.summary.n_ok == 8
         for a, b in zip(serial_result, parallel):
             assert a.config == b.config
@@ -84,18 +100,18 @@ class TestGridOrder:
             return {cell.config: json.dumps(cell.payload, sort_keys=True)
                     for cell in result}
 
-        reversed_result = run_campaign(SMALL.cells()[::-1], workers=1)
+        reversed_result = CampaignRunner(workers=1).run(SMALL.cells()[::-1])
         assert reversed_result.summary.n_ok == 8
         assert encode(reversed_result) == encode(serial_result)
 
 
 class TestCache:
     def test_rerun_hits_cache_and_is_faster(self, tmp_path):
-        cold = run_campaign(SMALL, workers=1, cache_dir=tmp_path)
+        cold = CampaignRunner(workers=1, cache_dir=tmp_path).run(SMALL)
         assert cold.summary.n_cached == 0
 
         t0 = time.perf_counter()
-        warm = run_campaign(SMALL, workers=1, cache_dir=tmp_path)
+        warm = CampaignRunner(workers=1, cache_dir=tmp_path).run(SMALL)
         warm_wall = time.perf_counter() - t0
 
         assert warm.summary.cache_hit_rate == 1.0
@@ -106,15 +122,15 @@ class TestCache:
         assert warm_wall * 5 < cold.summary.wall_s
 
     def test_cache_is_config_sensitive(self, tmp_path):
-        run_campaign(SMALL, workers=1, cache_dir=tmp_path)
+        CampaignRunner(workers=1, cache_dir=tmp_path).run(SMALL)
         shifted = replace(SMALL, seeds=(43,))
-        other = run_campaign(shifted, workers=1, cache_dir=tmp_path)
+        other = CampaignRunner(workers=1, cache_dir=tmp_path).run(shifted)
         assert other.summary.n_cached == 0
 
 
 class TestDegradation:
     def test_poisoned_cell_does_not_abort_campaign(self):
-        result = run_campaign(POISONED, workers=1, retries=0)
+        result = CampaignRunner(workers=1, retries=0).run(POISONED)
         assert result.summary.n_ok == 2
         assert result.summary.n_failed == 1
         bad = result.failed_cells()[0]
@@ -149,7 +165,7 @@ class TestDegradation:
     def test_oom_is_a_successful_outcome(self):
         cells = [ExperimentConfig(benchmark="_213_javac", heap_mb=8,
                                   input_scale=0.1)]
-        result = run_campaign(cells, workers=1)
+        result = CampaignRunner(workers=1).run(cells)
         (cell,) = result.cells
         assert cell.ok
         assert cell.oom
@@ -162,8 +178,8 @@ class TestDegradation:
         # killing the campaign.
         cells = [ExperimentConfig(benchmark="_201_compress",
                                   heap_mb=64)]
-        result = run_campaign(cells, workers=1, retries=0,
-                              timeout_s=1e-3)
+        result = CampaignRunner(workers=1, retries=0,
+                                timeout_s=1e-3).run(cells)
         (bad,) = result.cells
         assert not bad.ok
         assert bad.error_type == "CellTimeoutError"
@@ -191,11 +207,27 @@ class TestDegradation:
 
     def test_failed_cells_never_cached(self, tmp_path):
         cells = [ExperimentConfig(benchmark="no_such_benchmark")]
-        run_campaign(cells, workers=1, retries=0, cache_dir=tmp_path)
-        rerun = run_campaign(cells, workers=1, retries=0,
-                             cache_dir=tmp_path)
+        runner = CampaignRunner(workers=1, retries=0, cache_dir=tmp_path)
+        runner.run(cells)
+        rerun = runner.run(cells)
         assert rerun.summary.n_cached == 0
         assert rerun.summary.n_failed == 1
+
+
+class TestWorkerDeath:
+    def test_dead_worker_is_retried_on_a_fresh_pool(self, tmp_path,
+                                                    monkeypatch):
+        reference = CampaignRunner().run(POISONED[::2])
+        # Forked workers inherit the patched module attribute.
+        monkeypatch.setattr(runner_module, "_execute_group",
+                            _kill_worker_once)
+        result = CampaignRunner(workers=2, retries=1,
+                                trace_dir=tmp_path).run(POISONED[::2])
+        assert (tmp_path / "killed").exists()
+        assert result.summary.n_ok == 2
+        assert result.cells[1].attempts == 2
+        for a, b in zip(result, reference):
+            assert a.payload == b.payload
 
 
 class TestValidation:
@@ -213,13 +245,12 @@ class TestValidation:
 
     def test_progress_callback_sees_every_cell(self):
         seen = []
-        run_campaign(
-            [ExperimentConfig(benchmark="_202_jess", heap_mb=32,
-                              input_scale=0.1)],
+        CampaignRunner(
             workers=1,
             progress=lambda i, total, cell: seen.append((i, total,
                                                          cell.ok)),
-        )
+        ).run([ExperimentConfig(benchmark="_202_jess", heap_mb=32,
+                                input_scale=0.1)])
         assert seen == [(0, 1, True)]
 
     def test_report_round_trips_through_json(self, serial_result):

@@ -7,7 +7,7 @@ payload must be byte-identical to the fused single-cell path.
 
 import pytest
 
-from repro.campaign import run_campaign
+from repro.campaign import CampaignRunner
 from repro.campaign.runner import _execute_cell
 from repro.spec import ScenarioSpec
 
@@ -34,7 +34,7 @@ MIXED = ScenarioSpec(
 
 @pytest.fixture(scope="module")
 def sweep_result():
-    return run_campaign(SWEEP, workers=1)
+    return CampaignRunner(workers=1).run(SWEEP)
 
 
 class TestSweepSharesOneSimulation:
@@ -71,7 +71,7 @@ class TestSweepSharesOneSimulation:
             sweep_result.summary.describe()
 
     def test_parallel_matches_serial(self, sweep_result):
-        parallel = run_campaign(SWEEP, workers=2)
+        parallel = CampaignRunner(workers=2).run(SWEEP)
         assert parallel.summary.n_simulations == 1
         for a, b in zip(sweep_result, parallel):
             assert a.payload == b.payload
@@ -80,10 +80,10 @@ class TestSweepSharesOneSimulation:
 class TestArtifactStoreAcrossRuns:
     def test_second_run_simulates_nothing(self, tmp_path):
         art = tmp_path / "artifacts"
-        first = run_campaign(SWEEP, workers=1, artifact_dir=art)
+        first = CampaignRunner(workers=1, artifact_dir=art).run(SWEEP)
         assert first.summary.n_simulations == 1
         assert first.summary.n_artifact_hits == 0
-        second = run_campaign(SWEEP, workers=1, artifact_dir=art)
+        second = CampaignRunner(workers=1, artifact_dir=art).run(SWEEP)
         assert second.summary.n_simulations == 0
         assert second.summary.n_artifact_hits == 1
         for a, b in zip(first, second):
@@ -93,13 +93,13 @@ class TestArtifactStoreAcrossRuns:
         from repro.campaign.artifacts import ArtifactStore
 
         art = tmp_path / "artifacts"
-        run_campaign(MIXED, workers=1, artifact_dir=art)
+        CampaignRunner(workers=1, artifact_dir=art).run(MIXED)
         assert len(ArtifactStore(art)) == 2
 
 
 class TestMixedGrid:
     def test_two_keys_two_simulations(self):
-        result = run_campaign(MIXED, workers=1)
+        result = CampaignRunner(workers=1).run(MIXED)
         s = result.summary
         assert len(result) == 4
         assert s.n_simulations == 2

@@ -132,6 +132,8 @@ class TestAcceptance:
         gate = threading.Event()
 
         class GatedRunner:
+            cache = None
+
             def __init__(self, **kwargs):
                 pass
 

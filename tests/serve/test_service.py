@@ -57,6 +57,7 @@ class GatedRunner:
     gate = None       # threading.Event, set per test
     started = None    # list of specs seen
     fail = False
+    cache = None      # no cell cache, as with ``cache_dir=None``
 
     def __init__(self, **kwargs):
         self.kwargs = kwargs

@@ -64,6 +64,27 @@ class TestCommands:
         assert "GenMS" in out
         assert "32" in out and "64" in out
 
+    def test_sweep_prints_oom_cell_as_dash(self, capsys):
+        # Neither collector fits _209_db's live set in 8 MB: those
+        # cells are left off the series, like the figures leave them
+        # off the plot, and the sweep still succeeds.
+        code = main([
+            "sweep", "_209_db", "--heaps", "8", "16",
+            "--collectors", "SemiSpace", "GenCopy",
+            "--input-scale", "0.2",
+        ])
+        assert code == 0
+        rows = {
+            line.split()[0]: line.split()[1:]
+            for line in capsys.readouterr().out.splitlines()
+            if line.strip()
+        }
+        assert rows["heap"] == ["MB", "8", "16"]
+        for collector in ("SemiSpace", "GenCopy"):
+            oom, edp = rows[collector]
+            assert oom == "-"
+            assert float(edp) > 0
+
     def test_validate_output(self, capsys):
         code = main([
             "validate", "--benchmark", "_201_compress",
