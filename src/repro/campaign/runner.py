@@ -412,8 +412,9 @@ class CampaignResult:
         its record has ``oom`` set)."""
         from repro.export import record_from_payload
 
-        for cell in self.failed_cells()[:1]:
-            cfg = cell.config
+        failed = self.failed_cells()
+        if failed:
+            cell, cfg = failed[0], failed[0].config
             raise CampaignError(
                 f"{cfg.benchmark} {cfg.vm}/{cfg.platform} "
                 f"{cfg.collector or 'default'} @ {cfg.heap_mb} MB "

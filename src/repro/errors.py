@@ -4,6 +4,8 @@ All package-specific errors derive from :class:`ReproError` so callers can
 catch everything raised by the simulator with a single ``except`` clause.
 """
 
+import re
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro package."""
@@ -50,8 +52,6 @@ class OutOfMemoryError(ReproError):
     def from_message(cls, message):
         """Rebuild the error from its message, the form in which a
         campaign cell's out-of-memory payload records it."""
-        import re
-
         return cls(*(int(n) for n in re.findall(r"\d+", message)))
 
 
