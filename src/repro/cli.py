@@ -54,7 +54,12 @@ from repro.core.report import (
     render_series,
     render_table,
 )
-from repro.errors import ConfigurationError
+from repro.errors import (
+    ConfigurationError,
+    OutOfMemoryError,
+    ReproError,
+    SpecValidationError,
+)
 from repro.jvm.components import Component
 from repro.obs import Observability
 from repro.obs import logging as obs_logging
@@ -100,11 +105,12 @@ def _add_spec_arg(parser):
                              "experiment-selection flags)")
 
 
-def _resolve_benchmark(args, command):
+def _resolve_benchmark(args):
     benchmark = args.benchmark or getattr(args, "bench", None)
     if benchmark is None:
-        print(f"repro {command}: name a benchmark (positionally or "
-              "with -b), or pass --spec", file=sys.stderr)
+        raise ConfigurationError(
+            "name a benchmark (positionally or with -b), or pass --spec"
+        )
     return benchmark
 
 
@@ -122,32 +128,14 @@ def _spec_from_args(args, benchmark):
     )
 
 
-def _load_spec(path):
-    """Load + validate a spec file; prints the error and returns None
-    on failure so commands can exit 2 uniformly."""
-    try:
-        return ScenarioSpec.from_file(path).validate()
-    except ConfigurationError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return None
-
-
-def _single_cell_config(args, command):
-    """Resolve run/pauses/validate-style args into one ExperimentConfig
-    (spec file or flags), or None after printing an error."""
+def _single_cell_config(args):
+    """Resolve run/pauses/validate-style args (spec file or flags) into
+    one validated ExperimentConfig."""
     if getattr(args, "spec", None):
-        spec = _load_spec(args.spec)
-        if spec is None:
-            return None
-        try:
-            return spec.experiment_config()
-        except ConfigurationError as exc:
-            print(f"repro {command}: {exc}", file=sys.stderr)
-            return None
-    benchmark = _resolve_benchmark(args, command)
-    if benchmark is None:
-        return None
-    return _spec_from_args(args, benchmark).experiment_config()
+        spec = ScenarioSpec.from_file(args.spec)
+    else:
+        spec = _spec_from_args(args, _resolve_benchmark(args))
+    return spec.validate().experiment_config()
 
 
 def cmd_list(args):
@@ -210,9 +198,7 @@ def cmd_list(args):
 
 
 def cmd_run(args):
-    config = _single_cell_config(args, "run")
-    if config is None:
-        return 2
+    config = _single_cell_config(args)
     obs = Observability.create(
         trace=bool(args.trace),
         metrics=bool(args.trace) or args.metrics,
@@ -252,13 +238,18 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
-    benchmark = _resolve_benchmark(args, "sweep")
-    if benchmark is None:
-        return 2
+    from dataclasses import replace
+
     from repro.analysis.edp import edp_sweep
 
+    benchmark = _resolve_benchmark(args)
+    collectors = args.collectors or registry.collectors_for_vm(args.vm)
+    # Check the grid up front: edp_sweep would silently skip a
+    # collector --vm does not implement.
+    replace(_spec_from_args(args, benchmark), collectors=tuple(collectors),
+            heap_mbs=tuple(args.heaps)).validate()
     sweep = edp_sweep(
-        [benchmark], args.collectors, args.heaps, vm=args.vm,
+        [benchmark], collectors, args.heaps, vm=args.vm,
         platform=args.platform, input_scale=args.input_scale,
         seed=args.seed, dvfs_freq_scale=args.dvfs,
     )
@@ -267,8 +258,7 @@ def cmd_sweep(args):
     series = {
         collector: [(heap, sweep.edp(benchmark, collector, heap))
                     for heap in args.heaps]
-        for collector in args.collectors
-        if registry.collector_supported(args.vm, collector)
+        for collector in collectors
     }
     print(f"EDP (joule-seconds) for {benchmark}:")
     print(render_series(series, x_label="heap MB", y_fmt="{:.0f}"))
@@ -312,9 +302,7 @@ def cmd_pauses(args):
     from repro.analysis.pauses import mmu_curve, pause_stats
     from repro.core.simulation import simulate
 
-    config = _single_cell_config(args, "pauses")
-    if config is None:
-        return 2
+    config = _single_cell_config(args)
     run = simulate(
         config, obs=Observability.create(trace=False, metrics=False)
     ).run
@@ -335,9 +323,7 @@ def cmd_pauses(args):
 def cmd_export(args):
     from repro.export import power_trace_to_csv, result_to_json
 
-    config = _single_cell_config(args, "export")
-    if config is None:
-        return 2
+    config = _single_cell_config(args)
     result = Experiment(
         config, obs=Observability.create(trace=False, metrics=False)
     ).run()
@@ -356,17 +342,15 @@ def cmd_campaign(args):
 
     if args.spec:
         if args.benchmarks:
-            print("repro campaign: give either --spec or --benchmarks, "
-                  "not both", file=sys.stderr)
-            return 2
-        spec = _load_spec(args.spec)
-        if spec is None:
-            return 2
+            raise ConfigurationError(
+                "give either --spec or --benchmarks, not both"
+            )
+        spec = ScenarioSpec.from_file(args.spec)
+    elif not args.benchmarks:
+        raise ConfigurationError(
+            "name benchmarks with --benchmarks or pass --spec"
+        )
     else:
-        if not args.benchmarks:
-            print("repro campaign: name benchmarks with --benchmarks "
-                  "or pass --spec", file=sys.stderr)
-            return 2
         collectors = tuple(
             None if c in ("default", "none") else c
             for c in args.collectors
@@ -382,6 +366,7 @@ def cmd_campaign(args):
             derive_seeds=args.derive_seeds,
             version=1,
         )
+    spec.validate()
     print(f"scenario {spec.name or '(unnamed)'} "
           f"spec-hash {spec.spec_hash()[:16]} "
           f"({len(spec.cells())} cells)")
@@ -465,8 +450,6 @@ def cmd_campaign(args):
 def cmd_spec(args):
     import json
 
-    from repro.errors import SpecValidationError
-
     status = 0
     for path in args.files:
         try:
@@ -508,9 +491,7 @@ def cmd_validate(args):
     from repro.analysis.validation import attribution_error
     from repro.core.simulation import simulate
 
-    config = _single_cell_config(args, "validate")
-    if config is None:
-        return 2
+    config = _single_cell_config(args)
     sim = simulate(
         config, obs=Observability.create(trace=False, metrics=False)
     )
@@ -552,9 +533,7 @@ def cmd_overhead(args):
     from repro.campaign.artifacts import ArtifactStore
     from repro.core.simulation import MeasurementSession
 
-    config = _single_cell_config(args, "overhead")
-    if config is None:
-        return 2
+    config = _single_cell_config(args)
 
     store = None if args.no_artifacts else ArtifactStore(args.artifact_dir)
     artifact, source, sim_wall_s = _load_or_simulate(config, store)
@@ -670,24 +649,17 @@ def cmd_uncertainty(args):
 
     from repro.analysis.uncertainty import BootstrapEngine, NoiseConfig
     from repro.campaign.artifacts import ArtifactStore
-    from repro.errors import ConfigurationError as ConfigError
 
-    config = _single_cell_config(args, "uncertainty")
-    if config is None:
-        return 2
-    try:
-        noise = NoiseConfig(
-            adc_bits=args.adc_bits if args.adc_bits > 0 else None,
-            daq_jitter_frac=args.daq_jitter,
-            hpm_jitter_frac=args.hpm_jitter,
-        )
-        engine = BootstrapEngine(
-            config, noise=noise, replicates=args.replicates,
-            ci_level=args.ci,
-        )
-    except ConfigError as exc:
-        print(f"repro uncertainty: {exc}", file=sys.stderr)
-        return 2
+    config = _single_cell_config(args)
+    noise = NoiseConfig(
+        adc_bits=args.adc_bits if args.adc_bits > 0 else None,
+        daq_jitter_frac=args.daq_jitter,
+        hpm_jitter_frac=args.hpm_jitter,
+    )
+    engine = BootstrapEngine(
+        config, noise=noise, replicates=args.replicates,
+        ci_level=args.ci,
+    )
 
     store = None if args.no_artifacts else ArtifactStore(args.artifact_dir)
     artifact, source, sim_wall_s = _load_or_simulate(config, store)
@@ -733,16 +705,10 @@ def cmd_uncertainty(args):
 
 
 def cmd_trace(args):
-    from repro.errors import MeasurementError
     from repro.obs.chrome import load_trace
     from repro.obs.summary import render_trace_summary, summarize_trace
 
-    try:
-        events = load_trace(args.file)
-    except (OSError, MeasurementError) as exc:
-        print(f"repro trace: {exc}", file=sys.stderr)
-        return 2
-    summary = summarize_trace(events, top=args.top)
+    summary = summarize_trace(load_trace(args.file), top=args.top)
     print(render_trace_summary(summary))
     return 0
 
@@ -828,11 +794,7 @@ def _describe_job(job):
 
 
 def cmd_submit(args):
-    from repro.serve.client import (
-        ServiceBusy,
-        ServiceClient,
-        ServiceError,
-    )
+    from repro.serve.client import ServiceBusy, ServiceClient
 
     client = ServiceClient(args.server, timeout_s=30.0)
     try:
@@ -854,37 +816,28 @@ def cmd_submit(args):
         print(f"repro submit: {exc} (server suggests retrying in "
               f"{exc.retry_after_s:.0f} s)", file=sys.stderr)
         return 3
-    except (ServiceError, ConfigurationError, OSError) as exc:
-        print(f"repro submit: {exc}", file=sys.stderr)
-        return 2
 
 
 def cmd_jobs(args):
-    from repro.serve.client import ServiceClient, ServiceError
+    from repro.serve.client import ServiceClient
 
     client = ServiceClient(args.server, timeout_s=30.0)
-    try:
-        if args.trace is not None:
-            if not args.id:
-                print("repro jobs: --trace needs a job id",
-                      file=sys.stderr)
-                return 2
-            return _fetch_job_trace(client, args.id, args.trace)
-        if args.id:
-            job = (client.wait(args.id, timeout_s=args.timeout)
-                   if args.wait else client.job(args.id))
-            print(_describe_job(job))
-            return 1 if job["state"] == "failed" else 0
-        jobs = client.jobs()
-        if not jobs:
-            print("(no jobs)")
-            return 0
-        for job in jobs:
-            print(_describe_job(job))
+    if args.trace is not None:
+        if not args.id:
+            raise ConfigurationError("--trace needs a job id")
+        return _fetch_job_trace(client, args.id, args.trace)
+    if args.id:
+        job = (client.wait(args.id, timeout_s=args.timeout)
+               if args.wait else client.job(args.id))
+        print(_describe_job(job))
+        return 1 if job["state"] == "failed" else 0
+    jobs = client.jobs()
+    if not jobs:
+        print("(no jobs)")
         return 0
-    except ServiceError as exc:
-        print(f"repro jobs: {exc}", file=sys.stderr)
-        return 2
+    for job in jobs:
+        print(_describe_job(job))
+    return 0
 
 
 def _fetch_job_trace(client, job_id, out_path):
@@ -967,9 +920,7 @@ def cmd_cache(args):
                   f"({_fmt_bytes(freed)})")
         return 0
     if args.max_bytes is None:
-        print("repro cache prune: pass --max-bytes or --stale",
-              file=sys.stderr)
-        return 2
+        raise ConfigurationError("pass --max-bytes or --stale")
     for label, store in stores:
         removed, freed = store.prune(args.max_bytes)
         print(f"{label}: evicted {removed} entries "
@@ -1004,20 +955,17 @@ def cmd_replay(args):
     if args.all:
         keys = store.keys()
         if not keys:
-            print(f"repro replay: no stored results under "
-                  f"{store.root}", file=sys.stderr)
-            return 2
+            raise ConfigurationError(
+                f"no stored results under {store.root}"
+            )
         for key in keys:
             run_one(key)
     elif args.target is None:
-        print("repro replay: name a result hash or a spec file, or "
-              "pass --all", file=sys.stderr)
-        return 2
+        raise ConfigurationError(
+            "name a result hash or a spec file, or pass --all"
+        )
     else:
-        key = _resolve_replay_target(args.target, store)
-        if key is None:
-            return 2
-        run_one(key)
+        run_one(_resolve_replay_target(args.target, store))
 
     counts = {IDENTICAL: 0, DRIFTED: 0, UNREPLAYABLE: 0}
     for report in reports:
@@ -1035,7 +983,7 @@ def cmd_replay(args):
 def _resolve_replay_target(target, store):
     """A replay target is a result hash (full or unique prefix) or a
     spec file whose hash names the stored artifact; returns the full
-    key, or None after printing an error."""
+    key."""
     lowered = target.lower()
     if all(c in "0123456789abcdef" for c in lowered) and len(lowered) >= 8:
         if len(lowered) == 64:
@@ -1045,13 +993,8 @@ def _resolve_replay_target(target, store):
         if len(matches) == 1:
             return matches[0]
         what = "ambiguous" if matches else "unknown"
-        print(f"repro replay: {what} result hash prefix {target!r}",
-              file=sys.stderr)
-        return None
-    spec = _load_spec(target)
-    if spec is None:
-        return None
-    key = spec.spec_hash()
+        raise ConfigurationError(f"{what} result hash prefix {target!r}")
+    key = ScenarioSpec.from_file(target).validate().spec_hash()
     print(f"{target}: spec-hash {key[:16]}")
     return key
 
@@ -1092,10 +1035,8 @@ def build_parser():
         "--heaps", type=int, nargs="+",
         default=[32, 48, 64, 80, 96, 112, 128],
     )
-    p_sweep.add_argument(
-        "--collectors", nargs="+",
-        default=["SemiSpace", "MarkSweep", "GenCopy", "GenMS"],
-    )
+    p_sweep.add_argument("--collectors", nargs="+", default=None,
+                         help="default: every collector --vm implements")
 
     p_campaign = sub.add_parser(
         "campaign",
@@ -1440,16 +1381,29 @@ COMMANDS = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     obs_logging.configure(verbose=args.verbose, quiet=args.quiet)
+    prefix = f"repro {args.command}:"
     try:
         return COMMANDS[args.command](args)
     except BrokenPipeError:
         # Downstream pipe (e.g. `| head`) closed early; exit quietly
         # with the shell's 128+SIGPIPE convention.  Redirect stdout to
         # devnull first so the interpreter's final flush cannot raise.
+        # An OSError itself, so it is caught before the input errors.
         import os
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except OutOfMemoryError as exc:
+        # Valid input, failed run: 1, as for a failed campaign cell.
+        print(f"{prefix} out of memory: {exc}", file=sys.stderr)
+        return 1
+    except SpecValidationError as exc:
+        for problem in exc.problems:
+            print(f"{prefix} {problem}", file=sys.stderr)
+        return 2
+    except (ReproError, OSError) as exc:
+        print(f"{prefix} {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -72,9 +72,14 @@ class SpaceExhausted(ReproError):
 class UnknownBenchmarkError(ReproError, KeyError):
     """The requested benchmark name is not in the workload registry."""
 
+    # KeyError's __str__ quotes the message (it expects a bare key).
+    __str__ = Exception.__str__
+
 
 class UnknownCollectorError(ReproError, KeyError):
     """The requested garbage collector name is not supported by the VM."""
+
+    __str__ = Exception.__str__
 
 
 class CampaignError(ReproError):

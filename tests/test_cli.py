@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import re
+import sys
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import COMMANDS, build_parser, main
 
 
 class TestParser:
@@ -102,6 +105,90 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "steady" in out
+
+    def test_sweep_collectors_default_to_the_vms(self, capsys):
+        code = main([
+            "sweep", "_202_jess", "--vm", "kaffe", "--platform", "pxa255",
+            "--heaps", "16", "--input-scale", "0.1",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "KaffeGC" in out
+        assert not any(c in out for c in ("SemiSpace", "GenCopy", "GenMS"))
+
+
+#: Input errors every experiment-shaped subcommand turns into one line.
+_BAD_BENCHMARK = [
+    ["run", "_999"],
+    ["sweep", "_999", "--heaps", "16"],
+    ["pauses", "_999"],
+    ["export", "_999"],
+    ["validate", "--benchmark", "_999"],
+    ["overhead", "--benchmark", "_999", "--no-artifacts"],
+    ["uncertainty", "--benchmark", "_999", "--no-artifacts"],
+    ["campaign", "--benchmarks", "_999", "--no-cache"],
+    ["workload", "_999"],
+    ["thermal", "--benchmark", "_999"],
+]
+_UNSUPPORTED_PAIR = [
+    [command, "-b", "_202_jess", "--vm", "kaffe", "--collector", "GenMS"]
+    for command in ("run", "pauses", "export")
+] + [
+    [command, "--benchmark", "_202_jess", "--vm", "kaffe",
+     "--collector", "GenMS", "--no-artifacts"]
+    for command in ("overhead", "uncertainty")
+] + [
+    ["validate", "--benchmark", "_202_jess", "--vm", "kaffe",
+     "--collector", "GenMS"],
+    ["sweep", "_202_jess", "--vm", "kaffe", "--collectors", "GenMS",
+     "--heaps", "16"],
+    ["campaign", "--benchmarks", "_202_jess", "--vms", "kaffe",
+     "--collectors", "GenMS", "--no-cache"],
+]
+_MISSING_FILE = [
+    ["run", "--spec", "missing.toml"],
+    ["trace", "missing.json"],
+]
+
+
+class TestErrorBoundary:
+    """``main`` turns every input error into one stderr line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv", _BAD_BENCHMARK + _UNSUPPORTED_PAIR + _MISSING_FILE,
+        ids=" ".join,
+    )
+    def test_bad_input_is_one_line_and_exit_two(self, argv, capsys,
+                                                monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro {argv[0]}: ")
+
+    def test_out_of_memory_run_exits_one(self, capsys):
+        assert main([
+            "run", "_209_db", "--heap", "8", "--collector", "SemiSpace",
+            "--input-scale", "0.2",
+        ]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert re.fullmatch(
+            r"repro run: out of memory: cannot allocate \d+ bytes: "
+            r"heap=\d+ bytes, live=\d+ bytes", lines[0],
+        )
+
+    def test_broken_pipe_exits_141(self, monkeypatch, tmp_path):
+        def closed_pipe(args):
+            raise BrokenPipeError
+
+        monkeypatch.setitem(COMMANDS, "list", closed_pipe)
+        # main points stdout's descriptor at /dev/null; give it a file.
+        with open(tmp_path / "stdout", "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["list"]) == 141
 
 
 class TestObservabilityFlags:

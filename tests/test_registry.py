@@ -161,3 +161,18 @@ class TestComponentRegistries:
         finally:
             registry.VMS.unregister("test-plugin-vm")
         assert "test-plugin-vm" not in registry.VMS
+
+    def test_unknown_name_errors_read_unquoted(self):
+        """The lookup errors subclass KeyError, whose str() would wrap
+        the message in quotes; users and campaign logs see it bare."""
+        from repro.errors import UnknownBenchmarkError, UnknownCollectorError
+        from repro.jvm.gc import make_collector
+        from repro.workloads import get_benchmark
+
+        with pytest.raises(UnknownBenchmarkError) as bench:
+            get_benchmark("_999")
+        with pytest.raises(UnknownCollectorError) as collector:
+            make_collector("NoSuchGC", 2**20, None)
+        for exc in (bench.value, collector.value):
+            assert isinstance(exc, KeyError)
+            assert str(exc).startswith("unknown ")
